@@ -17,8 +17,8 @@ from .congruences import (CongruenceSet, all_congruences, congruence_closure,
                           eta, is_congruence, least_dl_congruence, sigma,
                           sigma_star)
 from .varieties import (CATALOG, TheoremReport, THEOREMS, VarietySpec,
-                        eta_equals_relation, in_variety, variety_membership,
-                        verify_theorem)
+                        eta_equals_relation, in_variety, malcev_product,
+                        variety_membership, verify_theorem)
 from .structure import (ClassExpr, Malcev, Named, SpinedDecomposition,
                         is_distributive_lattice, is_isomorphic,
                         malcev_membership, quotient, reconstruct,

@@ -28,8 +28,9 @@ from .congruences import eta, least_dl_congruence, sigma, sigma_star
 from .enumeration import (DEFAULT_NODE_BUDGET, DEFAULT_SECS_BUDGET, EnumConfig,
                           enumerate_idempotent_semirings)
 from .relations import green_add, green_mult, quasi_orders
-from .structure import Malcev, Named, spined_decompose
-from .varieties import CATALOG, THEOREMS, in_variety, verify_theorem
+from .structure import spined_decompose
+from .varieties import (CATALOG, THEOREMS, in_variety, malcev_product,
+                        verify_theorem)
 
 SCHEMA_VERSION = 1
 
@@ -68,19 +69,15 @@ def _emit(report: Dict, summary: str, started: float, show_timing: bool) -> int:
 
 def _parse_filter(text: Optional[str]):
     """A variety name, or a right-nested Malcev product like LZ_dot:D."""
-    if text is None:
-        return None
-    names = text.split(":")
-    for name in names:
-        if name not in CATALOG:
-            raise PreconditionError(
-                "unknown class %r; known: %s" % (name, ", ".join(sorted(CATALOG))))
-    if len(names) == 1:
-        return CATALOG[names[0]]
-    expr = Named(CATALOG[names[-1]])
-    for name in reversed(names[:-1]):
-        expr = Malcev(Named(CATALOG[name]), expr)
-    return expr
+    return None if text is None else malcev_product(*text.split(":"))
+
+
+def _read_input(path: str) -> str:
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise SemiringFormatError("cannot read input: %s" % exc) from exc
 
 
 def _enumerate_orders(max_order: int, iso: bool, budget_nodes: int,
@@ -98,7 +95,7 @@ def _enumerate_orders(max_order: int, iso: bool, budget_nodes: int,
 # analyze
 
 def cmd_analyze(args, started: float) -> int:
-    text = open(args.file).read()
+    text = _read_input(args.file)
     t = parse_semiring_text(text)
     names = t.names
     report = validate_semiring(t)
@@ -234,7 +231,7 @@ def cmd_enumerate(args, started: float) -> int:
 # decompose
 
 def cmd_decompose(args, started: float) -> int:
-    text = open(args.file).read()
+    text = _read_input(args.file)
     t = parse_semiring_text(text)
     if not validate_semiring(t).is_idempotent_semiring:
         raise PreconditionError("input is not an idempotent semiring")
@@ -288,10 +285,21 @@ def cmd_explore_sigma(args, started: float) -> int:
 
 # ---------------------------------------------------------------------------
 
+def _env_number(name: str, convert, default):
+    text = os.environ.get(name)
+    if text is None:
+        return default
+    try:
+        return convert(text)
+    except ValueError:
+        raise SemiringFormatError("environment variable %s=%r is not a valid %s"
+                                  % (name, text, convert.__name__)) from None
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    env_max_order = int(os.environ.get("SEMIRING_LAB_MAX_ORDER", "3"))
-    env_budget_secs = float(os.environ.get("SEMIRING_LAB_BUDGET_SECS",
-                                           str(DEFAULT_SECS_BUDGET)))
+    env_max_order = _env_number("SEMIRING_LAB_MAX_ORDER", int, 3)
+    env_budget_secs = _env_number("SEMIRING_LAB_BUDGET_SECS", float,
+                                  DEFAULT_SECS_BUDGET)
     parser = argparse.ArgumentParser(
         prog="semiring-lab",
         description="Finite-algebra workbench for idempotent semirings.")
@@ -345,8 +353,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     started = time.monotonic()
-    args = _build_parser().parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         return args.func(args, started)
     except SemiringFormatError as exc:
         print("parse error: %s" % exc, file=sys.stderr)
@@ -360,9 +368,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except PreconditionError as exc:
         print("precondition violated: %s" % exc, file=sys.stderr)
         return EXIT_PRECONDITION
-    except FileNotFoundError as exc:
-        print("cannot read input: %s" % exc, file=sys.stderr)
-        return EXIT_PARSE
 
 
 def entry() -> None:

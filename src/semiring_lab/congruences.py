@@ -12,12 +12,11 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Iterable, Tuple, Union
 
 from .core import (InternalConsistencyError, PreconditionError,
                    ResourceBoundError, SemiringTable)
-from .relations import BinRelation, Partition
+from .relations import BinRelation, Partition, UnionFind
 
 DEFAULT_ORDER_BOUND = 8
 
@@ -41,26 +40,6 @@ def is_congruence(t: SemiringTable, p: Partition) -> bool:
     return True
 
 
-class _UnionFind:
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-
-    def find(self, x: int) -> int:
-        root = x
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[x] != root:
-            self.parent[x], x = root, self.parent[x]
-        return root
-
-    def union(self, a: int, b: int) -> bool:
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return False
-        self.parent[max(ra, rb)] = min(ra, rb)
-        return True
-
-
 def congruence_closure(t: SemiringTable,
                        seed: Union[BinRelation, Iterable[Tuple[int, int]]]
                        ) -> Partition:
@@ -72,7 +51,7 @@ def congruence_closure(t: SemiringTable,
     """
     n = t.order
     pairs = seed.pairs if isinstance(seed, BinRelation) else seed
-    uf = _UnionFind(n)
+    uf = UnionFind(n)
     queue = deque()
     for a, b in pairs:
         if uf.union(a, b):
@@ -86,10 +65,9 @@ def congruence_closure(t: SemiringTable,
                          (t.mul[c][a], t.mul[c][b])):
                 if uf.union(x, y):
                     queue.append((x, y))
-    return Partition([uf.find(x) for x in range(n)])
+    return uf.partition()
 
 
-@lru_cache(maxsize=None)
 def sigma(t: SemiringTable) -> BinRelation:
     """a sigma b iff aba = aba+a+aba and bab = bab+b+bab.
 
@@ -104,7 +82,6 @@ def sigma(t: SemiringTable) -> BinRelation:
         t.order, lambda a, b: absorbed(a, b) and absorbed(b, a))
 
 
-@lru_cache(maxsize=None)
 def sigma_star(t: SemiringTable) -> BinRelation:
     """a sigma_star b iff some x has axbxa, bxaxb absorbed as in sigma.
 
@@ -146,7 +123,6 @@ def principal_congruence(t: SemiringTable, a: int, b: int) -> Partition:
     return congruence_closure(t, [(a, b)])
 
 
-@lru_cache(maxsize=None)
 def all_congruences(t: SemiringTable,
                     order_bound: int = DEFAULT_ORDER_BOUND) -> CongruenceSet:
     """The full congruence lattice, by closing the principal congruences
@@ -210,7 +186,6 @@ def least_dl_congruence(t: SemiringTable, method: str = "sigma_closure"
                             % (method, LDC_METHODS))
 
 
-@lru_cache(maxsize=None)
 def eta(t: SemiringTable) -> Partition:
     """The least distributive lattice congruence, via the sigma closure."""
     return least_dl_congruence(t, "sigma_closure")

@@ -79,18 +79,6 @@ class SemiringTable:
             mul=tuple(tuple(row) for row in mul_rows),
         )
 
-    def add_of(self, a: int, b: int) -> int:
-        return self.add[a][b]
-
-    def mul_of(self, a: int, b: int) -> int:
-        return self.mul[a][b]
-
-    def sum_of(self, elems: Sequence[int]) -> int:
-        acc = elems[0]
-        for e in elems[1:]:
-            acc = self.add[acc][e]
-        return acc
-
     def prod_of(self, elems: Sequence[int]) -> int:
         acc = elems[0]
         for e in elems[1:]:

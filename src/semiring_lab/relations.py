@@ -14,6 +14,31 @@ from typing import Callable, FrozenSet, Iterable, List, Sequence, Tuple
 from .core import (InternalConsistencyError, PreconditionError, SemiringTable)
 
 
+class UnionFind:
+    """Disjoint sets over range(n); union reports whether it merged."""
+
+    def __init__(self, n: int):
+        self.parent = list(range(n))
+
+    def find(self, x: int) -> int:
+        root = x
+        while self.parent[root] != root:
+            root = self.parent[root]
+        while self.parent[x] != root:
+            self.parent[x], x = root, self.parent[x]
+        return root
+
+    def union(self, a: int, b: int) -> bool:
+        ra, rb = self.find(a), self.find(b)
+        if ra == rb:
+            return False
+        self.parent[max(ra, rb)] = min(ra, rb)
+        return True
+
+    def partition(self) -> "Partition":
+        return Partition([self.find(x) for x in range(len(self.parent))])
+
+
 class Partition:
     """An equivalence relation stored as canonical block labels.
 
@@ -56,19 +81,10 @@ class Partition:
 
     @classmethod
     def from_pairs(cls, order: int, pairs: Iterable[Tuple[int, int]]) -> "Partition":
-        parent = list(range(order))
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
+        uf = UnionFind(order)
         for a, b in pairs:
-            ra, rb = find(a), find(b)
-            if ra != rb:
-                parent[max(ra, rb)] = min(ra, rb)
-        return cls([find(x) for x in range(order)])
+            uf.union(a, b)
+        return uf.partition()
 
     def blocks(self) -> Tuple[Tuple[int, ...], ...]:
         out: List[List[int]] = [[] for _ in range(self.num_blocks())]

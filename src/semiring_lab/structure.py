@@ -4,11 +4,10 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import Optional, Sequence, Tuple, Union
+from typing import Iterator, Optional, Sequence, Tuple, Union
 
 from .core import (InternalConsistencyError, PreconditionError, SemiringTable,
-                   holds, validate_semiring)
+                   eval_term, holds, validate_semiring)
 from .relations import Partition, green_mult
 
 
@@ -22,8 +21,15 @@ class Named:
 
 @dataclass(frozen=True)
 class Malcev:
-    left: "ClassExpr"
+    """The Malcev product left o right of a variety and a class expression."""
+
+    left: Named
     right: "ClassExpr"
+
+    def __post_init__(self):
+        if not isinstance(self.left, Named):
+            raise PreconditionError("the left factor of a Malcev product "
+                                    "must be a named variety")
 
 
 ClassExpr = Union[Named, Malcev]
@@ -32,9 +38,13 @@ ClassExpr = Union[Named, Malcev]
 # ---------------------------------------------------------------------------
 # Quotients and distributive lattices
 
-@lru_cache(maxsize=None)
-def _quotient_cached(t: SemiringTable, p: Partition
-                     ) -> Tuple[SemiringTable, Tuple[int, ...]]:
+def quotient(t: SemiringTable, p: Partition
+             ) -> Tuple[SemiringTable, Tuple[int, ...]]:
+    """Quotient semiring and the projection map element -> block index.
+
+    Block representatives are the least element of each block; the induced
+    tables are re-checked for well-definedness and re-validated.
+    """
     from .congruences import is_congruence
     if not is_congruence(t, p):
         raise PreconditionError("partition is not a congruence")
@@ -58,24 +68,15 @@ def _quotient_cached(t: SemiringTable, p: Partition
     return q, tuple(lab)
 
 
-def quotient(t: SemiringTable, p: Partition
-             ) -> Tuple[SemiringTable, Tuple[int, ...]]:
-    """Quotient semiring and the projection map element -> block index.
-
-    Block representatives are the least element of each block; the induced
-    tables are re-checked for well-definedness and re-validated.
-    """
-    return _quotient_cached(t, p)
-
-
 def is_distributive_lattice(t: SemiringTable) -> bool:
-    """Both operations commutative plus absorption x+xy = x.
+    """Membership in the variety D: both operations commutative plus
+    absorption x+xy = x.
 
     The dual absorption x(x+y) = x then follows from distributivity and is
     asserted as a sanity check.
     """
-    ok = (holds(t, "x+y = y+x") and holds(t, "xy = yx")
-          and holds(t, "x+xy = x"))
+    from .varieties import CATALOG, variety_membership
+    ok = variety_membership(t, CATALOG["D"])
     if ok and not holds(t, "x(x+y) = x"):
         raise InternalConsistencyError(
             "absorption x+xy = x holds but dual absorption fails")
@@ -83,54 +84,60 @@ def is_distributive_lattice(t: SemiringTable) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Subalgebras and Malcev products
+# Malcev products
 
-def _subalgebra(t: SemiringTable, elems: Sequence[int]) -> Optional[SemiringTable]:
-    """Restrict t to elems, or None if elems is not closed under + and .."""
-    index = {x: i for i, x in enumerate(sorted(elems))}
-    order = sorted(elems)
-    add, mul = [], []
-    for a in order:
-        add_row, mul_row = [], []
-        for b in order:
-            s, m = t.add[a][b], t.mul[a][b]
-            if s not in index or m not in index:
-                return None
-            add_row.append(index[s])
-            mul_row.append(index[m])
-        add.append(add_row)
-        mul.append(mul_row)
-    return SemiringTable.from_rows(add, mul, [t.names[x] for x in order])
+def _instances(t: SemiringTable, spec: "VarietySpec",  # noqa: F821
+               blocks: Sequence[Sequence[int]]) -> Iterator[Tuple[int, int]]:
+    """Every pair (u(a), v(a)) for an identity u = v of spec and an
+    assignment a drawn from a single block."""
+    for ident in spec.identities:
+        for block in blocks:
+            for a in itertools.product(block, repeat=ident.nvars):
+                yield eval_term(t, ident.lhs, a), eval_term(t, ident.rhs, a)
 
 
-def malcev_membership(t: SemiringTable, expr: ClassExpr,
-                      order_bound: Optional[int] = None
-                      ) -> Tuple[bool, Optional[Partition]]:
-    """Membership of t in a class expression, with a witness congruence.
-
-    For Malcev(V, W): search all congruences rho of t in canonical order
-    for one whose quotient lies in W and whose classes are all closed
-    under both operations and lie in V (both checks recursive).  A class
-    not closed under + or . disqualifies its congruence.  Returns the
-    first witness in canonical congruence order.
-    """
-    from .congruences import DEFAULT_ORDER_BOUND, all_congruences
-    from .varieties import variety_membership
+def _least_congruence(t: SemiringTable, expr: ClassExpr) -> Partition:
+    """The least congruence of t whose quotient lies in expr."""
+    from .congruences import congruence_closure
     if isinstance(expr, Named):
+        return congruence_closure(t, _instances(t, expr.variety, [range(t.order)]))
+    classes = _least_congruence(t, expr.right).blocks()
+    return congruence_closure(t, _instances(t, expr.left.variety, classes))
+
+
+def malcev_membership(t: SemiringTable, expr: ClassExpr
+                      ) -> Tuple[bool, Optional[Partition]]:
+    """Membership of an idempotent semiring t in a class expression, with
+    the least witness congruence.
+
+    Named(V) is plain variety membership (no witness).  t lies in
+    Malcev(V, E) iff V's identities hold inside every class of rho(E),
+    the least congruence of t with quotient in E; rho(E) is then returned
+    as the witness, and every witness contains it.  rho(W) for a variety
+    W is the congruence closure of all identity instances of W on t;
+    rho(V o E) is the closure of those instances of V whose assignment
+    lies inside one class of rho(E).  rho(D) is the least distributive
+    lattice congruence eta.
+
+    Proof: every right-nested product of varieties is closed under
+    subalgebras and subdirect products, so t has a least congruence with
+    quotient in it (Burris & Sankappanavar, A Course in Universal Algebra,
+    1981), and a witness rho contains rho(E).  By idempotency congruence
+    classes are subalgebras, so each class of rho(E) is a subalgebra of a
+    class of rho; V is closed under subalgebras, so rho(E) is a witness
+    whenever any congruence is.  Applied to a quotient t/theta in V o E,
+    the same argument shows theta contains V's instances inside the
+    classes of rho(E); their closure theta0 lies inside rho(E), and
+    rho(E)/theta0 witnesses t/theta0 in V o E, so theta0 is rho(V o E).
+    """
+    if isinstance(expr, Named):
+        from .varieties import variety_membership
         return variety_membership(t, expr.variety), None
-    bound = DEFAULT_ORDER_BOUND if order_bound is None else order_bound
-    for rho in all_congruences(t, bound).partitions:
-        q, _ = quotient(t, rho)
-        if not malcev_membership(q, expr.right, order_bound)[0]:
-            continue
-        ok = True
-        for block in rho.blocks():
-            sub = _subalgebra(t, block)
-            if sub is None or not malcev_membership(sub, expr.left, order_bound)[0]:
-                ok = False
-                break
-        if ok:
-            return True, rho
+    if any(t.add[a][a] != a or t.mul[a][a] != a for a in range(t.order)):
+        raise PreconditionError("Malcev membership needs an idempotent semiring")
+    rho = _least_congruence(t, expr.right)
+    if all(u == v for u, v in _instances(t, expr.left.variety, rho.blocks())):
+        return True, rho
     return False, None
 
 

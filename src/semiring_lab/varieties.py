@@ -4,7 +4,7 @@ Every theorem of interest is either an equivalence (a list of conditions
 that must all agree on each finite instance) or an implication (a list of
 material implications that must all hold).  verify_theorem evaluates the
 conditions independently -- identity checks, relation comparisons, Malcev
-searches -- so each check stays two-sided.
+memberships -- so each check stays two-sided.
 """
 
 from __future__ import annotations
@@ -12,9 +12,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Tuple
 
-from .core import Identity, SemiringTable, parse_identity, satisfies_identity
-from .core import PreconditionError
+from .core import (Identity, PreconditionError, SemiringTable, holds,
+                   parse_identity, satisfies_identity)
 from .relations import Partition, green_add, green_mult, quasi_orders
+from .structure import ClassExpr, Malcev, Named, malcev_membership, quotient
 
 
 @dataclass(frozen=True)
@@ -66,6 +67,19 @@ def variety_membership(t: SemiringTable, v: VarietySpec) -> bool:
 
 def in_variety(t: SemiringTable, name: str) -> bool:
     return variety_membership(t, CATALOG[name])
+
+
+def malcev_product(*names: str) -> ClassExpr:
+    """The right-nested Malcev product V1 o (V2 o (... o Vk)) of catalog
+    varieties; a single name gives that variety."""
+    for name in names:
+        if name not in CATALOG:
+            raise PreconditionError(
+                "unknown class %r; known: %s" % (name, ", ".join(sorted(CATALOG))))
+    expr = Named(CATALOG[names[-1]])
+    for name in reversed(names[:-1]):
+        expr = Malcev(Named(CATALOG[name]), expr)
+    return expr
 
 
 RELATION_NAMES = ("D_plus", "L_plus", "R_plus", "D_dot", "L_dot", "R_dot")
@@ -121,27 +135,14 @@ def _implication(theorem_id: str, conditions: List[Tuple[str, bool]]
                          all(v for _, v in conditions))
 
 
-def _mem(t: SemiringTable, name: str) -> bool:
-    return in_variety(t, name)
-
-
 def _malcev(t: SemiringTable, *names: str) -> bool:
-    """Membership in the right-nested Malcev product of named varieties."""
-    from .structure import Malcev, Named, malcev_membership
-    expr = Named(CATALOG[names[-1]])
-    for name in reversed(names[:-1]):
-        expr = Malcev(Named(CATALOG[name]), expr)
-    return malcev_membership(t, expr)[0]
-
-
-def _holds(t: SemiringTable, identity_text: str) -> bool:
-    return satisfies_identity(t, parse_identity(identity_text))[0]
+    return malcev_membership(t, malcev_product(*names))[0]
 
 
 def _thm_lemma_1_1(t: SemiringTable) -> TheoremReport:
     return _equivalence("LEMMA_1_1", [
         ("eta_equals_D_plus", eta_equals_relation(t, "D_plus")),
-        ("band_semiring_identities", _mem(t, "Bi")),
+        ("band_semiring_identities", in_variety(t, "Bi")),
         ("in_Rplus_malcev_D", _malcev(t, "R_plus", "D")),
     ])
 
@@ -151,22 +152,22 @@ def _thm_lemma_1_2(t: SemiringTable) -> TheoremReport:
     l_add, _, _ = green_add(t)
     return _equivalence("LEMMA_1_2", [
         ("eta_equals_L_plus", eta_equals_relation(t, "L_plus")),
-        ("LN_and_Ddot_in_Lplus", _mem(t, "LN") and d_mul.refines(l_add)),
-        ("identity_x_plus_yxy", _holds(t, "x+yxy = x")),
+        ("LN_and_Ddot_in_Lplus", in_variety(t, "LN") and d_mul.refines(l_add)),
+        ("identity_x_plus_yxy", holds(t, "x+yxy = x")),
         ("in_LZplus_malcev_D", _malcev(t, "LZ_plus", "D")),
     ])
 
 
 def _thm_lemma_2_4(t: SemiringTable) -> TheoremReport:
     return _equivalence("LEMMA_2_4", [
-        ("in_N", _mem(t, "N")),
-        ("identity_xz_xyz_xz", _holds(t, "xz+xyz+xz = xz")),
+        ("in_N", in_variety(t, "N")),
+        ("identity_xz_xyz_xz", holds(t, "xz+xyz+xz = xz")),
     ])
 
 
 def _thm_2_5(t: SemiringTable) -> TheoremReport:
     from .congruences import eta, sigma
-    in_n = _mem(t, "N")
+    in_n = in_variety(t, "N")
     rel = sigma(t)
     transitive = rel.is_transitive()
     induces = transitive and rel.is_equivalence() and rel.to_partition() == eta(t)
@@ -181,8 +182,8 @@ def _thm_3_1(t: SemiringTable) -> TheoremReport:
     _, _, d_add = green_add(t)
     return _equivalence("THM_3_1", [
         ("eta_equals_D_dot", eta_equals_relation(t, "D_dot")),
-        ("N_and_Dplus_in_Ddot", _mem(t, "N") and d_add.refines(d_mul)),
-        ("identity_D_dot", _holds(t, "x = xyx+x+xyx")),
+        ("N_and_Dplus_in_Ddot", in_variety(t, "N") and d_add.refines(d_mul)),
+        ("identity_D_dot", holds(t, "x = xyx+x+xyx")),
     ])
 
 
@@ -190,8 +191,8 @@ def _thm_lemma_3_2(t: SemiringTable) -> TheoremReport:
     _, r_mul, _ = green_mult(t)
     _, _, d_add = green_add(t)
     return _equivalence("LEMMA_3_2", [
-        ("identity_bi1", _holds(t, "x+xy+x = x")),
-        ("N_and_Rdot_in_Dplus", _mem(t, "N") and r_mul.refines(d_add)),
+        ("identity_bi1", holds(t, "x+xy+x = x")),
+        ("N_and_Rdot_in_Dplus", in_variety(t, "N") and r_mul.refines(d_add)),
     ])
 
 
@@ -202,12 +203,12 @@ def _thm_3_3(t: SemiringTable) -> TheoremReport:
     return _equivalence("THM_3_3", [
         ("eta_equals_L_dot", eta_equals_relation(t, "L_dot")),
         ("Dplus_in_Ldot_and_bi1",
-         d_add.refines(l_mul) and _holds(t, "x+xy+x = x")),
+         d_add.refines(l_mul) and holds(t, "x+xy+x = x")),
         ("N_and_Rdot_Dplus_Ldot",
-         _mem(t, "N") and r_mul.refines(d_add) and d_add.refines(l_mul)),
+         in_variety(t, "N") and r_mul.refines(d_add) and d_add.refines(l_mul)),
         ("le_l_mul_in_le_add", le_l_mul.is_subset_of(le_add)),
-        ("identity_L_dot", _holds(t, "x = xy+x+xy")),
-        ("identity_L_dot_factored", _holds(t, "x = x(y+x+y)")),
+        ("identity_L_dot", holds(t, "x = xy+x+xy")),
+        ("identity_L_dot_factored", holds(t, "x = x(y+x+y)")),
     ])
 
 
@@ -218,65 +219,64 @@ def _thm_3_4(t: SemiringTable) -> TheoremReport:
     return _equivalence("THM_3_4", [
         ("eta_equals_R_dot", eta_equals_relation(t, "R_dot")),
         ("Dplus_in_Rdot_and_bi2",
-         d_add.refines(r_mul) and _holds(t, "x+yx+x = x")),
+         d_add.refines(r_mul) and holds(t, "x+yx+x = x")),
         ("N_and_Ldot_Dplus_Rdot",
-         _mem(t, "N") and l_mul.refines(d_add) and d_add.refines(r_mul)),
+         in_variety(t, "N") and l_mul.refines(d_add) and d_add.refines(r_mul)),
         ("le_r_mul_in_le_add", le_r_mul.is_subset_of(le_add)),
-        ("identity_R_dot", _holds(t, "x = yx+x+yx")),
-        ("identity_R_dot_factored", _holds(t, "x = (y+x+y)x")),
+        ("identity_R_dot", holds(t, "x = yx+x+yx")),
+        ("identity_R_dot_factored", holds(t, "x = (y+x+y)x")),
     ])
 
 
 def _thm_regband(t: SemiringTable) -> TheoremReport:
     return _implication("LEMMA_REGBAND", [
-        ("identity_10", _holds(t, "xyzx = xyzx+xyxzx+xyzx")),
-        ("identity_11", _holds(t, "xyxzx = xyxzx+xyzx+xyxzx")),
+        ("identity_10", holds(t, "xyzx = xyzx+xyxzx+xyzx")),
+        ("identity_11", holds(t, "xyxzx = xyxzx+xyzx+xyxzx")),
     ])
 
 
 def _thm_ddot_eq(t: SemiringTable) -> TheoremReport:
     return _equivalence("LEMMA_DDOT_EQ", [
-        ("in_D_dot", _mem(t, "D_dot")),
+        ("in_D_dot", in_variety(t, "D_dot")),
         ("pair_of_absorptions",
-         _holds(t, "xz = xz+xyz") and _holds(t, "xz = xyz+xz")),
-        ("identity_xz_sandwich", _holds(t, "xz = xyz+xz+xyz")),
+         holds(t, "xz = xz+xyz") and holds(t, "xz = xyz+xz")),
+        ("identity_xz_sandwich", holds(t, "xz = xyz+xz+xyz")),
     ])
 
 
 def _thm_nbd(t: SemiringTable) -> TheoremReport:
-    in_ddot = _mem(t, "D_dot")
+    in_ddot = in_variety(t, "D_dot")
     return _implication("LEMMA_NBD", [
         ("Ddot_implies_nb_sandwich",
-         (not in_ddot) or _holds(t, "xyzx = xzyx+xyzx+xzyx")),
+         (not in_ddot) or holds(t, "xyzx = xzyx+xyzx+xzyx")),
     ])
 
 
 def _thm_normal(t: SemiringTable) -> TheoremReport:
-    in_ddot = _mem(t, "D_dot")
+    in_ddot = in_variety(t, "D_dot")
     return _implication("THM_NORMAL", [
         ("Ddot_implies_normal_band",
-         (not in_ddot) or _holds(t, "xyzx = xzyx")),
+         (not in_ddot) or holds(t, "xyzx = xzyx")),
     ])
 
 
 def _thm_lnb(t: SemiringTable) -> TheoremReport:
     return _equivalence("THM_LNB", [
-        ("in_LNBdot_and_Ddot", _mem(t, "LNB_dot") and _mem(t, "D_dot")),
-        ("identity_xz_xzy", _holds(t, "xz = xzy+xz+xzy")),
-        ("in_L_dot", _mem(t, "L_dot")),
+        ("in_LNBdot_and_Ddot", in_variety(t, "LNB_dot") and in_variety(t, "D_dot")),
+        ("identity_xz_xzy", holds(t, "xz = xzy+xz+xzy")),
+        ("in_L_dot", in_variety(t, "L_dot")),
     ])
 
 
 def _thm_lemma_4_2(t: SemiringTable) -> TheoremReport:
     from .congruences import is_congruence
-    from .structure import quotient
     _, _, d_mul = green_mult(t)
     clause = False
     if is_congruence(t, d_mul):
         q, _ = quotient(t, d_mul)
         clause = _malcev(q, "LZ_plus", "D")
     return _equivalence("LEMMA_4_2", [
-        ("in_LN", _mem(t, "LN")),
+        ("in_LN", in_variety(t, "LN")),
         ("Ddot_congruence_and_quotient_in_LZplus_malcev_D", clause),
     ])
 
@@ -284,9 +284,9 @@ def _thm_lemma_4_2(t: SemiringTable) -> TheoremReport:
 def _thm_4_1(t: SemiringTable) -> TheoremReport:
     return _implication("THM_4_1", [
         ("L_dot_iff_LZdot_malcev_D",
-         _mem(t, "L_dot") == _malcev(t, "LZ_dot", "D")),
+         in_variety(t, "L_dot") == _malcev(t, "LZ_dot", "D")),
         ("R_dot_iff_RZdot_malcev_D",
-         _mem(t, "R_dot") == _malcev(t, "RZ_dot", "D")),
+         in_variety(t, "R_dot") == _malcev(t, "RZ_dot", "D")),
     ])
 
 
@@ -297,25 +297,25 @@ def _thm_4_3(t: SemiringTable) -> TheoremReport:
     # and reported as observations, never as gating conditions.
     report = _implication("THM_4_3", [
         ("LN_iff_RB_malcev_LZplus_D",
-         _mem(t, "LN") == _malcev(t, "RB", "LZ_plus", "D")),
+         in_variety(t, "LN") == _malcev(t, "RB", "LZ_plus", "D")),
         ("RN_iff_RB_malcev_RZplus_D",
-         _mem(t, "RN") == _malcev(t, "RB", "RZ_plus", "D")),
+         in_variety(t, "RN") == _malcev(t, "RB", "RZ_plus", "D")),
     ])
     observations = (
         ("LN_iff_Rdot_malcev_LZplus_D",
-         _mem(t, "LN") == _malcev(t, "R_dot", "LZ_plus", "D")),
+         in_variety(t, "LN") == _malcev(t, "R_dot", "LZ_plus", "D")),
         ("LN_iff_Ldot_malcev_LZplus_D",
-         _mem(t, "LN") == _malcev(t, "L_dot", "LZ_plus", "D")),
+         in_variety(t, "LN") == _malcev(t, "L_dot", "LZ_plus", "D")),
     )
     return TheoremReport(report.theorem_id, report.kind, report.conditions,
                          report.consistent, observations)
 
 
 def _thm_band_regular(t: SemiringTable) -> TheoremReport:
-    in_bi = _mem(t, "Bi")
+    in_bi = in_variety(t, "Bi")
     return _implication("BAND_SEMIRING_REGULAR", [
         ("Bi_implies_additive_regular_band",
-         (not in_bi) or _holds(t, "x+y+z+x = x+y+x+z+x")),
+         (not in_bi) or holds(t, "x+y+z+x = x+y+x+z+x")),
     ])
 
 
@@ -323,7 +323,7 @@ def _thm_cor_join(t: SemiringTable) -> TheoremReport:
     from .structure import _attempt_spined_decomposition
     ok, _, _ = _attempt_spined_decomposition(t)
     return _equivalence("COR_JOIN", [
-        ("in_D_dot", _mem(t, "D_dot")),
+        ("in_D_dot", in_variety(t, "D_dot")),
         ("spined_decomposition_succeeds", ok),
     ])
 

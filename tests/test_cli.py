@@ -71,6 +71,25 @@ def test_analyze_missing_file(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("command", ["analyze", "decompose"])
+def test_unreadable_input(capsys, tmp_path, command):
+    binary = tmp_path / "binary.txt"
+    binary.write_bytes(b"3\n\xff\xfe\n")
+    for path in (tmp_path, binary):
+        code, _, err = run(capsys, command, str(path))
+        assert code == 2
+        assert "cannot read input" in err
+
+
+@pytest.mark.parametrize("variable", ["SEMIRING_LAB_MAX_ORDER",
+                                      "SEMIRING_LAB_BUDGET_SECS"])
+def test_malformed_environment_variable(capsys, monkeypatch, variable):
+    monkeypatch.setenv(variable, "abc")
+    code, _, err = run(capsys, "verify", "--max-order", "1")
+    assert code == 2
+    assert variable in err
+
+
 def test_analyze_invalid_algebra(capsys, tmp_path):
     path = tmp_path / "notidem.txt"
     # aa = b breaks multiplicative idempotency

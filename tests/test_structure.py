@@ -46,19 +46,12 @@ def test_is_distributive_lattice(dl2, chain3, golden3, lz2):
 # ---------------------------------------------------------------------------
 # Malcev products
 
-def _expr(*names):
-    expr = sl.Named(sl.CATALOG[names[-1]])
-    for name in reversed(names[:-1]):
-        expr = sl.Malcev(sl.Named(sl.CATALOG[name]), expr)
-    return expr
-
-
 def test_malcev_named_is_plain_membership(dl2):
     assert sl.malcev_membership(dl2, sl.Named(sl.CATALOG["D"]))[0]
 
 
 def test_malcev_dl2_in_lz_dot_of_d(dl2):
-    ok, witness = sl.malcev_membership(dl2, _expr("LZ_dot", "D"))
+    ok, witness = sl.malcev_membership(dl2, sl.malcev_product("LZ_dot", "D"))
     assert ok
     assert witness == Partition.equality(2)  # singleton classes are left-zero
 
@@ -66,20 +59,33 @@ def test_malcev_dl2_in_lz_dot_of_d(dl2):
 def test_malcev_golden3_not_in_lz_dot_of_d(golden3):
     # its only congruences are equality (quotient not in D) and universal
     # (the single class is not a left-zero multiplicative band: cb = b)
-    ok, witness = sl.malcev_membership(golden3, _expr("LZ_dot", "D"))
+    ok, witness = sl.malcev_membership(golden3, sl.malcev_product("LZ_dot", "D"))
     assert not ok and witness is None
 
 
 def test_malcev_trivial_algebra(order1):
-    assert sl.malcev_membership(order1, _expr("LZ_dot", "D"))[0]
-    assert sl.malcev_membership(order1, _expr("RB", "LZ_plus", "D"))[0]
+    assert sl.malcev_membership(order1, sl.malcev_product("LZ_dot", "D"))[0]
+    assert sl.malcev_membership(order1, sl.malcev_product("RB", "LZ_plus", "D"))[0]
+
+
+def test_malcev_left_factor_must_be_named():
+    with pytest.raises(sl.PreconditionError):
+        sl.Malcev(sl.malcev_product("LZ_dot", "D"), sl.Named(sl.CATALOG["D"]))
+
+
+def test_malcev_requires_idempotent_semiring():
+    not_idempotent = sl.SemiringTable.from_rows([[0, 1], [1, 1]], [[1, 1], [1, 1]])
+    with pytest.raises(sl.PreconditionError):
+        sl.malcev_membership(not_idempotent, sl.malcev_product("LZ_dot", "D"))
 
 
 def test_malcev_matches_identity_characterization(small_semirings):
     # Theorem: membership in L_dot coincides with LZ_dot o D, dually R
+    lz_d = sl.malcev_product("LZ_dot", "D")
+    rz_d = sl.malcev_product("RZ_dot", "D")
     for t in small_semirings:
-        assert sl.in_variety(t, "L_dot") == sl.malcev_membership(t, _expr("LZ_dot", "D"))[0]
-        assert sl.in_variety(t, "R_dot") == sl.malcev_membership(t, _expr("RZ_dot", "D"))[0]
+        assert sl.in_variety(t, "L_dot") == sl.malcev_membership(t, lz_d)[0]
+        assert sl.in_variety(t, "R_dot") == sl.malcev_membership(t, rz_d)[0]
 
 
 # ---------------------------------------------------------------------------

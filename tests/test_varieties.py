@@ -1,3 +1,6 @@
+import gc
+import tracemalloc
+
 import pytest
 
 import semiring_lab as sl
@@ -95,3 +98,23 @@ def test_bi_equals_lqbi_and_rqbi(small_semirings):
     for t in small_semirings[::6]:
         assert sl.in_variety(t, "Bi") == (
             sl.in_variety(t, "LQBi") and sl.in_variety(t, "RQBi"))
+
+
+def test_theorem_sweep_retains_no_memory(labeled_by_order):
+    # nothing computed for one instance may outlive its checks
+    instances = labeled_by_order[3]
+    assert len(instances) == 379
+    for tid in THEOREMS:  # first calls may import lazily
+        sl.verify_theorem(instances[0], tid)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for t in instances:
+            for tid in THEOREMS:
+                sl.verify_theorem(t, tid)
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert retained <= 64 * 1024, "%d bytes retained" % retained
