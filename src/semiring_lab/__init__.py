@@ -20,10 +20,10 @@ from .varieties import (CATALOG, TheoremReport, THEOREMS, VarietySpec,
                         eta_equals_relation, in_variety, malcev_product,
                         variety_membership, verify_theorem)
 from .structure import (ClassExpr, Malcev, Named, SpinedDecomposition,
-                        is_distributive_lattice, is_isomorphic,
+                        canonical_form, is_distributive_lattice, is_isomorphic,
                         malcev_membership, quotient, reconstruct,
                         spined_decompose, spined_product)
-from .enumeration import (EnumConfig, all_idempotent_semirings, canonical_form,
+from .enumeration import (EnumConfig, all_idempotent_semirings,
                           enumerate_idempotent_semirings, naive_labeled_count)
 
 __version__ = "0.1.0"

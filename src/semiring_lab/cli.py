@@ -1,9 +1,9 @@
 """Command-line surface: analyze, verify, enumerate, decompose, explore-sigma.
 
 JSON reports go to stdout, a short human summary to stderr.  Exit codes:
-0 success, 2 parse error, 3 precondition violated, 4 budget exhausted,
-5 internal consistency failure (a verified theorem contradicted -- always
-an implementation bug).
+0 success, 2 parse error (also unreadable input or unwritable output),
+3 precondition violated, 4 budget exhausted, 5 internal consistency
+failure (a verified theorem contradicted -- always an implementation bug).
 
 Reports are deterministic: byte-identical across runs and worker counts
 for identical inputs.  Wall-clock timing is therefore reported on stderr
@@ -39,6 +39,8 @@ EXIT_PARSE = 2
 EXIT_PRECONDITION = 3
 EXIT_BUDGET = 4
 EXIT_INTERNAL = 5
+
+MAX_WORKERS = 64
 
 
 def _digest(data: str) -> str:
@@ -160,6 +162,8 @@ def _verify_one(job: Tuple[int, int, SemiringTable, Tuple[str, ...]]) -> List[Di
 
 
 def cmd_verify(args, started: float) -> int:
+    if not 1 <= args.workers <= MAX_WORKERS:
+        raise PreconditionError("--workers must be in 1..%d" % MAX_WORKERS)
     if args.suite == "all":
         suite = tuple(sorted(THEOREMS))
     elif args.suite in THEOREMS:
@@ -200,29 +204,33 @@ def cmd_enumerate(args, started: float) -> int:
                      filter=_parse_filter(args.filter),
                      budget_nodes=args.budget_nodes,
                      budget_secs=args.budget_secs)
-    count = 0
-    records = []
-    for t in enumerate_idempotent_semirings(cfg):
-        count += 1
-        if not args.count_only:
-            records.append(format_semiring_text(t))
+    stream = enumerate_idempotent_semirings(cfg)
     if args.count_only:
+        count = sum(1 for _ in stream)
         print(count)
         print("enumerate: %d semirings of order %d" % (count, args.n),
               file=sys.stderr)
         return EXIT_OK
     if args.out:
-        os.makedirs(args.out, exist_ok=True)
-        width = max(4, len(str(count)))
-        for i, rec in enumerate(records):
-            path = os.path.join(args.out, "semiring_%0*d.txt" % (width, i))
-            with open(path, "w") as fh:
-                fh.write(rec)
-        print("enumerate: wrote %d files to %s" % (count, args.out),
+        try:
+            os.makedirs(args.out, exist_ok=True)
+        except OSError as exc:
+            raise SemiringFormatError("cannot write output: %s" % exc) from exc
+    records = [format_semiring_text(t) for t in stream]
+    if args.out:
+        width = max(4, len(str(len(records))))
+        try:
+            for i, rec in enumerate(records):
+                path = os.path.join(args.out, "semiring_%0*d.txt" % (width, i))
+                with open(path, "w") as fh:
+                    fh.write(rec)
+        except OSError as exc:
+            raise SemiringFormatError("cannot write output: %s" % exc) from exc
+        print("enumerate: wrote %d files to %s" % (len(records), args.out),
               file=sys.stderr)
     else:
         sys.stdout.write("%%\n".join(records))
-        print("enumerate: %d semirings of order %d" % (count, args.n),
+        print("enumerate: %d semirings of order %d" % (len(records), args.n),
               file=sys.stderr)
     return EXIT_OK
 

@@ -247,9 +247,6 @@ class ValidationReport:
     is_idempotent_semiring: bool
     violations: Tuple[Tuple[str, Tuple[int, ...]], ...]
 
-    def violated(self, axiom: str) -> bool:
-        return any(name == axiom for name, _ in self.violations)
-
 
 _SEMIRING_AXIOMS = ("add_associative", "mul_associative",
                     "left_distributive", "right_distributive")
@@ -314,13 +311,6 @@ def validate_semiring(t: SemiringTable) -> ValidationReport:
     is_semiring = not (bad & set(_SEMIRING_AXIOMS))
     is_idempotent = is_semiring and not (bad & set(_IDEMPOTENT_AXIOMS))
     return ValidationReport(is_semiring, is_idempotent, tuple(violations))
-
-
-def require_idempotent_semiring(t: SemiringTable) -> None:
-    report = validate_semiring(t)
-    if not report.is_idempotent_semiring:
-        raise PreconditionError(
-            "not an idempotent semiring; violations: %r" % (report.violations,))
 
 
 # ---------------------------------------------------------------------------

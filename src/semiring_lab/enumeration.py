@@ -17,7 +17,7 @@ from typing import Callable, Iterator, List, Optional, Tuple, Union
 
 from .core import (BudgetExceededError, PreconditionError, SemiringTable,
                    validate_semiring)
-from .structure import ClassExpr, malcev_membership
+from .structure import ClassExpr, _canonical_labelling, _flat, malcev_membership
 from .varieties import VarietySpec, variety_membership
 
 DEFAULT_NODE_BUDGET = 10 ** 7
@@ -52,7 +52,7 @@ class EnumConfig:
     def __post_init__(self):
         if self.order < 1:
             raise PreconditionError("order must be >= 1")
-        if self.budget_nodes <= 0 or self.budget_secs <= 0:
+        if not (self.budget_nodes > 0 and self.budget_secs > 0):  # rejects nan
             raise PreconditionError("budget must be positive")
 
 
@@ -134,22 +134,6 @@ def _matches_filter(t: SemiringTable,
     return malcev_membership(t, flt)[0]
 
 
-def canonical_form(t: SemiringTable) -> SemiringTable:
-    """Lexicographically least relabeling of t, with default names.
-
-    Two semirings are isomorphic iff their canonical forms are equal.
-    """
-    n = t.order
-    best = None
-    for perm in itertools.permutations(range(n)):
-        r = t.relabel(perm)
-        key = (r.add, r.mul)
-        if best is None or key < best:
-            best = key
-    assert best is not None
-    return SemiringTable.from_rows(best[0], best[1])
-
-
 def enumerate_idempotent_semirings(cfg: EnumConfig) -> Iterator[SemiringTable]:
     """Stream every idempotent semiring of the configured order.
 
@@ -172,7 +156,7 @@ def enumerate_idempotent_semirings(cfg: EnumConfig) -> Iterator[SemiringTable]:
         for mul in _complete(_idempotent_seed(n), n, _off_diagonal_cells(n),
                              0, mul_ok, budget):
             t = SemiringTable.from_rows(add, mul)
-            if cfg.up_to_iso and canonical_form(t) != t:
+            if cfg.up_to_iso and _canonical_labelling(t)[0] != _flat(t):
                 continue
             if not _matches_filter(t, cfg.filter):
                 continue

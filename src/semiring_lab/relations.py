@@ -2,9 +2,9 @@
 
 Green's relations are computed from the band characterizations (O(n^2)
 table lookups); on a valid idempotent semiring both reducts are bands, so
-the characterizations are genuine equivalences.  Transitivity is verified
-anyway and a failure raises InternalConsistencyError, since it can only
-mean upstream validation was skipped or buggy.
+the characterizations are genuine equivalences.  That is verified anyway,
+in O(n^2), and a failure raises InternalConsistencyError, since it can
+only mean upstream validation was skipped or buggy.
 """
 
 from __future__ import annotations
@@ -246,20 +246,21 @@ class BinRelation:
 
 def _green(table: Tuple[Tuple[int, ...], ...], n: int
            ) -> Tuple[Partition, Partition, Partition]:
-    """L, R, D of a band given by `table`, via the band characterizations."""
-    l_rel = BinRelation(n, ((a, b) for a in range(n) for b in range(n)
-                            if table[a][b] == a and table[b][a] == b))
-    r_rel = BinRelation(n, ((a, b) for a in range(n) for b in range(n)
-                            if table[a][b] == b and table[b][a] == a))
-    d_rel = BinRelation(n, ((a, b) for a in range(n) for b in range(n)
-                            if table[a][table[b][a]] == a and table[b][table[a][b]] == b))
-    parts = []
-    for rel, name in ((l_rel, "L"), (r_rel, "R"), (d_rel, "D")):
-        if not rel.is_equivalence():
+    """L, R, D of a band given by `table`, via the band characterizations;
+    each is an equivalence iff it relates exactly the elements whose rows
+    in it are equal, and those rows then label the classes."""
+    def classes(name: str, rel: Callable[[int, int], bool]) -> Partition:
+        rows = [tuple(rel(a, b) for b in range(n)) for a in range(n)]
+        p = Partition(rows)
+        if any(rows[a][b] != (p.labels[a] == p.labels[b])
+               for a in range(n) for b in range(n)):
             raise InternalConsistencyError(
                 "Green's %s is not an equivalence; input was not a valid band" % name)
-        parts.append(rel.to_partition())
-    return parts[0], parts[1], parts[2]
+        return p
+    return (classes("L", lambda a, b: table[a][b] == a and table[b][a] == b),
+            classes("R", lambda a, b: table[a][b] == b and table[b][a] == a),
+            classes("D", lambda a, b: table[a][table[b][a]] == a
+                                      and table[b][table[a][b]] == b))
 
 
 def green_mult(t: SemiringTable) -> Tuple[Partition, Partition, Partition]:

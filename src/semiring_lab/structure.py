@@ -144,36 +144,51 @@ def malcev_membership(t: SemiringTable, expr: ClassExpr
 # ---------------------------------------------------------------------------
 # Isomorphism and spined products
 
-def _row_signature(t: SemiringTable, i: int) -> Tuple:
-    # permutation-invariant per-element fingerprint, used only to prune
-    add_row = t.add[i]
-    mul_row = t.mul[i]
-    add_col = tuple(t.add[j][i] for j in range(t.order))
-    mul_col = tuple(t.mul[j][i] for j in range(t.order))
-    def stats(seq):
-        return (seq.count(i), len(set(seq)))
-    return stats(add_row) + stats(mul_row) + stats(add_col) + stats(mul_col)
+def _flat(t: SemiringTable) -> Tuple[int, ...]:
+    """The + rows then the . rows as one tuple, which orders tables as
+    their (add, mul) row tuples do."""
+    return tuple(itertools.chain(*t.add, *t.mul))
+
+
+def _canonical_labelling(t: SemiringTable
+                         ) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
+    """The least flattened relabelling of t, which isomorphic tables and
+    only they share, and the first bijection i -> perm[i] attaining it."""
+    n = t.order
+    flat = _flat(t)
+    best = None
+    for perm in itertools.permutations(range(n)):
+        inv = sorted(range(n), key=perm.__getitem__)
+        # cell (a, b) of each relabelled table is perm[op(inv[a], inv[b])]
+        key = tuple([perm[flat[op + i * n + j]]
+                     for op in (0, n * n) for i in inv for j in inv])
+        if best is None or key < best[0]:
+            best = key, perm
+    return best
+
+
+def canonical_form(t: SemiringTable) -> SemiringTable:
+    """Lexicographically least relabeling of t, with default names.
+
+    Two semirings are isomorphic iff their canonical forms are equal.
+    """
+    key, n = _canonical_labelling(t)[0], t.order
+    rows = [key[i:i + n] for i in range(0, 2 * n * n, n)]
+    return SemiringTable.from_rows(rows[:n], rows[n:])
 
 
 def is_isomorphic(s: SemiringTable, t: SemiringTable
                   ) -> Optional[Tuple[int, ...]]:
-    """A bijection i -> perm[i] preserving both operations, or None.
-
-    Deterministic: the first preserving permutation in lexicographic order
-    is returned.  Per-element fingerprints give a cheap early rejection.
-    """
+    """A bijection i -> perm[i] preserving both operations, or None:
+    s's canonical labelling followed by the inverse of t's, which is
+    deterministic and the identity when the two tables are equal."""
     if s.order != t.order:
         return None
-    n = s.order
-    if sorted(_row_signature(s, i) for i in range(n)) != \
-            sorted(_row_signature(t, i) for i in range(n)):
+    (s_key, s_perm), (t_key, t_perm) = _canonical_labelling(s), _canonical_labelling(t)
+    if s_key != t_key:
         return None
-    for perm in itertools.permutations(range(n)):
-        if all(t.add[perm[i]][perm[j]] == perm[s.add[i][j]]
-               and t.mul[perm[i]][perm[j]] == perm[s.mul[i][j]]
-               for i in range(n) for j in range(n)):
-            return perm
-    return None
+    t_inv = sorted(range(t.order), key=t_perm.__getitem__)
+    return tuple(t_inv[c] for c in s_perm)
 
 
 def spined_product(s1: SemiringTable, s2: SemiringTable, d: SemiringTable,

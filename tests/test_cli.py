@@ -3,6 +3,7 @@ import os
 
 import pytest
 
+from semiring_lab import cli
 from semiring_lab.cli import main
 
 from conftest import GOLDEN3_TEXT
@@ -146,6 +147,39 @@ def test_enumerate_to_directory(capsys, tmp_path):
     code, _, _ = run(capsys, "enumerate", "-n", "2", "--out", out_dir)
     assert code == 0
     assert len(os.listdir(out_dir)) == 16
+
+
+def test_enumerate_to_unwritable_directory(capsys, tmp_path):
+    blocker = tmp_path / "plain_file"
+    blocker.write_text("")
+    code, _, err = run(capsys, "enumerate", "-n", "2", "--out",
+                       str(blocker / "stream"))
+    assert code == 2
+    assert "cannot write output" in err
+
+
+@pytest.mark.parametrize("where", ["flag", "environment"])
+def test_nan_budget_is_rejected(capsys, monkeypatch, where):
+    if where == "flag":
+        argv = ["enumerate", "-n", "2", "--budget-secs", "nan"]
+    else:
+        monkeypatch.setenv("SEMIRING_LAB_BUDGET_SECS", "nan")
+        argv = ["enumerate", "-n", "2"]
+    code, _, err = run(capsys, *argv)
+    assert code == 3
+    assert "budget must be positive" in err
+
+
+@pytest.mark.parametrize("workers", ["0", "-3", str(cli.MAX_WORKERS + 1),
+                                     "1000000"])
+def test_verify_rejects_worker_count_out_of_range(capsys, monkeypatch, workers):
+    def refuse(*args, **kwargs):
+        raise AssertionError("nothing may run before --workers is checked")
+    monkeypatch.setattr(cli.multiprocessing, "Pool", refuse)
+    monkeypatch.setattr(cli, "enumerate_idempotent_semirings", refuse)
+    code, _, err = run(capsys, "verify", "--max-order", "1", "--workers", workers)
+    assert code == 3
+    assert "--workers must be in 1..%d" % cli.MAX_WORKERS in err
 
 
 def test_enumerate_budget_exhaustion(capsys):

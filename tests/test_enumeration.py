@@ -90,3 +90,5 @@ def test_config_validation():
         sl.EnumConfig(order=0)
     with pytest.raises(sl.PreconditionError):
         sl.EnumConfig(order=2, budget_nodes=0)
+    with pytest.raises(sl.PreconditionError):
+        sl.EnumConfig(order=2, budget_secs=float("nan"))

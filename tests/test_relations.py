@@ -76,6 +76,15 @@ def test_green_trivial(order1, dl2):
     assert d_add == Partition.equality(2)
 
 
+def test_green_rejects_a_non_band():
+    # + is max; . is not associative: (2.0).1 = 1 but 2.(0.1) = 2
+    add = [[max(i, j) for j in range(3)] for i in range(3)]
+    t = sl.SemiringTable.from_rows(add, [[0, 0, 0], [0, 1, 0], [2, 1, 2]])
+    with pytest.raises(sl.InternalConsistencyError,
+                       match="Green's D is not an equivalence"):
+        sl.green_mult(t)
+
+
 def test_green_containments(small_semirings):
     for t in small_semirings:
         l_dot, r_dot, d_dot = sl.green_mult(t)

@@ -1,8 +1,13 @@
+import itertools
+import random
+
 import pytest
 
 import semiring_lab as sl
 from semiring_lab.relations import Partition
 from semiring_lab.structure import _attempt_spined_decomposition
+
+from conftest import is_isomorphic_by_search, preserves_operations, relabel_seeded
 
 
 # ---------------------------------------------------------------------------
@@ -132,19 +137,44 @@ def test_isomorphism_is_an_equivalence(small_semirings):
                     assert sl.is_isomorphic(a, c) is not None
 
 
-def test_canonical_form_constant_on_orbits(golden3):
-    import itertools
-    forms = {sl.canonical_form(golden3.relabel(p))
-             for p in itertools.permutations(range(3))}
-    assert len(forms) == 1
+def test_is_isomorphic_agrees_with_search(iso_small):
+    rng = random.Random(3120)
+    relabelled = [relabel_seeded(t, rng) for t in iso_small]
+    found = 0
+    for s in iso_small:
+        for t in relabelled:
+            perm = sl.is_isomorphic(s, t)
+            assert (perm is None) == (is_isomorphic_by_search(s, t) is None)
+            if perm is not None:
+                assert preserves_operations(s, t, perm)
+                found += 1
+    assert found == len(iso_small)  # each class meets only its own relabelling
+
+
+def test_is_isomorphic_finds_seeded_relabellings(iso4):
+    rng = random.Random(4120)
+    for s in iso4:
+        t = relabel_seeded(s, rng)
+        perm = sl.is_isomorphic(s, t)
+        assert perm is not None and preserves_operations(s, t, perm)
+        assert sl.canonical_form(t) == s
+
+
+def test_canonical_form_constant_on_orbits(iso_small):
+    # every representative is canonical, so its whole orbit maps onto it
+    for t in iso_small:
+        forms = {sl.canonical_form(t.relabel(p))
+                 for p in itertools.permutations(range(t.order))}
+        assert forms == {t}
 
 
 def test_canonical_form_agrees_with_is_isomorphic(small_semirings):
+    # checked against the permutation search, which shares no code with it
     ts = small_semirings[100:115]
     for s in ts:
         for t in ts:
             assert (sl.canonical_form(s) == sl.canonical_form(t)) == \
-                (sl.is_isomorphic(s, t) is not None)
+                (is_isomorphic_by_search(s, t) is not None)
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import gc
+import random
 import tracemalloc
 
 import pytest
@@ -6,6 +7,8 @@ import pytest
 import semiring_lab as sl
 from semiring_lab.relations import Partition
 from semiring_lab.varieties import THEOREMS, green_relation
+
+from conftest import relabel_seeded
 
 
 def test_membership_examples(golden3, dl2):
@@ -98,6 +101,19 @@ def test_bi_equals_lqbi_and_rqbi(small_semirings):
     for t in small_semirings[::6]:
         assert sl.in_variety(t, "Bi") == (
             sl.in_variety(t, "LQBi") and sl.in_variety(t, "RQBi"))
+
+
+def test_relabelling_leaves_invariants_unchanged(iso_small):
+    # metamorphic: no isomorphism-invariant output may see the labels
+    rng = random.Random(5120)
+    for t in iso_small:
+        r = relabel_seeded(t, rng)
+        assert ([sl.in_variety(r, name) for name in sorted(sl.CATALOG)]
+                == [sl.in_variety(t, name) for name in sorted(sl.CATALOG)])
+        assert (sorted(map(len, sl.eta(r).blocks()))
+                == sorted(map(len, sl.eta(t).blocks())))
+        for tid in sorted(THEOREMS):
+            assert sl.verify_theorem(r, tid) == sl.verify_theorem(t, tid), tid
 
 
 def test_theorem_sweep_retains_no_memory(labeled_by_order):
