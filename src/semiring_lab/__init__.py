@@ -24,6 +24,7 @@ from .structure import (ClassExpr, Malcev, Named, SpinedDecomposition,
                         malcev_membership, quotient, reconstruct,
                         spined_decompose, spined_product)
 from .enumeration import (EnumConfig, all_idempotent_semirings,
-                          enumerate_idempotent_semirings, naive_labeled_count)
+                          enumerate_idempotent_semirings, naive_labeled_count,
+                          naive_labeled_pairs)
 
 __version__ = "0.1.0"

@@ -36,6 +36,14 @@ class InternalConsistencyError(AssertionError):
     """
 
 
+def _relabel_rows(rows: Sequence[Sequence[int]], perm: Sequence[int]
+                  ) -> Tuple[Tuple[int, ...], ...]:
+    """The table `rows` under the bijection i -> perm[i]: cell (a, b) of
+    the result is perm[rows[inv[a]][inv[b]]]."""
+    inv = sorted(range(len(perm)), key=perm.__getitem__)
+    return tuple([tuple([perm[rows[a][b]] for b in inv]) for a in inv])
+
+
 @dataclass(frozen=True)
 class SemiringTable:
     """A finite algebra (S, +, .) of order n given by two n x n tables.
@@ -87,16 +95,10 @@ class SemiringTable:
 
     def relabel(self, perm: Sequence[int]) -> "SemiringTable":
         """Apply the bijection i -> perm[i] to the carrier."""
-        n = self.order
-        add = [[0] * n for _ in range(n)]
-        mul = [[0] * n for _ in range(n)]
-        names = [""] * n
-        for i in range(n):
-            names[perm[i]] = self.names[i]
-            for j in range(n):
-                add[perm[i]][perm[j]] = perm[self.add[i][j]]
-                mul[perm[i]][perm[j]] = perm[self.mul[i][j]]
-        return SemiringTable(n, tuple(names), tuple(map(tuple, add)), tuple(map(tuple, mul)))
+        inv = sorted(range(self.order), key=perm.__getitem__)
+        return SemiringTable(self.order, tuple(self.names[k] for k in inv),
+                             _relabel_rows(self.add, perm),
+                             _relabel_rows(self.mul, perm))
 
     def __repr__(self) -> str:
         return "SemiringTable(order=%d, names=%r)" % (self.order, list(self.names))

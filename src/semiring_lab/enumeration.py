@@ -2,10 +2,17 @@
 
 The generator fills the + table first (the additive band), then the .
 table, backtracking cell by cell.  Diagonal entries are pinned by
-idempotency; partial tables are pruned by every associativity or
-distributivity instance whose operands are already determined.
-Distributivity is the strongest cross-table constraint, which is why the
-+ table is completed before any . cell is chosen.
+idempotency.  After a cell is set, only the associativity and
+distributivity instances that look that cell up are checked: every other
+determined instance was checked at the parent node, so this prunes
+exactly the nodes a full re-check would, at O(n^2) instead of O(n^3) cost
+per node.  Distributivity is the strongest cross-table constraint, which
+is why the + table is completed before any . cell is chosen.
+
+Up to isomorphism the generation is orderly (McKay, "Isomorph-free
+exhaustive generation", J. Algorithms 1998): a band is completed only if
+it is its own least relabelling, and a . table is kept only if no
+automorphism of the band relabels it to a smaller table.
 """
 
 from __future__ import annotations
@@ -13,11 +20,11 @@ from __future__ import annotations
 import itertools
 import time
 from dataclasses import dataclass
-from typing import Callable, Iterator, List, Optional, Tuple, Union
+from typing import Callable, Iterator, List, Optional, Sequence, Tuple, Union
 
 from .core import (BudgetExceededError, PreconditionError, SemiringTable,
-                   validate_semiring)
-from .structure import ClassExpr, _canonical_labelling, _flat, malcev_membership
+                   _relabel_rows, validate_semiring)
+from .structure import ClassExpr, malcev_membership
 from .varieties import VarietySpec, variety_membership
 
 DEFAULT_NODE_BUDGET = 10 ** 7
@@ -56,46 +63,63 @@ class EnumConfig:
             raise PreconditionError("budget must be positive")
 
 
-def _assoc_ok_partial(table: List[List[Optional[int]]], n: int) -> bool:
-    for a in range(n):
-        row_a = table[a]
-        for b in range(n):
-            ab = table[a][b]
-            for c in range(n):
-                bc = table[b][c]
-                if ab is not None and bc is not None:
-                    left = table[ab][c]
-                    right = row_a[bc]
-                    if left is not None and right is not None and left != right:
-                        return False
+def _assoc_ok(table: List[List[Optional[int]]], n: int, i: int, j: int) -> bool:
+    """Every determined instance of (ab)c = a(bc) that looks up cell (i, j)
+    holds.  These are the instances with (a, b) = (i, j), (b, c) = (i, j),
+    ab = i and c = j, or a = i and bc = j; every other determined instance
+    was already checked at the parent node."""
+    v = table[i][j]
+    row_i, row_v = table[i], table[v]
+    for k in range(n):
+        jk, ki = table[j][k], table[k][i]
+        if jk is not None:  # (ij)k = i(jk)
+            left, right = row_v[k], row_i[jk]
+            if left is not None and right is not None and left != right:
+                return False
+        if ki is not None:  # (ki)j = k(ij)
+            left, right = table[ki][j], table[k][v]
+            if left is not None and right is not None and left != right:
+                return False
+        for m in range(n):
+            if table[k][m] == i:  # (km)j = k(mj) with km = i
+                mj = table[m][j]
+                if mj is not None and table[k][mj] not in (None, v):
+                    return False
+            if table[m][k] == j:  # (im)k = i(mk) with mk = j
+                im = row_i[m]
+                if im is not None and table[im][k] not in (None, v):
+                    return False
     return True
 
 
-def _distrib_ok_partial(add: List[List[int]], mul: List[List[Optional[int]]],
-                        n: int) -> bool:
-    for x in range(n):
-        for y in range(n):
-            xy = mul[x][y]
-            yx = mul[y][x]
-            for z in range(n):
-                xz = mul[x][z]
-                # x(y+z) = xy+xz
-                if xy is not None and xz is not None:
-                    whole = mul[x][add[y][z]]
-                    if whole is not None and whole != add[xy][xz]:
-                        return False
-                # (y+z)x = yx+zx
-                zx = mul[z][x]
-                if yx is not None and zx is not None:
-                    whole = mul[add[y][z]][x]
-                    if whole is not None and whole != add[yx][zx]:
-                        return False
+def _touching_sums(add: Sequence[Sequence[int]], n: int
+                   ) -> List[List[Tuple[int, int, int]]]:
+    """For each element e, the triples (y, z, y+z) with e among them."""
+    return [[(y, z, add[y][z]) for y in range(n) for z in range(n)
+             if e in (y, z, add[y][z])] for e in range(n)]
+
+
+def _distrib_ok(add: Sequence[Sequence[int]],
+                touching: List[List[Tuple[int, int, int]]],
+                mul: List[List[Optional[int]]], i: int, j: int) -> bool:
+    """Every determined instance of x(y+z) = xy+xz or (y+z)x = yx+zx that
+    looks up . cell (i, j) holds: x = i with j among y, z, y+z on the
+    left, x = j with i among them on the right."""
+    row_i = mul[i]
+    for y, z, s in touching[j]:
+        xy, xz, whole = row_i[y], row_i[z], row_i[s]
+        if None not in (xy, xz, whole) and whole != add[xy][xz]:
+            return False
+    for y, z, s in touching[i]:
+        yx, zx, whole = mul[y][j], mul[z][j], mul[s][j]
+        if None not in (yx, zx, whole) and whole != add[yx][zx]:
+            return False
     return True
 
 
 def _complete(table: List[List[Optional[int]]], n: int,
               cells: List[Tuple[int, int]], k: int,
-              ok: Callable[[List[List[Optional[int]]]], bool],
+              ok: Callable[[List[List[Optional[int]]], int, int], bool],
               budget: _Budget) -> Iterator[Tuple[Tuple[int, ...], ...]]:
     if k == len(cells):
         yield tuple(tuple(row) for row in table)  # type: ignore[misc]
@@ -104,7 +128,7 @@ def _complete(table: List[List[Optional[int]]], n: int,
     for v in range(n):
         budget.spend()
         table[i][j] = v
-        if ok(table):
+        if ok(table, i, j):
             yield from _complete(table, n, cells, k + 1, ok, budget)
     table[i][j] = None
 
@@ -114,15 +138,7 @@ def _off_diagonal_cells(n: int) -> List[Tuple[int, int]]:
 
 
 def _idempotent_seed(n: int) -> List[List[Optional[int]]]:
-    table: List[List[Optional[int]]] = [[None] * n for _ in range(n)]
-    for i in range(n):
-        table[i][i] = i
-    return table
-
-
-def _bands(n: int, budget: _Budget) -> Iterator[Tuple[Tuple[int, ...], ...]]:
-    yield from _complete(_idempotent_seed(n), n, _off_diagonal_cells(n), 0,
-                         lambda tab: _assoc_ok_partial(tab, n), budget)
+    return [[i if i == j else None for j in range(n)] for i in range(n)]
 
 
 def _matches_filter(t: SemiringTable,
@@ -134,30 +150,48 @@ def _matches_filter(t: SemiringTable,
     return malcev_membership(t, flt)[0]
 
 
+def _least_band_automorphisms(add: Tuple[Tuple[int, ...], ...]
+                              ) -> Optional[List[Tuple[int, ...]]]:
+    """Aut(+), if the band is its own least relabelling; else None."""
+    perms = list(itertools.permutations(range(len(add))))
+    keys = [_relabel_rows(add, perm) for perm in perms]
+    return None if min(keys) < add else [p for p, k in zip(perms, keys) if k == add]
+
+
 def enumerate_idempotent_semirings(cfg: EnumConfig) -> Iterator[SemiringTable]:
     """Stream every idempotent semiring of the configured order.
 
     The stream is deterministic (depth-first, lexicographic cell order).
     With up_to_iso, exactly the canonical-minimal representative of each
-    isomorphism class is yielded.  Exceeding the budget raises
-    BudgetExceededError mid-stream; consumers must treat a truncated
-    stream as failure, never as a complete enumeration.
+    isomorphism class is yielded, in the order of the labelled stream:
+    the canonical key of (B, M) is the least (s.B, s.M) over all
+    relabellings s.  Its + part is the least relabelling of B, so (B, M)
+    is canonical iff B is its own least relabelling and no s attaining it,
+    that is no s in Aut(B), makes s.M smaller than M.  Bands that are not
+    least are therefore skipped before any . cell is chosen.
+
+    Exceeding the budget raises BudgetExceededError mid-stream; consumers
+    must treat a truncated stream as failure, never as a complete
+    enumeration.
     """
-    n = cfg.order
+    n, cells = cfg.order, _off_diagonal_cells(cfg.order)
     budget = _Budget(cfg.budget_nodes, cfg.budget_secs)
     emitted = 0
-    for add in _bands(n, budget):
-        add_rows = [list(row) for row in add]
+    for add in _complete(_idempotent_seed(n), n, cells, 0,
+                         lambda tab, i, j: _assoc_ok(tab, n, i, j), budget):
+        auts = _least_band_automorphisms(add) if cfg.up_to_iso else None
+        if cfg.up_to_iso and auts is None:
+            continue
+        touching = _touching_sums(add, n)
 
-        def mul_ok(tab: List[List[Optional[int]]]) -> bool:
-            return (_assoc_ok_partial(tab, n)
-                    and _distrib_ok_partial(add_rows, tab, n))
+        def mul_ok(tab: List[List[Optional[int]]], i: int, j: int) -> bool:
+            return (_assoc_ok(tab, n, i, j)
+                    and _distrib_ok(add, touching, tab, i, j))
 
-        for mul in _complete(_idempotent_seed(n), n, _off_diagonal_cells(n),
-                             0, mul_ok, budget):
-            t = SemiringTable.from_rows(add, mul)
-            if cfg.up_to_iso and _canonical_labelling(t)[0] != _flat(t):
+        for mul in _complete(_idempotent_seed(n), n, cells, 0, mul_ok, budget):
+            if auts and any(_relabel_rows(mul, p) < mul for p in auts):
                 continue
+            t = SemiringTable.from_rows(add, mul)
             if not _matches_filter(t, cfg.filter):
                 continue
             yield t
@@ -184,17 +218,19 @@ def _idempotent_ops(n: int) -> Iterator[Tuple[Tuple[int, ...], ...]]:
         yield tuple(tuple(row) for row in table)
 
 
-def naive_labeled_count(n: int) -> int:
-    """Count labeled idempotent semirings by filtering every idempotent
-    table pair through validate_semiring.  Exponential; oracle use only."""
+def naive_labeled_pairs(n: int) -> List[Tuple[Tuple[Tuple[int, ...], ...], ...]]:
+    """The (add, mul) rows of every labeled idempotent semiring of order n,
+    found by filtering every pair of idempotent associative tables through
+    validate_semiring; itertools.product lists them in the generator's
+    depth-first order.  Exponential; oracle use only."""
     def associative(op):
         return all(op[op[a][b]][c] == op[a][op[b][c]]
                    for a in range(n) for b in range(n) for c in range(n))
 
     bands = [op for op in _idempotent_ops(n) if associative(op)]
-    count = 0
-    for add in bands:
-        for mul in bands:
-            if validate_semiring(SemiringTable.from_rows(add, mul)).is_idempotent_semiring:
-                count += 1
-    return count
+    return [(add, mul) for add in bands for mul in bands
+            if validate_semiring(SemiringTable.from_rows(add, mul)).is_idempotent_semiring]
+
+
+def naive_labeled_count(n: int) -> int:
+    return len(naive_labeled_pairs(n))

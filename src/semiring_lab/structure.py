@@ -7,7 +7,7 @@ from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence, Tuple, Union
 
 from .core import (InternalConsistencyError, PreconditionError, SemiringTable,
-                   eval_term, holds, validate_semiring)
+                   _relabel_rows, eval_term, holds, validate_semiring)
 from .relations import Partition, green_mult
 
 
@@ -144,24 +144,14 @@ def malcev_membership(t: SemiringTable, expr: ClassExpr
 # ---------------------------------------------------------------------------
 # Isomorphism and spined products
 
-def _flat(t: SemiringTable) -> Tuple[int, ...]:
-    """The + rows then the . rows as one tuple, which orders tables as
-    their (add, mul) row tuples do."""
-    return tuple(itertools.chain(*t.add, *t.mul))
-
-
 def _canonical_labelling(t: SemiringTable
-                         ) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
-    """The least flattened relabelling of t, which isomorphic tables and
-    only they share, and the first bijection i -> perm[i] attaining it."""
-    n = t.order
-    flat = _flat(t)
+                         ) -> Tuple[Tuple[Tuple[int, ...], ...], Tuple[int, ...]]:
+    """The least relabelling of t, as its + rows then its . rows, which
+    isomorphic tables and only they share, and the first bijection
+    i -> perm[i] attaining it."""
     best = None
-    for perm in itertools.permutations(range(n)):
-        inv = sorted(range(n), key=perm.__getitem__)
-        # cell (a, b) of each relabelled table is perm[op(inv[a], inv[b])]
-        key = tuple([perm[flat[op + i * n + j]]
-                     for op in (0, n * n) for i in inv for j in inv])
+    for perm in itertools.permutations(range(t.order)):
+        key = _relabel_rows(t.add, perm) + _relabel_rows(t.mul, perm)
         if best is None or key < best[0]:
             best = key, perm
     return best
@@ -173,8 +163,7 @@ def canonical_form(t: SemiringTable) -> SemiringTable:
     Two semirings are isomorphic iff their canonical forms are equal.
     """
     key, n = _canonical_labelling(t)[0], t.order
-    rows = [key[i:i + n] for i in range(0, 2 * n * n, n)]
-    return SemiringTable.from_rows(rows[:n], rows[n:])
+    return SemiringTable.from_rows(key[:n], key[n:])
 
 
 def is_isomorphic(s: SemiringTable, t: SemiringTable

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 
@@ -132,6 +133,14 @@ def test_enumerate_count_only(capsys):
     code, out, _ = run(capsys, "enumerate", "-n", "3", "--count-only")
     assert code == 0
     assert out.strip() == "379"
+
+
+def test_enumerate_iso4_stream_is_frozen(capsys):
+    # digest of the stream as the canonical-form filter produced it
+    code, out, _ = run(capsys, "enumerate", "-n", "4", "--iso")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "3cd1401624e01657e56eb31622723e69ad9e81b9b6791d1bc98f2097d824c043")
 
 
 def test_enumerate_filter_and_stream(capsys):
