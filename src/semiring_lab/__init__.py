@@ -16,9 +16,9 @@ from .relations import BinRelation, Partition, green_add, green_mult, quasi_orde
 from .congruences import (CongruenceSet, all_congruences, congruence_closure,
                           eta, is_congruence, least_dl_congruence, sigma,
                           sigma_star)
-from .varieties import (CATALOG, TheoremReport, THEOREMS, VarietySpec,
-                        eta_equals_relation, in_variety, malcev_product,
-                        variety_membership, verify_theorem)
+from .varieties import (CATALOG, Analysis, TheoremReport, THEOREMS,
+                        VarietySpec, eta_equals_relation, in_variety,
+                        malcev_product, variety_membership, verify_theorem)
 from .structure import (ClassExpr, Malcev, Named, SpinedDecomposition,
                         canonical_form, is_distributive_lattice, is_isomorphic,
                         malcev_membership, quotient, reconstruct,

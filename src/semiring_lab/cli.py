@@ -24,13 +24,13 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from .core import (BudgetExceededError, InternalConsistencyError,
                    PreconditionError, SemiringFormatError, SemiringTable,
                    format_semiring_text, parse_semiring_text, validate_semiring)
-from .congruences import eta, least_dl_congruence, sigma, sigma_star
+from .congruences import least_dl_congruence, sigma, sigma_star
 from .enumeration import (DEFAULT_NODE_BUDGET, DEFAULT_SECS_BUDGET, EnumConfig,
                           enumerate_idempotent_semirings)
 from .relations import green_add, green_mult, quasi_orders
 from .structure import spined_decompose
-from .varieties import (CATALOG, THEOREMS, in_variety, malcev_product,
-                        verify_theorem)
+from .varieties import (CATALOG, THEOREMS, Analysis, in_variety,
+                        malcev_product, verify_theorem)
 
 SCHEMA_VERSION = 1
 
@@ -147,9 +147,10 @@ def cmd_analyze(args, started: float) -> int:
 
 def _verify_one(job: Tuple[int, int, SemiringTable, Tuple[str, ...]]) -> List[Dict]:
     n, index, t, suite = job
+    analysis = Analysis(t)
     failures = []
     for tid in suite:
-        r = verify_theorem(t, tid)
+        r = verify_theorem(analysis, tid)
         if not r.consistent:
             failures.append({
                 "order": n,
@@ -267,10 +268,11 @@ def cmd_explore_sigma(args, started: float) -> int:
     rows = []
     cross: Dict[Tuple[bool, bool, bool], int] = {}
     for n, i, t in tables:
-        rel = sigma(t)
+        a = Analysis(t)
+        rel = a.sigma
         transitive = rel.is_transitive()
-        in_n = in_variety(t, "N")
-        sigma_is_eta = transitive and rel.to_partition() == eta(t)
+        in_n = a.member("N")
+        sigma_is_eta = transitive and rel.to_partition() == a.eta
         rows.append({"order": n, "index": i, "sigma_transitive": transitive,
                      "in_N": in_n, "sigma_is_eta": sigma_is_eta})
         key = (transitive, in_n, sigma_is_eta)

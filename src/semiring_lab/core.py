@@ -7,9 +7,9 @@ assumed about a table until ``validate_semiring`` has been run on it.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple, Union
+from functools import cached_property
+from typing import Callable, Optional, Sequence, Tuple, Union
 
 
 class SemiringFormatError(ValueError):
@@ -147,6 +147,39 @@ class Identity:
             raise PreconditionError("identity declares %d variables, uses %d"
                                     % (self.nvars, need))
 
+    @cached_property
+    def failures(self) -> Callable:
+        """A generator function (add, mul, domain) yielding (assignment,
+        lhs value, rhs value) for each assignment of values from domain
+        on which the sides differ, in lexicographic order; compiled from
+        the terms on first use."""
+        return _compile(self)
+
+    def __getstate__(self):
+        # functions made by exec do not pickle; a copy compiles on first use
+        return {k: v for k, v in self.__dict__.items() if k != "failures"}
+
+
+def _compile(ident: Identity) -> Callable:
+    """Identity.failures as nested loops over v0, v1, ... in D, each side
+    written out as A[..][..] (+) and M[..][..] (.) lookups.  The source is
+    built from the term trees alone."""
+    def code(term: Term) -> str:
+        if isinstance(term, Var):
+            return "v%d" % term.index
+        return "%s[%s][%s]" % ("A" if isinstance(term, Add) else "M",
+                               code(term.left), code(term.right))
+
+    k = ident.nvars
+    inner = ["l, r = %s, %s" % (code(ident.lhs), code(ident.rhs)), "if l != r:",
+             " yield (%s), l, r" % "".join("v%d, " % d for d in range(k))]
+    src = (["def failures(A, M, D):"]
+           + [" " * (d + 1) + "for v%d in D:" % d for d in range(k)]
+           + [" " * (k + 1) + line for line in inner])
+    scope = {}
+    exec("\n".join(src), scope)
+    return scope["failures"]
+
 
 _VAR_LETTERS = "xyzwuv"
 
@@ -155,7 +188,8 @@ def parse_term(text: str) -> Term:
     """Parse terms like ``x+xyx+x`` or ``x(y+x+y)``.
 
     Juxtaposition is multiplication (binds tighter than +); both operators
-    associate to the left; variables are single letters from x, y, z, w.
+    associate to the left; variables are single letters from x, y, z, w,
+    u, v, numbered in that order.
     """
     tokens = [ch for ch in text if not ch.isspace()]
     pos = 0
@@ -226,16 +260,12 @@ def satisfies_identity(t: SemiringTable, ident: Identity
     """Exhaustively check an identity; n**nvars assignments.
 
     Returns (True, None), or (False, w) where w is the lexicographically
-    first failing assignment.  Witnesses are re-evaluated before return.
+    first failing assignment, found by Identity.failures; eval_term is
+    the reference evaluator it is tested against.
     """
-    for assignment in itertools.product(range(t.order), repeat=ident.nvars):
-        if eval_term(t, ident.lhs, assignment) != eval_term(t, ident.rhs, assignment):
-            return False, assignment
+    for assignment, _, _ in ident.failures(t.add, t.mul, range(t.order)):
+        return False, assignment
     return True, None
-
-
-def holds(t: SemiringTable, identity_text: str) -> bool:
-    return satisfies_identity(t, parse_identity(identity_text))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -250,68 +280,30 @@ class ValidationReport:
     violations: Tuple[Tuple[str, Tuple[int, ...]], ...]
 
 
-_SEMIRING_AXIOMS = ("add_associative", "mul_associative",
-                    "left_distributive", "right_distributive")
-_IDEMPOTENT_AXIOMS = ("add_idempotent", "mul_idempotent")
+_SEMIRING_AXIOMS = (("add_associative", "(x+y)+z = x+(y+z)"),
+                    ("mul_associative", "(xy)z = x(yz)"),
+                    ("left_distributive", "x(y+z) = xy+xz"),
+                    ("right_distributive", "(x+y)z = xz+yz"))
+_IDEMPOTENT_AXIOMS = (("add_idempotent", "x+x = x"), ("mul_idempotent", "xx = x"))
+_AXIOMS = tuple((name, parse_identity(text))
+                for name, text in _SEMIRING_AXIOMS + _IDEMPOTENT_AXIOMS)
 
 
 def validate_semiring(t: SemiringTable) -> ValidationReport:
-    """Exhaustive check of the semiring and idempotency axioms.
+    """Exhaustive check of the semiring and idempotency axioms, each an
+    identity checked by satisfies_identity.
 
     Each failed axiom is reported once, with the lexicographically first
     witness tuple.  Pure: the same table always yields the same report.
     """
-    n = t.order
-    add, mul = t.add, t.mul
     violations = []
-
-    def first_assoc_failure(op):
-        for a in range(n):
-            for b in range(n):
-                ab = op[a][b]
-                for c in range(n):
-                    if op[ab][c] != op[a][op[b][c]]:
-                        return (a, b, c)
-        return None
-
-    w = first_assoc_failure(add)
-    if w is not None:
-        violations.append(("add_associative", w))
-    w = first_assoc_failure(mul)
-    if w is not None:
-        violations.append(("mul_associative", w))
-
-    def first_distrib_failure(left: bool):
-        for a in range(n):
-            for b in range(n):
-                for c in range(n):
-                    if left:
-                        ok = mul[a][add[b][c]] == add[mul[a][b]][mul[a][c]]
-                    else:
-                        ok = mul[add[a][b]][c] == add[mul[a][c]][mul[b][c]]
-                    if not ok:
-                        return (a, b, c)
-        return None
-
-    w = first_distrib_failure(True)
-    if w is not None:
-        violations.append(("left_distributive", w))
-    w = first_distrib_failure(False)
-    if w is not None:
-        violations.append(("right_distributive", w))
-
-    for a in range(n):
-        if add[a][a] != a:
-            violations.append(("add_idempotent", (a,)))
-            break
-    for a in range(n):
-        if mul[a][a] != a:
-            violations.append(("mul_idempotent", (a,)))
-            break
-
+    for name, axiom in _AXIOMS:
+        ok, witness = satisfies_identity(t, axiom)
+        if not ok:
+            violations.append((name, witness))
     bad = {name for name, _ in violations}
-    is_semiring = not (bad & set(_SEMIRING_AXIOMS))
-    is_idempotent = is_semiring and not (bad & set(_IDEMPOTENT_AXIOMS))
+    is_semiring = not (bad & {name for name, _ in _SEMIRING_AXIOMS})
+    is_idempotent = is_semiring and not (bad & {name for name, _ in _IDEMPOTENT_AXIOMS})
     return ValidationReport(is_semiring, is_idempotent, tuple(violations))
 
 

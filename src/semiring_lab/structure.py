@@ -7,8 +7,9 @@ from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence, Tuple, Union
 
 from .core import (InternalConsistencyError, PreconditionError, SemiringTable,
-                   _relabel_rows, eval_term, holds, validate_semiring)
-from .relations import Partition, green_mult
+                   _relabel_rows, parse_identity, satisfies_identity,
+                   validate_semiring)
+from .relations import Partition
 
 
 # ---------------------------------------------------------------------------
@@ -68,6 +69,9 @@ def quotient(t: SemiringTable, p: Partition
     return q, tuple(lab)
 
 
+_DUAL_ABSORPTION = parse_identity("x(x+y) = x")
+
+
 def is_distributive_lattice(t: SemiringTable) -> bool:
     """Membership in the variety D: both operations commutative plus
     absorption x+xy = x.
@@ -77,7 +81,7 @@ def is_distributive_lattice(t: SemiringTable) -> bool:
     """
     from .varieties import CATALOG, variety_membership
     ok = variety_membership(t, CATALOG["D"])
-    if ok and not holds(t, "x(x+y) = x"):
+    if ok and not satisfies_identity(t, _DUAL_ABSORPTION)[0]:
         raise InternalConsistencyError(
             "absorption x+xy = x holds but dual absorption fails")
     return ok
@@ -88,24 +92,27 @@ def is_distributive_lattice(t: SemiringTable) -> bool:
 
 def _instances(t: SemiringTable, spec: "VarietySpec",  # noqa: F821
                blocks: Sequence[Sequence[int]]) -> Iterator[Tuple[int, int]]:
-    """Every pair (u(a), v(a)) for an identity u = v of spec and an
-    assignment a drawn from a single block."""
+    """Every pair (u(a), v(a)) with u(a) != v(a), for an identity u = v of
+    spec and an assignment a drawn from a single block."""
     for ident in spec.identities:
         for block in blocks:
-            for a in itertools.product(block, repeat=ident.nvars):
-                yield eval_term(t, ident.lhs, a), eval_term(t, ident.rhs, a)
+            for _, u, v in ident.failures(t.add, t.mul, block):
+                yield u, v
 
 
-def _least_congruence(t: SemiringTable, expr: ClassExpr) -> Partition:
-    """The least congruence of t whose quotient lies in expr."""
+def _least_congruence(t: SemiringTable, expr: ClassExpr,
+                     right: Optional[Partition] = None) -> Partition:
+    """rho(expr) (see malcev_membership); `right`, if given, is
+    rho(expr.right)."""
     from .congruences import congruence_closure
     if isinstance(expr, Named):
         return congruence_closure(t, _instances(t, expr.variety, [range(t.order)]))
-    classes = _least_congruence(t, expr.right).blocks()
-    return congruence_closure(t, _instances(t, expr.left.variety, classes))
+    right = _least_congruence(t, expr.right) if right is None else right
+    return congruence_closure(t, _instances(t, expr.left.variety, right.blocks()))
 
 
-def malcev_membership(t: SemiringTable, expr: ClassExpr
+def malcev_membership(t: SemiringTable, expr: ClassExpr,
+                      right: Optional[Partition] = None
                       ) -> Tuple[bool, Optional[Partition]]:
     """Membership of an idempotent semiring t in a class expression, with
     the least witness congruence.
@@ -117,7 +124,7 @@ def malcev_membership(t: SemiringTable, expr: ClassExpr
     W is the congruence closure of all identity instances of W on t;
     rho(V o E) is the closure of those instances of V whose assignment
     lies inside one class of rho(E).  rho(D) is the least distributive
-    lattice congruence eta.
+    lattice congruence eta.  `right`, if given, is rho(E).
 
     Proof: every right-nested product of varieties is closed under
     subalgebras and subdirect products, so t has a least congruence with
@@ -135,10 +142,10 @@ def malcev_membership(t: SemiringTable, expr: ClassExpr
         return variety_membership(t, expr.variety), None
     if any(t.add[a][a] != a or t.mul[a][a] != a for a in range(t.order)):
         raise PreconditionError("Malcev membership needs an idempotent semiring")
-    rho = _least_congruence(t, expr.right)
-    if all(u == v for u, v in _instances(t, expr.left.variety, rho.blocks())):
-        return True, rho
-    return False, None
+    rho = _least_congruence(t, expr.right) if right is None else right
+    for _ in _instances(t, expr.left.variety, rho.blocks()):
+        return False, None
+    return True, rho
 
 
 # ---------------------------------------------------------------------------
@@ -225,17 +232,19 @@ class SpinedDecomposition:
     theta: Tuple[Tuple[int, int], ...]  # a -> (L-class, R-class)
 
 
-def _attempt_spined_decomposition(t: SemiringTable
+def _attempt_spined_decomposition(t: SemiringTable, a: Optional["Analysis"] = None
                                   ) -> Tuple[bool, Optional[SpinedDecomposition], str]:
     """Run the full decomposition machinery without assuming membership.
 
     Returns (ok, decomposition, reason).  Used both by spined_decompose
     (where a failure on a member contradicts the theorem) and by the
     corollary check (where failure on a non-member is expected).
+    `a` is t's Analysis (for its Green's relations and eta), made if None.
     """
-    from .congruences import eta, is_congruence
-    from .varieties import CATALOG, variety_membership
-    l_dot, r_dot, d_dot = green_mult(t)
+    from .congruences import is_congruence
+    from .varieties import CATALOG, Analysis, variety_membership
+    a = Analysis(t) if a is None else a
+    l_dot, r_dot, d_dot = (a.green[k] for k in ("L_dot", "R_dot", "D_dot"))
     for p, name in ((l_dot, "L-dot"), (r_dot, "R-dot"), (d_dot, "D-dot")):
         if not is_congruence(t, p):
             return False, None, "%s is not a congruence" % name
@@ -248,7 +257,7 @@ def _attempt_spined_decomposition(t: SemiringTable
         return False, None, "S/R-dot is not in L_dot"
     if not is_distributive_lattice(d):
         return False, None, "S/D-dot is not a distributive lattice"
-    if d_dot != eta(t):
+    if d_dot != a.eta:
         return False, None, "D-dot differs from the least d.l. congruence"
     if d_dot.as_relation() != l_dot.as_relation().compose(r_dot.as_relation()):
         return False, None, "D-dot is not the composition of L-dot and R-dot"
@@ -276,8 +285,8 @@ def spined_decompose(t: SemiringTable) -> SpinedDecomposition:
     identity witness.  Any post-membership failure contradicts a proved
     theorem and raises InternalConsistencyError.
     """
-    from .core import parse_identity, satisfies_identity
-    ok, witness = satisfies_identity(t, parse_identity("x = xyx+x+xyx"))
+    from .varieties import CATALOG
+    ok, witness = satisfies_identity(t, CATALOG["D_dot"].identities[0])
     if not ok:
         raise PreconditionError(
             "not in D_dot: identity x = xyx+x+xyx fails at %r" % (witness,))

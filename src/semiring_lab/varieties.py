@@ -2,20 +2,23 @@
 
 Every theorem of interest is either an equivalence (a list of conditions
 that must all agree on each finite instance) or an implication (a list of
-material implications that must all hold).  verify_theorem evaluates the
-conditions independently -- identity checks, relation comparisons, Malcev
-memberships -- so each check stays two-sided.
+material implications that must all hold).  verify_theorem evaluates each
+condition on its own terms -- identity checks, relation comparisons, Malcev
+memberships -- reading one Analysis that computes what they share once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Tuple
+from functools import cached_property
+from typing import Callable, Dict, List, Tuple, Union
 
-from .core import (Identity, PreconditionError, SemiringTable, holds,
-                   parse_identity, satisfies_identity)
+from .congruences import congruence_closure, eta, is_congruence, sigma
+from .core import (Identity, PreconditionError, SemiringTable, parse_identity,
+                   satisfies_identity)
 from .relations import Partition, green_add, green_mult, quasi_orders
-from .structure import ClassExpr, Malcev, Named, malcev_membership, quotient
+from .structure import (ClassExpr, Malcev, Named, _attempt_spined_decomposition,
+                        _least_congruence, malcev_membership, quotient)
 
 
 @dataclass(frozen=True)
@@ -89,17 +92,64 @@ def green_relation(t: SemiringTable, which: str) -> Partition:
     if which not in RELATION_NAMES:
         raise PreconditionError("unknown relation %r; expected one of %r"
                                 % (which, RELATION_NAMES))
-    l_add, r_add, d_add = green_add(t)
-    l_mul, r_mul, d_mul = green_mult(t)
-    return {"D_plus": d_add, "L_plus": l_add, "R_plus": r_add,
-            "D_dot": d_mul, "L_dot": l_mul, "R_dot": r_mul}[which]
+    return Analysis(t).green[which]
 
 
 def eta_equals_relation(t: SemiringTable, which: str) -> bool:
     """Whether the least distributive lattice congruence equals the named
     Green's relation, compared as partitions."""
-    from .congruences import eta
     return eta(t) == green_relation(t, which)
+
+
+class Analysis:
+    """What the theorem catalog asks of one instance t, each computed at
+    most once and dropped with this object: Green's relations of both
+    reducts, the quasi-orders, sigma, eta (the closure of sigma, as in
+    congruences.eta), catalog memberships, and the least congruence rho(E)
+    of each right factor E of a Malcev product."""
+
+    # Each lambda calls the module-level function of the same name.
+    green = cached_property(lambda self: dict(zip(
+        ("L_plus", "R_plus", "D_plus", "L_dot", "R_dot", "D_dot"),
+        green_add(self.t) + green_mult(self.t))))
+    quasi_orders = cached_property(lambda self: quasi_orders(self.t))
+    sigma = cached_property(lambda self: sigma(self.t))
+    eta = cached_property(lambda self: congruence_closure(self.t, self.sigma))
+
+    def __init__(self, t: SemiringTable):
+        self.t = t
+        self._members: Dict[str, bool] = {}
+        self._rho: Dict[Tuple[str, ...], Partition] = {}
+
+    def member(self, name: str) -> bool:
+        if name not in self._members:
+            self._members[name] = in_variety(self.t, name)
+        return self._members[name]
+
+    def holds(self, text: str) -> bool:
+        return satisfies_identity(self.t, THEOREM_IDENTITIES[text])[0]
+
+    def rho(self, names: Tuple[str, ...]) -> Partition:
+        """rho of the right-nested product of the named varieties; rho(D)
+        is eta (see malcev_membership)."""
+        if names not in self._rho:
+            self._rho[names] = self.eta if names == ("D",) else _least_congruence(
+                self.t, malcev_product(*names),
+                self.rho(names[1:]) if len(names) > 1 else None)
+        return self._rho[names]
+
+    def malcev(self, *names: str) -> bool:
+        """Membership in the right-nested product of two or more varieties."""
+        return malcev_membership(self.t, malcev_product(*names),
+                                 self.rho(names[1:]))[0]
+
+
+# The identities the theorems test beyond the catalog's, parsed once.
+THEOREM_IDENTITIES: Dict[str, Identity] = {text: parse_identity(text) for text in (
+    "xz+xyz+xz = xz", "x = x(y+x+y)", "x = (y+x+y)x", "xyzx = xyzx+xyxzx+xyzx",
+    "xyxzx = xyxzx+xyzx+xyxzx", "xz = xz+xyz", "xz = xyz+xz", "xz = xyz+xz+xyz",
+    "xyzx = xzyx+xyzx+xzyx", "xyzx = xzyx", "xz = xzy+xz+xzy",
+    "x+y+z+x = x+y+x+z+x")}
 
 
 # ---------------------------------------------------------------------------
@@ -135,200 +185,185 @@ def _implication(theorem_id: str, conditions: List[Tuple[str, bool]]
                          all(v for _, v in conditions))
 
 
-def _malcev(t: SemiringTable, *names: str) -> bool:
-    return malcev_membership(t, malcev_product(*names))[0]
-
-
-def _thm_lemma_1_1(t: SemiringTable) -> TheoremReport:
+def _thm_lemma_1_1(a: Analysis) -> TheoremReport:
     return _equivalence("LEMMA_1_1", [
-        ("eta_equals_D_plus", eta_equals_relation(t, "D_plus")),
-        ("band_semiring_identities", in_variety(t, "Bi")),
-        ("in_Rplus_malcev_D", _malcev(t, "R_plus", "D")),
+        ("eta_equals_D_plus", a.eta == a.green["D_plus"]),
+        ("band_semiring_identities", a.member("Bi")),
+        ("in_Rplus_malcev_D", a.malcev("R_plus", "D")),
     ])
 
 
-def _thm_lemma_1_2(t: SemiringTable) -> TheoremReport:
-    _, _, d_mul = green_mult(t)
-    l_add, _, _ = green_add(t)
+def _thm_lemma_1_2(a: Analysis) -> TheoremReport:
     return _equivalence("LEMMA_1_2", [
-        ("eta_equals_L_plus", eta_equals_relation(t, "L_plus")),
-        ("LN_and_Ddot_in_Lplus", in_variety(t, "LN") and d_mul.refines(l_add)),
-        ("identity_x_plus_yxy", holds(t, "x+yxy = x")),
-        ("in_LZplus_malcev_D", _malcev(t, "LZ_plus", "D")),
+        ("eta_equals_L_plus", a.eta == a.green["L_plus"]),
+        ("LN_and_Ddot_in_Lplus",
+         a.member("LN") and a.green["D_dot"].refines(a.green["L_plus"])),
+        ("identity_x_plus_yxy", a.member("L_plus_var")),
+        ("in_LZplus_malcev_D", a.malcev("LZ_plus", "D")),
     ])
 
 
-def _thm_lemma_2_4(t: SemiringTable) -> TheoremReport:
+def _thm_lemma_2_4(a: Analysis) -> TheoremReport:
     return _equivalence("LEMMA_2_4", [
-        ("in_N", in_variety(t, "N")),
-        ("identity_xz_xyz_xz", holds(t, "xz+xyz+xz = xz")),
+        ("in_N", a.member("N")),
+        ("identity_xz_xyz_xz", a.holds("xz+xyz+xz = xz")),
     ])
 
 
-def _thm_2_5(t: SemiringTable) -> TheoremReport:
-    from .congruences import eta, sigma
-    in_n = in_variety(t, "N")
-    rel = sigma(t)
+def _thm_2_5(a: Analysis) -> TheoremReport:
+    in_n = a.member("N")
+    rel = a.sigma
     transitive = rel.is_transitive()
-    induces = transitive and rel.is_equivalence() and rel.to_partition() == eta(t)
+    induces = transitive and rel.is_equivalence() and rel.to_partition() == a.eta
     return _implication("THM_2_5", [
         ("N_implies_sigma_transitive", (not in_n) or transitive),
         ("N_implies_sigma_is_eta", (not in_n) or induces),
     ])
 
 
-def _thm_3_1(t: SemiringTable) -> TheoremReport:
-    _, _, d_mul = green_mult(t)
-    _, _, d_add = green_add(t)
+def _thm_3_1(a: Analysis) -> TheoremReport:
     return _equivalence("THM_3_1", [
-        ("eta_equals_D_dot", eta_equals_relation(t, "D_dot")),
-        ("N_and_Dplus_in_Ddot", in_variety(t, "N") and d_add.refines(d_mul)),
-        ("identity_D_dot", holds(t, "x = xyx+x+xyx")),
+        ("eta_equals_D_dot", a.eta == a.green["D_dot"]),
+        ("N_and_Dplus_in_Ddot",
+         a.member("N") and a.green["D_plus"].refines(a.green["D_dot"])),
+        ("identity_D_dot", a.member("D_dot")),
     ])
 
 
-def _thm_lemma_3_2(t: SemiringTable) -> TheoremReport:
-    _, r_mul, _ = green_mult(t)
-    _, _, d_add = green_add(t)
+def _thm_lemma_3_2(a: Analysis) -> TheoremReport:
     return _equivalence("LEMMA_3_2", [
-        ("identity_bi1", holds(t, "x+xy+x = x")),
-        ("N_and_Rdot_in_Dplus", in_variety(t, "N") and r_mul.refines(d_add)),
+        ("identity_bi1", a.member("LQBi")),
+        ("N_and_Rdot_in_Dplus",
+         a.member("N") and a.green["R_dot"].refines(a.green["D_plus"])),
     ])
 
 
-def _thm_3_3(t: SemiringTable) -> TheoremReport:
-    l_mul, r_mul, _ = green_mult(t)
-    _, _, d_add = green_add(t)
-    _, _, le_l_mul, _, le_add, _ = quasi_orders(t)
+def _thm_3_3(a: Analysis) -> TheoremReport:
+    l_mul, r_mul, d_add = a.green["L_dot"], a.green["R_dot"], a.green["D_plus"]
+    _, _, le_l_mul, _, le_add, _ = a.quasi_orders
     return _equivalence("THM_3_3", [
-        ("eta_equals_L_dot", eta_equals_relation(t, "L_dot")),
+        ("eta_equals_L_dot", a.eta == l_mul),
         ("Dplus_in_Ldot_and_bi1",
-         d_add.refines(l_mul) and holds(t, "x+xy+x = x")),
+         d_add.refines(l_mul) and a.member("LQBi")),
         ("N_and_Rdot_Dplus_Ldot",
-         in_variety(t, "N") and r_mul.refines(d_add) and d_add.refines(l_mul)),
+         a.member("N") and r_mul.refines(d_add) and d_add.refines(l_mul)),
         ("le_l_mul_in_le_add", le_l_mul.is_subset_of(le_add)),
-        ("identity_L_dot", holds(t, "x = xy+x+xy")),
-        ("identity_L_dot_factored", holds(t, "x = x(y+x+y)")),
+        ("identity_L_dot", a.member("L_dot")),
+        ("identity_L_dot_factored", a.holds("x = x(y+x+y)")),
     ])
 
 
-def _thm_3_4(t: SemiringTable) -> TheoremReport:
-    l_mul, r_mul, _ = green_mult(t)
-    _, _, d_add = green_add(t)
-    _, _, _, le_r_mul, le_add, _ = quasi_orders(t)
+def _thm_3_4(a: Analysis) -> TheoremReport:
+    l_mul, r_mul, d_add = a.green["L_dot"], a.green["R_dot"], a.green["D_plus"]
+    _, _, _, le_r_mul, le_add, _ = a.quasi_orders
     return _equivalence("THM_3_4", [
-        ("eta_equals_R_dot", eta_equals_relation(t, "R_dot")),
+        ("eta_equals_R_dot", a.eta == r_mul),
         ("Dplus_in_Rdot_and_bi2",
-         d_add.refines(r_mul) and holds(t, "x+yx+x = x")),
+         d_add.refines(r_mul) and a.member("RQBi")),
         ("N_and_Ldot_Dplus_Rdot",
-         in_variety(t, "N") and l_mul.refines(d_add) and d_add.refines(r_mul)),
+         a.member("N") and l_mul.refines(d_add) and d_add.refines(r_mul)),
         ("le_r_mul_in_le_add", le_r_mul.is_subset_of(le_add)),
-        ("identity_R_dot", holds(t, "x = yx+x+yx")),
-        ("identity_R_dot_factored", holds(t, "x = (y+x+y)x")),
+        ("identity_R_dot", a.member("R_dot")),
+        ("identity_R_dot_factored", a.holds("x = (y+x+y)x")),
     ])
 
 
-def _thm_regband(t: SemiringTable) -> TheoremReport:
+def _thm_regband(a: Analysis) -> TheoremReport:
     return _implication("LEMMA_REGBAND", [
-        ("identity_10", holds(t, "xyzx = xyzx+xyxzx+xyzx")),
-        ("identity_11", holds(t, "xyxzx = xyxzx+xyzx+xyxzx")),
+        ("identity_10", a.holds("xyzx = xyzx+xyxzx+xyzx")),
+        ("identity_11", a.holds("xyxzx = xyxzx+xyzx+xyxzx")),
     ])
 
 
-def _thm_ddot_eq(t: SemiringTable) -> TheoremReport:
+def _thm_ddot_eq(a: Analysis) -> TheoremReport:
     return _equivalence("LEMMA_DDOT_EQ", [
-        ("in_D_dot", in_variety(t, "D_dot")),
+        ("in_D_dot", a.member("D_dot")),
         ("pair_of_absorptions",
-         holds(t, "xz = xz+xyz") and holds(t, "xz = xyz+xz")),
-        ("identity_xz_sandwich", holds(t, "xz = xyz+xz+xyz")),
+         a.holds("xz = xz+xyz") and a.holds("xz = xyz+xz")),
+        ("identity_xz_sandwich", a.holds("xz = xyz+xz+xyz")),
     ])
 
 
-def _thm_nbd(t: SemiringTable) -> TheoremReport:
-    in_ddot = in_variety(t, "D_dot")
+def _thm_nbd(a: Analysis) -> TheoremReport:
     return _implication("LEMMA_NBD", [
         ("Ddot_implies_nb_sandwich",
-         (not in_ddot) or holds(t, "xyzx = xzyx+xyzx+xzyx")),
+         (not a.member("D_dot")) or a.holds("xyzx = xzyx+xyzx+xzyx")),
     ])
 
 
-def _thm_normal(t: SemiringTable) -> TheoremReport:
-    in_ddot = in_variety(t, "D_dot")
+def _thm_normal(a: Analysis) -> TheoremReport:
     return _implication("THM_NORMAL", [
         ("Ddot_implies_normal_band",
-         (not in_ddot) or holds(t, "xyzx = xzyx")),
+         (not a.member("D_dot")) or a.holds("xyzx = xzyx")),
     ])
 
 
-def _thm_lnb(t: SemiringTable) -> TheoremReport:
+def _thm_lnb(a: Analysis) -> TheoremReport:
     return _equivalence("THM_LNB", [
-        ("in_LNBdot_and_Ddot", in_variety(t, "LNB_dot") and in_variety(t, "D_dot")),
-        ("identity_xz_xzy", holds(t, "xz = xzy+xz+xzy")),
-        ("in_L_dot", in_variety(t, "L_dot")),
+        ("in_LNBdot_and_Ddot", a.member("LNB_dot") and a.member("D_dot")),
+        ("identity_xz_xzy", a.holds("xz = xzy+xz+xzy")),
+        ("in_L_dot", a.member("L_dot")),
     ])
 
 
-def _thm_lemma_4_2(t: SemiringTable) -> TheoremReport:
-    from .congruences import is_congruence
-    _, _, d_mul = green_mult(t)
+def _thm_lemma_4_2(a: Analysis) -> TheoremReport:
+    d_mul = a.green["D_dot"]
     clause = False
-    if is_congruence(t, d_mul):
-        q, _ = quotient(t, d_mul)
-        clause = _malcev(q, "LZ_plus", "D")
+    if is_congruence(a.t, d_mul):
+        q, _ = quotient(a.t, d_mul)
+        clause = malcev_membership(q, malcev_product("LZ_plus", "D"))[0]
     return _equivalence("LEMMA_4_2", [
-        ("in_LN", in_variety(t, "LN")),
+        ("in_LN", a.member("LN")),
         ("Ddot_congruence_and_quotient_in_LZplus_malcev_D", clause),
     ])
 
 
-def _thm_4_1(t: SemiringTable) -> TheoremReport:
+def _thm_4_1(a: Analysis) -> TheoremReport:
     return _implication("THM_4_1", [
         ("L_dot_iff_LZdot_malcev_D",
-         in_variety(t, "L_dot") == _malcev(t, "LZ_dot", "D")),
+         a.member("L_dot") == a.malcev("LZ_dot", "D")),
         ("R_dot_iff_RZdot_malcev_D",
-         in_variety(t, "R_dot") == _malcev(t, "RZ_dot", "D")),
+         a.member("R_dot") == a.malcev("RZ_dot", "D")),
     ])
 
 
-def _thm_4_3(t: SemiringTable) -> TheoremReport:
+def _thm_4_3(a: Analysis) -> TheoremReport:
     # Both clauses have first factor R-bullet as printed; under the RB
     # reading (see CATALOG note) that is exactly what gets checked here.
     # The alternative readings of the overloaded name are evaluated too
     # and reported as observations, never as gating conditions.
     report = _implication("THM_4_3", [
         ("LN_iff_RB_malcev_LZplus_D",
-         in_variety(t, "LN") == _malcev(t, "RB", "LZ_plus", "D")),
+         a.member("LN") == a.malcev("RB", "LZ_plus", "D")),
         ("RN_iff_RB_malcev_RZplus_D",
-         in_variety(t, "RN") == _malcev(t, "RB", "RZ_plus", "D")),
+         a.member("RN") == a.malcev("RB", "RZ_plus", "D")),
     ])
     observations = (
         ("LN_iff_Rdot_malcev_LZplus_D",
-         in_variety(t, "LN") == _malcev(t, "R_dot", "LZ_plus", "D")),
+         a.member("LN") == a.malcev("R_dot", "LZ_plus", "D")),
         ("LN_iff_Ldot_malcev_LZplus_D",
-         in_variety(t, "LN") == _malcev(t, "L_dot", "LZ_plus", "D")),
+         a.member("LN") == a.malcev("L_dot", "LZ_plus", "D")),
     )
     return TheoremReport(report.theorem_id, report.kind, report.conditions,
                          report.consistent, observations)
 
 
-def _thm_band_regular(t: SemiringTable) -> TheoremReport:
-    in_bi = in_variety(t, "Bi")
+def _thm_band_regular(a: Analysis) -> TheoremReport:
     return _implication("BAND_SEMIRING_REGULAR", [
         ("Bi_implies_additive_regular_band",
-         (not in_bi) or holds(t, "x+y+z+x = x+y+x+z+x")),
+         (not a.member("Bi")) or a.holds("x+y+z+x = x+y+x+z+x")),
     ])
 
 
-def _thm_cor_join(t: SemiringTable) -> TheoremReport:
-    from .structure import _attempt_spined_decomposition
-    ok, _, _ = _attempt_spined_decomposition(t)
+def _thm_cor_join(a: Analysis) -> TheoremReport:
+    ok, _, _ = _attempt_spined_decomposition(a.t, a)
     return _equivalence("COR_JOIN", [
-        ("in_D_dot", in_variety(t, "D_dot")),
+        ("in_D_dot", a.member("D_dot")),
         ("spined_decomposition_succeeds", ok),
     ])
 
 
-THEOREMS: Dict[str, Callable[[SemiringTable], TheoremReport]] = {
+THEOREMS: Dict[str, Callable[[Analysis], TheoremReport]] = {
     "LEMMA_1_1": _thm_lemma_1_1,
     "LEMMA_1_2": _thm_lemma_1_2,
     "LEMMA_2_4": _thm_lemma_2_4,
@@ -350,8 +385,10 @@ THEOREMS: Dict[str, Callable[[SemiringTable], TheoremReport]] = {
 }
 
 
-def verify_theorem(t: SemiringTable, theorem_id: str) -> TheoremReport:
-    """Evaluate every condition of the named theorem on one instance."""
+def verify_theorem(t: Union[SemiringTable, Analysis], theorem_id: str
+                   ) -> TheoremReport:
+    """Evaluate every condition of the named theorem on one instance, given
+    as a table or as an Analysis shared by the theorems checked on it."""
     if theorem_id not in THEOREMS:
         raise PreconditionError("unknown theorem id %r" % theorem_id)
-    return THEOREMS[theorem_id](t)
+    return THEOREMS[theorem_id](t if isinstance(t, Analysis) else Analysis(t))

@@ -141,3 +141,39 @@ def is_isomorphic_by_search(s: SemiringTable, t: SemiringTable
                for i in range(n) for j in range(n)):
             return perm
     return None
+
+
+# ---------------------------------------------------------------------------
+# Reference evaluators that sl.satisfies_identity and sl.validate_semiring
+# are compared against
+
+def failures_by_eval_term(t: SemiringTable, ident: sl.Identity, domain):
+    """Identity.failures over `domain`, by recursive eval_term."""
+    for a in itertools.product(domain, repeat=ident.nvars):
+        u, v = sl.eval_term(t, ident.lhs, a), sl.eval_term(t, ident.rhs, a)
+        if u != v:
+            yield a, u, v
+
+
+def violations_by_loops(t: SemiringTable) -> Tuple:
+    """ValidationReport.violations by hand-written loops over the tables."""
+    n, add, mul = t.order, t.add, t.mul
+    triples = list(itertools.product(range(n), repeat=3))
+    checks = (
+        ("add_associative", lambda a, b, c: add[add[a][b]][c] == add[a][add[b][c]]),
+        ("mul_associative", lambda a, b, c: mul[mul[a][b]][c] == mul[a][mul[b][c]]),
+        ("left_distributive",
+         lambda a, b, c: mul[a][add[b][c]] == add[mul[a][b]][mul[a][c]]),
+        ("right_distributive",
+         lambda a, b, c: mul[add[a][b]][c] == add[mul[a][c]][mul[b][c]]),
+    )
+    out = []
+    for name, ok in checks:
+        w = next((w for w in triples if not ok(*w)), None)
+        if w is not None:
+            out.append((name, w))
+    for name, op in (("add_idempotent", add), ("mul_idempotent", mul)):
+        a = next((a for a in range(n) if op[a][a] != a), None)
+        if a is not None:
+            out.append((name, (a,)))
+    return tuple(out)

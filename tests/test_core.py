@@ -1,9 +1,15 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import semiring_lab as sl
-from semiring_lab.core import Add, Mul, Var
+from semiring_lab.core import _AXIOMS, Add, Mul, Var
+from semiring_lab.structure import _instances
+from semiring_lab.varieties import THEOREM_IDENTITIES
+
+from conftest import failures_by_eval_term, relabel_seeded, violations_by_loops
 
 
 def test_golden3_validates(golden3):
@@ -31,6 +37,26 @@ def test_mutated_table_reports_violation(golden3):
 
 def test_validation_is_pure(golden3):
     assert sl.validate_semiring(golden3) == sl.validate_semiring(golden3)
+
+
+def test_validation_matches_hand_loops(small_semirings):
+    # the axioms are checked as identities; the loops are the oracle
+    rng = random.Random(2017)
+    tables = list(small_semirings)
+    for n in (1, 2, 3, 4):
+        for _ in range(300):
+            add = [[rng.randrange(n) for _ in range(n)] for _ in range(n)]
+            mul = [[rng.randrange(n) for _ in range(n)] for _ in range(n)]
+            if rng.random() < 0.5:  # idempotent, so other axioms decide
+                for i in range(n):
+                    add[i][i] = mul[i][i] = i
+            tables.append(sl.SemiringTable.from_rows(add, mul))
+    kinds = set()
+    for t in tables:
+        report = sl.validate_semiring(t)
+        assert report.violations == violations_by_loops(t)
+        kinds.update(name for name, _ in report.violations)
+    assert len(kinds) == 6  # every axiom is seen failing
 
 
 def test_malformed_tables_rejected():
@@ -107,6 +133,28 @@ def test_identity_invariant_under_variable_renaming(small_semirings, perm):
     for t in small_semirings[::17]:
         assert (sl.satisfies_identity(t, base)[0]
                 == sl.satisfies_identity(t, renamed)[0])
+
+
+def test_compiled_identities_match_eval_term(iso_small):
+    # every identity the library evaluates, on the 92 classes of order <= 3
+    # and one relabelling of each: same failures in the same order, hence
+    # the same truth value and first witness, and the same Malcev pairs
+    # inside each eta class
+    idents = ([i for spec in sl.CATALOG.values() for i in spec.identities]
+              + list(THEOREM_IDENTITIES.values()) + [i for _, i in _AXIOMS])
+    rng = random.Random(4471)
+    for t in iso_small:
+        for s in (t, relabel_seeded(t, rng)):
+            classes = sl.eta(s).blocks()
+            for ident in idents:
+                ref = list(failures_by_eval_term(s, ident, range(s.order)))
+                assert list(ident.failures(s.add, s.mul, range(s.order))) == ref
+                assert sl.satisfies_identity(s, ident) == (
+                    (False, ref[0][0]) if ref else (True, None))
+                pairs = [(u, v) for block in classes
+                         for _, u, v in failures_by_eval_term(s, ident, block)]
+                assert list(_instances(s, sl.VarietySpec("one", (ident,)),
+                                       classes)) == pairs
 
 
 def test_regular_band_identities_hold_everywhere(small_semirings):

@@ -1,10 +1,15 @@
+import collections
+import copy
 import gc
+import hashlib
+import pickle
 import random
 import tracemalloc
 
 import pytest
 
 import semiring_lab as sl
+from semiring_lab import cli, congruences, core, relations, structure, varieties
 from semiring_lab.relations import Partition
 from semiring_lab.varieties import THEOREMS, green_relation
 
@@ -112,23 +117,91 @@ def test_relabelling_leaves_invariants_unchanged(iso_small):
                 == [sl.in_variety(t, name) for name in sorted(sl.CATALOG)])
         assert (sorted(map(len, sl.eta(r).blocks()))
                 == sorted(map(len, sl.eta(t).blocks())))
+        shared = sl.Analysis(r)
         for tid in sorted(THEOREMS):
-            assert sl.verify_theorem(r, tid) == sl.verify_theorem(t, tid), tid
+            assert sl.verify_theorem(shared, tid) == sl.verify_theorem(t, tid), tid
+
+
+# sha256 of the repr of every TheoremReport, one per line, over the 835
+# order-4 classes in enumeration order and the theorems in sorted order;
+# frozen from the recursive evaluator with no per-instance sharing
+THEOREM_REPORTS_SHA256 = (
+    "2d16c732b1f5ce21d3ab50f6439e0ceca07fc9ae45b3eed900fce38f707b6a0b")
+
+
+def test_theorem_reports_are_frozen(iso4):
+    digest = hashlib.sha256()
+    for t in iso4:
+        analysis = sl.Analysis(t)
+        for tid in sorted(THEOREMS):
+            digest.update(repr(sl.verify_theorem(analysis, tid)).encode() + b"\n")
+    assert len(iso4) == 835
+    assert digest.hexdigest() == THEOREM_REPORTS_SHA256
+
+
+def test_shared_analysis_computes_each_relation_once(monkeypatch, dl2, golden3):
+    calls = collections.Counter()
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name, fn in (("green_add", relations.green_add),
+                     ("green_mult", relations.green_mult),
+                     ("eta", congruences.eta), ("sigma", congruences.sigma),
+                     ("parse_term", core.parse_term), ("compile", core._compile)):
+        for module in (core, relations, congruences, structure, varieties, cli):
+            for attr, value in list(vars(module).items()):
+                if value is fn:
+                    monkeypatch.setattr(module, attr, counting(name, fn))
+    suite = tuple(sorted(THEOREMS))
+    for t in (dl2, golden3):  # dl2 reaches every branch of the suite
+        calls.clear()
+        assert cli._verify_one((t.order, 0, t, suite)) == []
+        assert calls["green_add"] == calls["green_mult"] == calls["sigma"] == 1
+        assert calls["eta"] <= 1 and calls["parse_term"] == 0, calls
+        calls.clear()
+        cli._verify_one((t.order, 0, t, suite))
+        assert calls["compile"] == 0, calls
+
+
+def test_identities_pickle_and_copy_after_use(dl2, golden3):
+    # compiled evaluators are made by exec and cannot be pickled; they
+    # must stay out of the pickled state of everything that holds them
+    ident = sl.parse_identity("xyzx = xzyx")
+    spec = sl.CATALOG["LN"]
+    cfg = sl.EnumConfig(order=3, up_to_iso=True,
+                        filter=sl.malcev_product("RB", "LZ_plus", "D"))
+    sl.satisfies_identity(dl2, ident)
+    sl.variety_membership(dl2, spec)
+    sl.malcev_membership(dl2, cfg.filter)
+    assert "failures" in vars(ident) and "failures" in vars(spec.identities[0])
+    for obj in (ident, spec, cfg):
+        for copied in (pickle.loads(pickle.dumps(obj)), copy.deepcopy(obj)):
+            assert copied == obj
+    again = pickle.loads(pickle.dumps(ident))
+    assert sl.satisfies_identity(golden3, again) == sl.satisfies_identity(golden3, ident)
 
 
 def test_theorem_sweep_retains_no_memory(labeled_by_order):
-    # nothing computed for one instance may outlive its checks
+    # nothing computed for one instance may outlive its checks, whether
+    # each theorem analyses the instance afresh or the CLI's per-instance
+    # Analysis is shared across the suite
     instances = labeled_by_order[3]
     assert len(instances) == 379
+    suite = tuple(sorted(THEOREMS))
     for tid in THEOREMS:  # first calls may import lazily
         sl.verify_theorem(instances[0], tid)
     gc.collect()
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        for t in instances:
+        for i, t in enumerate(instances):
             for tid in THEOREMS:
                 sl.verify_theorem(t, tid)
+            cli._verify_one((3, i, t, suite))
         gc.collect()
         retained = tracemalloc.get_traced_memory()[0] - before
     finally:
