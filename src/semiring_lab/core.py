@@ -7,6 +7,7 @@ assumed about a table until ``validate_semiring`` has been run on it.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Optional, Sequence, Tuple, Union
@@ -171,12 +172,16 @@ def _compile(ident: Identity) -> Callable:
                                code(term.left), code(term.right))
 
     k = ident.nvars
+    names = "".join("v%d, " % d for d in range(k))
     inner = ["l, r = %s, %s" % (code(ident.lhs), code(ident.rhs)), "if l != r:",
-             " yield (%s), l, r" % "".join("v%d, " % d for d in range(k))]
+             " yield (%s), l, r" % names]
+    # Python nests at most 20 blocks; past that, one (slower) product loop
+    loops = (["for v%d in D:" % d for d in range(k)] if k <= 20
+             else ["for %sin product(D, repeat=%d):" % (names, k)])
     src = (["def failures(A, M, D):"]
-           + [" " * (d + 1) + "for v%d in D:" % d for d in range(k)]
-           + [" " * (k + 1) + line for line in inner])
-    scope = {}
+           + [" " * (d + 1) + loop for d, loop in enumerate(loops)]
+           + [" " * (len(loops) + 1) + line for line in inner])
+    scope = {"product": itertools.product}
     exec("\n".join(src), scope)
     return scope["failures"]
 

@@ -12,7 +12,9 @@ is why the + table is completed before any . cell is chosen.
 Up to isomorphism the generation is orderly (McKay, "Isomorph-free
 exhaustive generation", J. Algorithms 1998): a band is completed only if
 it is its own least relabelling, and a . table is kept only if no
-automorphism of the band relabels it to a smaller table.
+automorphism of the band relabels it to a smaller table.  Both tests are
+one early-exit comparison in key order, which also prunes partial . tables
+(lex-leader pruning: Crawford, Ginsberg, Luks and Roy, KR 1996).
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterator, List, Optional, Sequence, Tuple, Union
 
 from .core import (BudgetExceededError, PreconditionError, SemiringTable,
-                   _relabel_rows, validate_semiring)
+                   validate_semiring)
 from .structure import ClassExpr, malcev_membership
 from .varieties import VarietySpec, variety_membership
 
@@ -150,12 +152,20 @@ def _matches_filter(t: SemiringTable,
     return malcev_membership(t, flt)[0]
 
 
-def _least_band_automorphisms(add: Tuple[Tuple[int, ...], ...]
-                              ) -> Optional[List[Tuple[int, ...]]]:
-    """Aut(+), if the band is its own least relabelling; else None."""
-    perms = list(itertools.permutations(range(len(add))))
-    keys = [_relabel_rows(add, perm) for perm in perms]
-    return None if min(keys) < add else [p for p, k in zip(perms, keys) if k == add]
+def _relabelled_cmp(rows: Sequence[Sequence[Optional[int]]],
+                    perm: Sequence[int], inv: Sequence[int]) -> int:
+    """Sign of perm.rows - rows, cell (a, b) of perm.rows being
+    perm[rows[inv a][inv b]], over all cells in row-major order up to the
+    first cell that is None on either side (0 if they agree there)."""
+    for a, ia in enumerate(inv):
+        row, src = rows[a], rows[ia]
+        for b, ib in enumerate(inv):
+            x, v = row[b], src[ib]
+            if x is None or v is None:
+                return 0
+            if perm[v] != x:
+                return -1 if perm[v] < x else 1
+    return 0
 
 
 def enumerate_idempotent_semirings(cfg: EnumConfig) -> Iterator[SemiringTable]:
@@ -170,27 +180,41 @@ def enumerate_idempotent_semirings(cfg: EnumConfig) -> Iterator[SemiringTable]:
     that is no s in Aut(B), makes s.M smaller than M.  Bands that are not
     least are therefore skipped before any . cell is chosen.
 
+    The . search prunes a node (partial M) when, for some p in Aut(B),
+    p.M is smaller than M on a row-major prefix determined on both sides.
+    Pruned subtrees hold no canonical table: each completion M' keeps the
+    determined cells of M, hence of p.M (whose cell (a, b) reads only M's
+    cell (inv a, inv b)), so p.(B, M') = (B, p.M') < (B, M').  At a leaf
+    every cell is determined and the test is exactly "p.M < M" above, so
+    the leaves kept are the canonical ones, in the same depth-first order;
+    a leaf below a pruned node would fail it.  The labelled search skips it.
+
     Exceeding the budget raises BudgetExceededError mid-stream; consumers
     must treat a truncated stream as failure, never as a complete
     enumeration.
     """
     n, cells = cfg.order, _off_diagonal_cells(cfg.order)
     budget = _Budget(cfg.budget_nodes, cfg.budget_secs)
+    # the identity, first, fixes every table
+    perms = [(p, sorted(range(n), key=p.__getitem__))
+             for p in itertools.permutations(range(n))][1:] if cfg.up_to_iso else []
     emitted = 0
     for add in _complete(_idempotent_seed(n), n, cells, 0,
                          lambda tab, i, j: _assoc_ok(tab, n, i, j), budget):
-        auts = _least_band_automorphisms(add) if cfg.up_to_iso else None
-        if cfg.up_to_iso and auts is None:
-            continue
+        if not all(_relabelled_cmp(add, p, q) >= 0 for p, q in perms):
+            continue  # some relabelling of the band is smaller
+        auts = [(p, q) for p, q in perms if _relabelled_cmp(add, p, q) == 0]
         touching = _touching_sums(add, n)
 
         def mul_ok(tab: List[List[Optional[int]]], i: int, j: int) -> bool:
-            return (_assoc_ok(tab, n, i, j)
-                    and _distrib_ok(add, touching, tab, i, j))
+            return _assoc_ok(tab, n, i, j) and _distrib_ok(add, touching, tab, i, j)
 
-        for mul in _complete(_idempotent_seed(n), n, cells, 0, mul_ok, budget):
-            if auts and any(_relabel_rows(mul, p) < mul for p in auts):
-                continue
+        def least_mul_ok(tab: List[List[Optional[int]]], i: int, j: int) -> bool:
+            return mul_ok(tab, i, j) and all(_relabelled_cmp(tab, p, q) >= 0
+                                             for p, q in auts)
+
+        for mul in _complete(_idempotent_seed(n), n, cells, 0,
+                             least_mul_ok if auts else mul_ok, budget):
             t = SemiringTable.from_rows(add, mul)
             if not _matches_filter(t, cfg.filter):
                 continue

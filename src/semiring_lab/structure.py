@@ -245,6 +245,9 @@ def _attempt_spined_decomposition(t: SemiringTable, a: Optional["Analysis"] = No
     from .varieties import CATALOG, Analysis, variety_membership
     a = Analysis(t) if a is None else a
     l_dot, r_dot, d_dot = (a.green[k] for k in ("L_dot", "R_dot", "D_dot"))
+    # the cheapest refutation first, before any congruence test or quotient
+    if d_dot != a.eta:
+        return False, None, "D-dot differs from the least d.l. congruence"
     for p, name in ((l_dot, "L-dot"), (r_dot, "R-dot"), (d_dot, "D-dot")):
         if not is_congruence(t, p):
             return False, None, "%s is not a congruence" % name
@@ -257,8 +260,6 @@ def _attempt_spined_decomposition(t: SemiringTable, a: Optional["Analysis"] = No
         return False, None, "S/R-dot is not in L_dot"
     if not is_distributive_lattice(d):
         return False, None, "S/D-dot is not a distributive lattice"
-    if d_dot != a.eta:
-        return False, None, "D-dot differs from the least d.l. congruence"
     if d_dot.as_relation() != l_dot.as_relation().compose(r_dot.as_relation()):
         return False, None, "D-dot is not the composition of L-dot and R-dot"
     # phi maps: L-class of a -> D-class of a (well-defined since L-dot

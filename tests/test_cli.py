@@ -3,6 +3,8 @@ import json
 import os
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from semiring_lab import cli
 from semiring_lab.cli import main
@@ -81,6 +83,31 @@ def test_unreadable_input(capsys, tmp_path, command):
         code, _, err = run(capsys, command, str(path))
         assert code == 2
         assert "cannot read input" in err
+
+
+# near-misses of the text format as well as raw bytes
+_TOKENS = ["1", "2", "3", "0", "-1", "a", "b", "c", "e0", "e1", "a a", "\n",
+           " ", "\t", "\r\n", "\xff", "\u2028", "\x00"]
+_INPUTS = st.one_of(
+    st.binary(max_size=120),
+    st.lists(st.sampled_from(_TOKENS), max_size=40).map(
+        lambda parts: "".join(parts).encode()),
+    st.sampled_from([GOLDEN3_TEXT, "2\n0 1\n0 1\n1 1\n\n0 0\n0 1\n"]).flatmap(
+        lambda text: st.tuples(st.integers(0, len(text)), st.binary(max_size=4)).map(
+            lambda cut: (text[:cut[0]].encode() + cut[1] + text[cut[0]:].encode()))))
+
+
+@pytest.mark.parametrize("command", ["analyze", "decompose"])
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=_INPUTS)
+def test_arbitrary_input_exits_by_contract(capsys, tmp_path, command, data):
+    # any file content: a result, a parse error or a precondition, never
+    # a traceback
+    path = tmp_path / "fuzz.txt"
+    path.write_bytes(data)
+    code, _, _ = run(capsys, command, str(path))
+    assert code in (0, 2, 3)
 
 
 @pytest.mark.parametrize("variable", ["SEMIRING_LAB_MAX_ORDER",

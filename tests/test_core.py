@@ -157,6 +157,17 @@ def test_compiled_identities_match_eval_term(iso_small):
                                        classes)) == pairs
 
 
+@pytest.mark.parametrize("k", [20, 21])
+def test_identities_with_many_variables(k, order1, dl2):
+    # nested loops reach Python's limit of 20 blocks; past it the compiled
+    # code loops once over the product, in the same order
+    assert sl.satisfies_identity(order1, sl.Identity(Var(0), Var(0), k)) == (True, None)
+    ident = sl.Identity(Var(k - 1), Mul(Var(0), Var(k - 1)), k)
+    first = next(failures_by_eval_term(dl2, ident, range(2)))
+    assert next(ident.failures(dl2.add, dl2.mul, range(2))) == first
+    assert sl.satisfies_identity(dl2, ident) == (False, first[0])
+
+
 def test_regular_band_identities_hold_everywhere(small_semirings):
     # these two hold in every idempotent semiring, no hypotheses
     ten = sl.parse_identity("xyzx = xyzx+xyxzx+xyzx")
@@ -169,9 +180,27 @@ def test_regular_band_identities_hold_everywhere(small_semirings):
 # ---------------------------------------------------------------------------
 # text format
 
-def test_text_round_trip(golden3, dl2, chain3):
-    for t in (golden3, dl2, chain3):
+def test_text_round_trip(golden3, dl2, chain3, small_semirings):
+    for t in (golden3, dl2, chain3, *small_semirings):
         assert sl.parse_semiring_text(sl.format_semiring_text(t)) == t
+
+
+@st.composite
+def _named_tables(draw):
+    n = draw(st.integers(1, 4))
+    cells = st.lists(st.lists(st.integers(0, n - 1), min_size=n, max_size=n),
+                     min_size=n, max_size=n)
+    name = st.text(st.characters(categories=["L", "N", "P", "S"]),
+                   min_size=1, max_size=4)
+    names = draw(st.lists(name, min_size=n, max_size=n, unique=True))
+    return sl.SemiringTable.from_rows(draw(cells), draw(cells), names)
+
+
+@given(t=_named_tables())
+@settings(deadline=None, max_examples=200)
+def test_text_round_trip_random_names(t):
+    # any tables, semirings or not, under any distinct whitespace-free names
+    assert sl.parse_semiring_text(sl.format_semiring_text(t)) == t
 
 
 def test_parse_without_names_line():
