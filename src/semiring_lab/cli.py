@@ -84,10 +84,13 @@ def _read_input(path: str) -> str:
 
 def _enumerate_orders(max_order: int, iso: bool, budget_nodes: int,
                       budget_secs: float) -> List[Tuple[int, int, SemiringTable]]:
+    if max_order < 1:
+        raise PreconditionError("--max-order must be >= 1")
+    # every order's bounds are checked before any enumeration starts
+    cfgs = [EnumConfig(order=n, up_to_iso=iso, budget_nodes=budget_nodes,
+                       budget_secs=budget_secs) for n in range(1, max_order + 1)]
     out = []
-    for n in range(1, max_order + 1):
-        cfg = EnumConfig(order=n, up_to_iso=iso, budget_nodes=budget_nodes,
-                         budget_secs=budget_secs)
+    for n, cfg in enumerate(cfgs, 1):
         for i, t in enumerate(enumerate_idempotent_semirings(cfg)):
             out.append((n, i, t))
     return out

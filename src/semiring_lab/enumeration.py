@@ -6,15 +6,18 @@ idempotency.  After a cell is set, only the associativity and
 distributivity instances that look that cell up are checked: every other
 determined instance was checked at the parent node, so this prunes
 exactly the nodes a full re-check would, at O(n^2) instead of O(n^3) cost
-per node.  Distributivity is the strongest cross-table constraint, which
+per node.  An index of the cells holding each value finds the
+associativity instances among them without scanning the table.
+Distributivity is the strongest cross-table constraint, which
 is why the + table is completed before any . cell is chosen.
 
 Up to isomorphism the generation is orderly (McKay, "Isomorph-free
-exhaustive generation", J. Algorithms 1998): a band is completed only if
-it is its own least relabelling, and a . table is kept only if no
-automorphism of the band relabels it to a smaller table.  Both tests are
-one early-exit comparison in key order, which also prunes partial . tables
-(lex-leader pruning: Crawford, Ginsberg, Luks and Roy, KR 1996).
+exhaustive generation", J. Algorithms 1998): a partial band is abandoned
+as soon as some relabelling makes it smaller, so only the bands that are
+their own least relabelling are completed, and a partial . table as soon
+as some automorphism of the band makes it smaller.  Both tests are one
+early-exit comparison in key order (lex-leader pruning: Crawford,
+Ginsberg, Luks and Roy, KR 1996).
 """
 
 from __future__ import annotations
@@ -24,8 +27,9 @@ import time
 from dataclasses import dataclass
 from typing import Callable, Iterator, List, Optional, Sequence, Tuple, Union
 
-from .core import (BudgetExceededError, PreconditionError, SemiringTable,
-                   validate_semiring)
+from .congruences import DEFAULT_ORDER_BOUND
+from .core import (BudgetExceededError, PreconditionError, ResourceBoundError,
+                   SemiringTable, validate_semiring)
 from .structure import ClassExpr, malcev_membership
 from .varieties import VarietySpec, variety_membership
 
@@ -61,36 +65,48 @@ class EnumConfig:
     def __post_init__(self):
         if self.order < 1:
             raise PreconditionError("order must be >= 1")
+        # checked before anything of size n! or n^2 is built
+        if self.order > DEFAULT_ORDER_BOUND:
+            raise ResourceBoundError("order %d exceeds enumeration bound %d"
+                                     % (self.order, DEFAULT_ORDER_BOUND))
         if not (self.budget_nodes > 0 and self.budget_secs > 0):  # rejects nan
             raise PreconditionError("budget must be positive")
 
 
-def _assoc_ok(table: List[List[Optional[int]]], n: int, i: int, j: int) -> bool:
+# a table being filled (None = undetermined), a full one, and the
+# preimage index of a partial table: pre[v] = the determined cells of value v
+_Partial = List[List[Optional[int]]]
+Rows = Tuple[Tuple[int, ...], ...]
+_Index = List[List[Tuple[int, int]]]
+
+
+def _assoc_ok(table: _Partial, pre: _Index, i: int, j: int) -> bool:
     """Every determined instance of (ab)c = a(bc) that looks up cell (i, j)
     holds.  These are the instances with (a, b) = (i, j), (b, c) = (i, j),
     ab = i and c = j, or a = i and bc = j; every other determined instance
-    was already checked at the parent node."""
+    was already checked at the parent node.  pre[v] lists the determined
+    cells (k, m) with table[k][m] = v, so the last two kinds are read off
+    pre[i] and pre[j] instead of a scan of all n^2 cells."""
     v = table[i][j]
-    row_i, row_v = table[i], table[v]
-    for k in range(n):
-        jk, ki = table[j][k], table[k][i]
+    row_i, row_j, row_v = table[i], table[j], table[v]
+    for k, row_k in enumerate(table):
+        jk, ki = row_j[k], row_k[i]
         if jk is not None:  # (ij)k = i(jk)
             left, right = row_v[k], row_i[jk]
             if left is not None and right is not None and left != right:
                 return False
         if ki is not None:  # (ki)j = k(ij)
-            left, right = table[ki][j], table[k][v]
+            left, right = table[ki][j], row_k[v]
             if left is not None and right is not None and left != right:
                 return False
-        for m in range(n):
-            if table[k][m] == i:  # (km)j = k(mj) with km = i
-                mj = table[m][j]
-                if mj is not None and table[k][mj] not in (None, v):
-                    return False
-            if table[m][k] == j:  # (im)k = i(mk) with mk = j
-                im = row_i[m]
-                if im is not None and table[im][k] not in (None, v):
-                    return False
+    for k, m in pre[i]:  # (km)j = k(mj) with km = i
+        mj = table[m][j]
+        if mj is not None and table[k][mj] not in (None, v):
+            return False
+    for m, k in pre[j]:  # (im)k = i(mk) with mk = j
+        im = row_i[m]
+        if im is not None and table[im][k] not in (None, v):
+            return False
     return True
 
 
@@ -103,7 +119,7 @@ def _touching_sums(add: Sequence[Sequence[int]], n: int
 
 def _distrib_ok(add: Sequence[Sequence[int]],
                 touching: List[List[Tuple[int, int, int]]],
-                mul: List[List[Optional[int]]], i: int, j: int) -> bool:
+                mul: _Partial, i: int, j: int) -> bool:
     """Every determined instance of x(y+z) = xy+xz or (y+z)x = yx+zx that
     looks up . cell (i, j) holds: x = i with j among y, z, y+z on the
     left, x = j with i among them on the right."""
@@ -119,28 +135,48 @@ def _distrib_ok(add: Sequence[Sequence[int]],
     return True
 
 
-def _complete(table: List[List[Optional[int]]], n: int,
-              cells: List[Tuple[int, int]], k: int,
-              ok: Callable[[List[List[Optional[int]]], int, int], bool],
-              budget: _Budget) -> Iterator[Tuple[Tuple[int, ...], ...]]:
-    if k == len(cells):
-        yield tuple(tuple(row) for row in table)  # type: ignore[misc]
+_Check = Callable[[_Partial, _Index, int, int], bool]
+
+
+def _complete(n: int, ok: _Check, budget: _Budget) -> Iterator[Rows]:
+    """Every idempotent n x n table that ok accepts cell by cell, depth
+    first: the off-diagonal cells are filled in row-major order, each
+    trying 0..n-1 in turn.  A value costs one budget node and is kept when
+    ok(table, pre, i, j) holds for the cell (i, j) just set, pre[v] being
+    the determined cells of value v, kept in step with the table.  One loop
+    walks the cells; the cell at depth k holds the value being tried there,
+    None before the first."""
+    table: _Partial = [[i if i == j else None for j in range(n)] for i in range(n)]
+    pre: _Index = [[(v, v)] for v in range(n)]
+    cells = _off_diagonal_cells(n)
+    last, k = len(cells) - 1, 0
+    if last < 0:
+        yield ((0,),)
         return
-    i, j = cells[k]
-    for v in range(n):
+    while k >= 0:
+        i, j = cells[k]
+        v = table[i][j]
+        if v is None:
+            v = 0
+        else:  # undo the value tried last, then try the next one
+            pre[v].pop()
+            v += 1
+            if v == n:
+                table[i][j] = None
+                k -= 1
+                continue
         budget.spend()
         table[i][j] = v
-        if ok(table, i, j):
-            yield from _complete(table, n, cells, k + 1, ok, budget)
-    table[i][j] = None
+        pre[v].append((i, j))
+        if ok(table, pre, i, j):
+            if k == last:
+                yield tuple(tuple(row) for row in table)  # type: ignore[misc]
+            else:
+                k += 1
 
 
 def _off_diagonal_cells(n: int) -> List[Tuple[int, int]]:
     return [(i, j) for i in range(n) for j in range(n) if i != j]
-
-
-def _idempotent_seed(n: int) -> List[List[Optional[int]]]:
-    return [[i if i == j else None for j in range(n)] for i in range(n)]
 
 
 def _matches_filter(t: SemiringTable,
@@ -168,53 +204,89 @@ def _relabelled_cmp(rows: Sequence[Sequence[Optional[int]]],
     return 0
 
 
+# a relabelling as (perm, inverse)
+Relabelling = Tuple[Sequence[int], Sequence[int]]
+
+
+def _orderly(ok: _Check, perms: List[Relabelling]) -> _Check:
+    """ok, and no relabelling in perms makes the table smaller on the
+    prefix determined on both sides."""
+    if not perms:
+        return ok
+
+    def least_ok(tab: _Partial, pre: _Index, i: int, j: int) -> bool:
+        if not ok(tab, pre, i, j):
+            return False
+        for p, q in perms:  # a plain loop: all() over a generator costs more
+            if _relabelled_cmp(tab, p, q) < 0:
+                return False
+        return True
+    return least_ok
+
+
+def bands(n: int, up_to_iso: bool, budget: _Budget
+          ) -> Iterator[Tuple[Rows, List[Relabelling]]]:
+    """The + tables of order n, depth first, each with its non-identity
+    automorphisms: every labelled band, with none listed, or with up_to_iso
+    exactly the bands that are their own least relabelling (proof in
+    enumerate_idempotent_semirings)."""
+    # the identity, first, fixes every table
+    perms = [(p, sorted(range(n), key=p.__getitem__))
+             for p in itertools.permutations(range(n))][1:] if up_to_iso else []
+    for add in _complete(n, _orderly(_assoc_ok, perms), budget):
+        yield add, [(p, q) for p, q in perms if _relabelled_cmp(add, p, q) == 0]
+
+
+def completions(add: Rows, auts: List[Relabelling], budget: _Budget
+                ) -> Iterator[Rows]:
+    """The . tables making (add, .) an idempotent semiring, depth first;
+    given the non-identity automorphisms auts of add, only those that no
+    automorphism relabels smaller (proof in enumerate_idempotent_semirings)."""
+    n = len(add)
+    touching = _touching_sums(add, n)
+
+    def mul_ok(tab: _Partial, pre: _Index, i: int, j: int) -> bool:
+        return _assoc_ok(tab, pre, i, j) and _distrib_ok(add, touching, tab, i, j)
+
+    return _complete(n, _orderly(mul_ok, auts), budget)
+
+
 def enumerate_idempotent_semirings(cfg: EnumConfig) -> Iterator[SemiringTable]:
     """Stream every idempotent semiring of the configured order.
 
-    The stream is deterministic (depth-first, lexicographic cell order).
+    The stream is deterministic (depth-first, lexicographic cell order):
+    each band B from bands(), then each . table M from completions(B).
     With up_to_iso, exactly the canonical-minimal representative of each
     isomorphism class is yielded, in the order of the labelled stream:
     the canonical key of (B, M) is the least (s.B, s.M) over all
     relabellings s.  Its + part is the least relabelling of B, so (B, M)
     is canonical iff B is its own least relabelling and no s attaining it,
-    that is no s in Aut(B), makes s.M smaller than M.  Bands that are not
-    least are therefore skipped before any . cell is chosen.
+    that is no s in Aut(B), makes s.M smaller than M.
 
-    The . search prunes a node (partial M) when, for some p in Aut(B),
-    p.M is smaller than M on a row-major prefix determined on both sides.
-    Pruned subtrees hold no canonical table: each completion M' keeps the
-    determined cells of M, hence of p.M (whose cell (a, b) reads only M's
-    cell (inv a, inv b)), so p.(B, M') = (B, p.M') < (B, M').  At a leaf
-    every cell is determined and the test is exactly "p.M < M" above, so
-    the leaves kept are the canonical ones, in the same depth-first order;
-    a leaf below a pruned node would fail it.  The labelled search skips it.
+    Both searches prune by one lemma.  Cells are filled in row-major order,
+    which is the order tables are compared in, and cell (a, b) of p.T reads
+    only T's cell (inv a, inv b).  So if p.T is smaller than T on a
+    row-major prefix determined on both sides, every completion T' keeps
+    those cells on both sides and p.T' < T'.  The band search prunes a
+    node (partial B) when this holds for some non-identity p: every band
+    below it has a smaller relabelling, so no least band is lost.  At a
+    leaf every cell is determined and the test reads "no p.B < B", which
+    is leastness itself; so the leaves kept are exactly the least bands,
+    in the labelled search's order, and Aut(B) is the p with p.B = B.
+    The . search prunes a node (partial M) when this holds for some p in
+    Aut(B): each completion M' has p.(B, M') = (B, p.M') < (B, M').  Its
+    leaf test is exactly "p.M < M" above, so the leaves kept are the
+    canonical ones, in the same depth-first order.  The labelled search
+    skips both tests.
 
     Exceeding the budget raises BudgetExceededError mid-stream; consumers
     must treat a truncated stream as failure, never as a complete
     enumeration.
     """
-    n, cells = cfg.order, _off_diagonal_cells(cfg.order)
     budget = _Budget(cfg.budget_nodes, cfg.budget_secs)
-    # the identity, first, fixes every table
-    perms = [(p, sorted(range(n), key=p.__getitem__))
-             for p in itertools.permutations(range(n))][1:] if cfg.up_to_iso else []
     emitted = 0
-    for add in _complete(_idempotent_seed(n), n, cells, 0,
-                         lambda tab, i, j: _assoc_ok(tab, n, i, j), budget):
-        if not all(_relabelled_cmp(add, p, q) >= 0 for p, q in perms):
-            continue  # some relabelling of the band is smaller
-        auts = [(p, q) for p, q in perms if _relabelled_cmp(add, p, q) == 0]
-        touching = _touching_sums(add, n)
-
-        def mul_ok(tab: List[List[Optional[int]]], i: int, j: int) -> bool:
-            return _assoc_ok(tab, n, i, j) and _distrib_ok(add, touching, tab, i, j)
-
-        def least_mul_ok(tab: List[List[Optional[int]]], i: int, j: int) -> bool:
-            return mul_ok(tab, i, j) and all(_relabelled_cmp(tab, p, q) >= 0
-                                             for p, q in auts)
-
-        for mul in _complete(_idempotent_seed(n), n, cells, 0,
-                             least_mul_ok if auts else mul_ok, budget):
+    for add, auts in bands(cfg.order, cfg.up_to_iso, budget):
+        for mul in completions(add, auts, budget):
             t = SemiringTable.from_rows(add, mul)
             if not _matches_filter(t, cfg.filter):
                 continue

@@ -98,6 +98,14 @@ def relabel_seeded(t, rng):
     return t.relabel(perm)
 
 
+def dual(t, plus, dot):
+    """t with + reversed (a+b read as b+a) if plus, and . reversed if dot.
+    Reversing either operation preserves every semiring axiom."""
+    def flip(rows, reverse):
+        return [list(col) for col in zip(*rows)] if reverse else rows
+    return sl.SemiringTable.from_rows(flip(t.add, plus), flip(t.mul, dot), t.names)
+
+
 def preserves_operations(s, t, perm):
     """perm is a bijection carrying s's + and . onto t's."""
     n = s.order

@@ -1,11 +1,15 @@
 import hashlib
 import json
 import os
+import resource
+import subprocess
+import sys
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import semiring_lab
 from semiring_lab import cli
 from semiring_lab.cli import main
 
@@ -222,6 +226,48 @@ def test_enumerate_budget_exhaustion(capsys):
     code, _, _ = run(capsys, "enumerate", "-n", "3", "--count-only",
                      "--budget-nodes", "10")
     assert code == 4
+
+
+def _limit_address_space():
+    limit = 1536 * 2 ** 20  # 1.5 GiB
+    resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+
+@pytest.mark.parametrize("argv", [
+    ["enumerate", "-n", "9", "--iso", "--count-only", "--budget-nodes", "5",
+     "--budget-secs", "5"],
+    ["enumerate", "-n", "11", "--iso", "--count-only", "--budget-nodes", "5",
+     "--budget-secs", "5"],
+    ["enumerate", "-n", "100000", "--count-only", "--budget-nodes", "5"],
+])
+def test_enumerate_rejects_orders_beyond_the_bound(argv):
+    # in a fresh process under a 1.5 GiB address-space cap, where building
+    # n! permutations or an n x n table first ends in MemoryError or a kill
+    src = os.path.dirname(os.path.dirname(os.path.abspath(semiring_lab.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-m", "semiring_lab.cli", *argv],
+                          capture_output=True, text=True, timeout=60, env=env,
+                          preexec_fn=_limit_address_space)
+    assert proc.returncode == 3, proc.stderr
+    assert "exceeds enumeration bound 8" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--max-order", "0"],
+    ["verify", "--max-order", "-2"],
+    ["explore-sigma", "--max-order", "0"],
+    ["verify", "--max-order", "9"],
+    ["explore-sigma", "--max-order", "100000"],
+])
+def test_max_order_out_of_range_is_rejected(capsys, monkeypatch, argv):
+    def refuse(*args, **kwargs):
+        raise AssertionError("nothing may be enumerated before the orders are checked")
+    monkeypatch.setattr(cli, "enumerate_idempotent_semirings", refuse)
+    code, out, err = run(capsys, *argv)
+    assert code == 3
+    assert out == ""
+    assert "precondition violated" in err
 
 
 def test_enumerate_unknown_filter(capsys):

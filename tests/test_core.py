@@ -59,6 +59,39 @@ def test_validation_matches_hand_loops(small_semirings):
     assert len(kinds) == 6  # every axiom is seen failing
 
 
+# each axiom as "witness w violates it", written out by hand
+_VIOLATED_BY = {
+    "add_associative": lambda A, M, a, b, c: A[A[a][b]][c] != A[a][A[b][c]],
+    "mul_associative": lambda A, M, a, b, c: M[M[a][b]][c] != M[a][M[b][c]],
+    "left_distributive": lambda A, M, a, b, c: M[a][A[b][c]] != A[M[a][b]][M[a][c]],
+    "right_distributive": lambda A, M, a, b, c: M[A[a][b]][c] != A[M[a][c]][M[b][c]],
+    "add_idempotent": lambda A, M, a: A[a][a] != a,
+    "mul_idempotent": lambda A, M, a: M[a][a] != a,
+}
+
+
+@st.composite
+def _random_tables(draw):
+    n = draw(st.integers(1, 4))
+    cells = st.lists(st.lists(st.integers(0, n - 1), min_size=n, max_size=n),
+                     min_size=n, max_size=n)
+    add, mul = draw(cells), draw(cells)
+    if draw(st.booleans()):  # idempotent, so other axioms decide
+        for i in range(n):
+            add[i][i] = mul[i][i] = i
+    return sl.SemiringTable.from_rows(add, mul)
+
+
+@given(t=_random_tables())
+@settings(deadline=None, max_examples=300)
+def test_validation_witnesses_violate_their_axioms(t):
+    report = sl.validate_semiring(t)
+    names = [name for name, _ in report.violations]
+    assert len(names) == len(set(names)) and set(names) <= set(_VIOLATED_BY)
+    for name, witness in report.violations:
+        assert _VIOLATED_BY[name](t.add, t.mul, *witness), (name, witness)
+
+
 def test_malformed_tables_rejected():
     with pytest.raises(sl.SemiringFormatError):
         sl.SemiringTable.from_rows([[0, 1]], [[0]])

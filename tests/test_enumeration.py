@@ -1,4 +1,6 @@
+import functools
 import itertools
+import math
 
 import pytest
 from hypothesis import given, settings
@@ -7,8 +9,7 @@ from hypothesis import strategies as st
 import semiring_lab as sl
 from semiring_lab.core import _relabel_rows
 from semiring_lab.enumeration import (_assoc_ok, _Budget, _complete, _distrib_ok,
-                                      _idempotent_seed, _off_diagonal_cells,
-                                      _relabelled_cmp, _touching_sums)
+                                      _relabelled_cmp, _touching_sums, bands)
 
 # counts computed once with naive_labeled_count and frozen; the live
 # oracle comparison below keeps the generator honest regardless.  Order 4
@@ -31,31 +32,77 @@ def test_iso_stream_is_the_canonical_filter(n, labeled_by_order):
     assert sl.all_idempotent_semirings(n, up_to_iso=True) == oracle
 
 
-def _leaf_filtered_iso_stream(n):
-    """The iso stream with no pruning under Aut(+): the least bands found
-    by comparing full relabelled copies, each band's . tables completed in
-    full, and a completion dropped iff some automorphism of + relabels it
-    smaller.  Returns the kept (add, mul) pairs and the numbers of least
-    bands and of completions."""
-    cells, budget = _off_diagonal_cells(n), _Budget(10 ** 7, 1800.0)
+def _assoc_ok_by_scan(table, pre, i, j):
+    """_assoc_ok's contract by a scan of all n^2 cells for km = i and
+    mk = j in place of the preimage index pre, which it ignores."""
+    n, v = len(table), table[i][j]
+    row_i, row_v = table[i], table[v]
+    for k in range(n):
+        jk, ki = table[j][k], table[k][i]
+        if jk is not None:  # (ij)k = i(jk)
+            left, right = row_v[k], row_i[jk]
+            if left is not None and right is not None and left != right:
+                return False
+        if ki is not None:  # (ki)j = k(ij)
+            left, right = table[ki][j], table[k][v]
+            if left is not None and right is not None and left != right:
+                return False
+        for m in range(n):
+            if table[k][m] == i:  # (km)j = k(mj) with km = i
+                mj = table[m][j]
+                if mj is not None and table[k][mj] not in (None, v):
+                    return False
+            if table[m][k] == j:  # (im)k = i(mk) with mk = j
+                im = row_i[m]
+                if im is not None and table[im][k] not in (None, v):
+                    return False
+    return True
+
+
+def _preimages(table):
+    """The preimage index of table, rebuilt from scratch."""
+    pre = [[] for _ in table]
+    for k, row in enumerate(table):
+        for m, v in enumerate(row):
+            if v is not None:
+                pre[v].append((k, m))
+    return pre
+
+
+@functools.cache
+def _labelled_bands(n):
+    return tuple(_complete(n, _assoc_ok_by_scan, _Budget(10 ** 7, 1800.0)))
+
+
+def _leaf_filtered_bands(n):
+    """The least bands by comparing full relabelled copies of every
+    labelled band, each with its automorphisms, identity included."""
     perms = list(itertools.permutations(range(n)))
-    kept, bands, completions = [], 0, 0
-    for add in _complete(_idempotent_seed(n), n, cells, 0,
-                         lambda tab, i, j: _assoc_ok(tab, n, i, j), budget):
+    kept = []
+    for add in _labelled_bands(n):
         keys = [_relabel_rows(add, p) for p in perms]
-        if min(keys) < add:
-            continue
-        bands += 1
-        auts = [p for p, key in zip(perms, keys) if key == add]
+        if min(keys) == add:
+            kept.append((add, [p for p, key in zip(perms, keys) if key == add]))
+    return kept
+
+
+def _leaf_filtered_iso_stream(n):
+    """The iso stream with no pruning under Aut(+) and no orderly band
+    search: the least bands from _leaf_filtered_bands, each band's .
+    tables completed in full, and a completion dropped iff some
+    automorphism of + relabels it smaller.  Returns the kept (add, mul)
+    pairs and the numbers of least bands and of completions."""
+    budget = _Budget(10 ** 7, 1800.0)
+    kept, least, completions = [], _leaf_filtered_bands(n), 0
+    for add, auts in least:
         touching = _touching_sums(add, n)
-        for mul in _complete(_idempotent_seed(n), n, cells, 0,
-                             lambda tab, i, j: (_assoc_ok(tab, n, i, j) and
-                                                _distrib_ok(add, touching, tab, i, j)),
-                             budget):
+        for mul in _complete(n, lambda tab, pre, i, j: (
+                _assoc_ok_by_scan(tab, pre, i, j) and
+                _distrib_ok(add, touching, tab, i, j)), budget):
             completions += 1
             if not any(_relabel_rows(mul, p) < mul for p in auts):
                 kept.append((add, mul))
-    return kept, bands, completions
+    return kept, len(least), completions
 
 
 @pytest.mark.parametrize("n, bands, completions", [(3, 10, 138), (4, 46, 2216)])
@@ -63,6 +110,96 @@ def test_orderly_pruning_keeps_the_leaf_filtered_stream(n, bands, completions, i
     kept, least, completed = _leaf_filtered_iso_stream(n)
     assert (least, completed) == (bands, completions)
     assert [(t.add, t.mul) for t in _iso_reps(n, iso4)] == kept
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_band_stream_is_the_leaf_filtered_band_stream(n):
+    # in order: every labelled band, then the full least-band filter
+    budget = _Budget(10 ** 7, 1800.0)
+    assert list(bands(n, False, budget)) == [(add, []) for add in _labelled_bands(n)]
+    found, expected = list(bands(n, True, budget)), _leaf_filtered_bands(n)
+    assert [add for add, _ in found] == [add for add, _ in expected]
+    # the automorphisms, identity left out, each with its inverse
+    assert [[p for p, _ in auts] for _, auts in found] == \
+        [auts[1:] for _, auts in expected]
+    assert all(q[a] == b for _, auts in found for p, q in auts
+               for b, a in enumerate(p))
+
+
+@pytest.mark.parametrize("n, least, orbits", [(3, 10, 35), (4, 46, 604),
+                                              (5, 251, 16727)])
+def test_least_bands_and_their_orbit_sums(n, least, orbits):
+    # sum of n!/|Aut(B)| over the least bands counts the labelled bands
+    found = list(bands(n, True, _Budget(10 ** 7, 1800.0)))
+    assert len(found) == least
+    assert sum(math.factorial(n) // (1 + len(auts)) for _, auts in found) == orbits
+    if n < 5:
+        assert len(_labelled_bands(n)) == orbits
+
+
+@pytest.mark.slow
+def test_order6_least_bands():
+    # about 12 s; the labelled order-6 band search alone takes 120 M nodes
+    budget = _Budget(126096, 1800.0)
+    found = list(bands(6, True, budget))
+    assert len(found) == 1682
+    assert sum(720 // (1 + len(auts)) for _, auts in found) == 681232
+    assert budget.nodes_left == 0
+
+
+@st.composite
+def _assoc_cases(draw):
+    """A partial table (random, or a labelled band of order 4 with cells
+    erased) and a determined cell (i, j) of it, maybe changed."""
+    if draw(st.booleans()):
+        n = draw(st.integers(1, 5))
+        cell = st.one_of(st.none(), st.integers(0, n - 1))
+        rows = draw(st.lists(st.lists(cell, min_size=n, max_size=n),
+                             min_size=n, max_size=n))
+    else:
+        n, band = 4, draw(st.sampled_from(_labelled_bands(4)))
+        keep = draw(st.lists(st.booleans(), min_size=16, max_size=16))
+        rows = [[v if keep[4 * a + b] else None for b, v in enumerate(row)]
+                for a, row in enumerate(band)]
+    i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+    if rows[i][j] is None or draw(st.booleans()):
+        rows[i][j] = draw(st.integers(0, n - 1))
+    return rows, i, j
+
+
+@given(case=_assoc_cases())
+@settings(deadline=None, max_examples=500)
+def test_indexed_assoc_check_matches_the_full_scan(case):
+    rows, i, j = case
+    assert _assoc_ok(rows, _preimages(rows), i, j) == _assoc_ok_by_scan(rows, None, i, j)
+
+
+def test_preimage_index_stays_in_step():
+    # at every node of the order-4 band search and of the order-3 .
+    # searches, the index _complete hands to the check equals the one
+    # rebuilt from the table
+    budget, checked = _Budget(10 ** 7, 1800.0), [0]
+
+    def in_step(tab, pre):
+        checked[0] += 1
+        return sorted(map(sorted, pre)) == sorted(map(sorted, _preimages(tab)))
+
+    def band_ok(tab, pre, i, j):
+        assert in_step(tab, pre)
+        return _assoc_ok(tab, pre, i, j)
+
+    assert len(list(_complete(4, band_ok, budget))) == 604
+    semirings = 0
+    for add in _labelled_bands(3):
+        touching = _touching_sums(add, 3)
+
+        def mul_ok(tab, pre, i, j):
+            assert in_step(tab, pre)
+            return _assoc_ok(tab, pre, i, j) and _distrib_ok(add, touching, tab, i, j)
+
+        semirings += len(list(_complete(3, mul_ok, budget)))
+    assert semirings == 379
+    assert checked[0] == 10 ** 7 - budget.nodes_left
 
 
 def _cmp_by_prefix(rows, perm):
@@ -155,9 +292,10 @@ def test_node_budget_pins_the_pruning():
         list(sl.enumerate_idempotent_semirings(sl.EnumConfig(order=3, budget_nodes=3593)))
 
 
-@pytest.mark.parametrize("n, nodes, classes", [(3, 1056, 81), (4, 32572, 835)])
+@pytest.mark.parametrize("n, nodes, classes", [(3, 939, 81), (4, 23448, 835)])
 def test_node_budget_pins_the_orderly_pruning(n, nodes, classes):
-    # without pruning under Aut(+) the iso search visits 1320 and 54168
+    # without the orderly band search the iso search visits 1056 and
+    # 32572, and without pruning under Aut(+) either, 1320 and 54168
     cfg = sl.EnumConfig(order=n, up_to_iso=True, budget_nodes=nodes)
     assert len(list(sl.enumerate_idempotent_semirings(cfg))) == classes
     with pytest.raises(sl.BudgetExceededError):
@@ -167,12 +305,12 @@ def test_node_budget_pins_the_orderly_pruning(n, nodes, classes):
 
 @pytest.mark.slow
 def test_order5_iso_count():
-    # two order-5 searches, about 10 s; run with `pytest -m slow`
-    cfg = sl.EnumConfig(order=5, up_to_iso=True, budget_nodes=1268080)
+    # two order-5 searches, about 6 s; run with `pytest -m slow`
+    cfg = sl.EnumConfig(order=5, up_to_iso=True, budget_nodes=514360)
     assert sum(1 for _ in sl.enumerate_idempotent_semirings(cfg)) == 9407
     with pytest.raises(sl.BudgetExceededError):
         for _ in sl.enumerate_idempotent_semirings(
-                sl.EnumConfig(order=5, up_to_iso=True, budget_nodes=1268079)):
+                sl.EnumConfig(order=5, up_to_iso=True, budget_nodes=514359)):
             pass
 
 
@@ -215,3 +353,6 @@ def test_config_validation():
         sl.EnumConfig(order=2, budget_nodes=0)
     with pytest.raises(sl.PreconditionError):
         sl.EnumConfig(order=2, budget_secs=float("nan"))
+    sl.EnumConfig(order=8)
+    with pytest.raises(sl.ResourceBoundError):  # before n! permutations exist
+        sl.EnumConfig(order=9)
