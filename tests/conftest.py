@@ -80,6 +80,12 @@ def iso4():
     return sl.all_idempotent_semirings(4, up_to_iso=True)
 
 
+@pytest.fixture(scope="session")
+def iso_upto4(iso_small, iso4):
+    """Isomorphism-class representatives of orders 1..4."""
+    return iso_small + iso4
+
+
 def set_partitions(n):
     """All partitions of range(n) as canonical label tuples (oracle)."""
     if n == 0:

@@ -31,11 +31,17 @@ def test_quotient_requires_congruence(golden3):
         sl.quotient(golden3, Partition.from_blocks(3, [[0, 1], [2]]))
 
 
-def test_quotients_validate(small_semirings):
-    for t in small_semirings[::8]:
+def test_quotients_validate(iso_upto4):
+    # oracle for quotient, which neither re-checks that its tables are
+    # well-defined nor re-validates them
+    for t in iso_upto4:
         for p in sl.all_congruences(t).partitions:
-            q, _ = sl.quotient(t, p)
+            q, proj = sl.quotient(t, p)
             assert sl.validate_semiring(q).is_idempotent_semiring
+            assert sorted(set(proj)) == list(range(q.order))
+            assert all(q.add[proj[a]][proj[b]] == proj[t.add[a][b]]
+                       and q.mul[proj[a]][proj[b]] == proj[t.mul[a][b]]
+                       for a in range(t.order) for b in range(t.order))
 
 
 # ---------------------------------------------------------------------------
@@ -46,6 +52,50 @@ def test_is_distributive_lattice(dl2, chain3, golden3, lz2):
     assert sl.is_distributive_lattice(chain3)
     assert not sl.is_distributive_lattice(golden3)
     assert not sl.is_distributive_lattice(lz2)
+
+
+_DUAL_ABSORPTION = sl.parse_identity("x(x+y) = x")
+
+
+def test_distributive_lattices_absorb_dually(iso_upto4):
+    # oracle for is_distributive_lattice, which trusts x(x+y) = x on
+    # idempotent input; the quotient by equality is a copy of t itself
+    lattices = 0
+    for t in iso_upto4:
+        for p in sl.all_congruences(t).distributive_lattice_congruences():
+            q, _ = sl.quotient(t, p)
+            assert sl.satisfies_identity(q, _DUAL_ABSORPTION)[0], (t, p)
+            lattices += 1
+    assert lattices > len(iso_upto4)
+
+
+# the valid semirings of order 2 whose . is not idempotent yet which satisfy
+# D's identities; dual absorption fails on each
+_NON_IDEMPOTENT_D = [
+    ([[0, 0], [0, 1]], [[1, 1], [1, 1]]),
+    ([[0, 1], [1, 0]], [[0, 0], [0, 0]]),
+    ([[0, 1], [1, 1]], [[0, 0], [0, 0]]),
+    ([[1, 0], [0, 1]], [[1, 1], [1, 1]]),
+]
+
+
+def test_is_distributive_lattice_requires_idempotency():
+    tables = [[list(r[:2]), list(r[2:])] for r in itertools.product(range(2), repeat=4)]
+    refused = []
+    for add in tables:
+        for mul in tables:
+            t = sl.SemiringTable.from_rows(add, mul)
+            if all(add[a][a] == a and mul[a][a] == a for a in range(2)):
+                continue
+            with pytest.raises(sl.PreconditionError):
+                sl.is_distributive_lattice(t)
+            if (sl.validate_semiring(t).is_semiring
+                    and sl.variety_membership(t, sl.CATALOG["D"])):
+                refused.append((add, mul))
+    assert refused == _NON_IDEMPOTENT_D
+    for add, mul in refused:
+        t = sl.SemiringTable.from_rows(add, mul)
+        assert not sl.satisfies_identity(t, _DUAL_ABSORPTION)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -216,11 +266,15 @@ def test_spined_product_of_mirrored_l_dot_member():
     assert sl.in_variety(prod, "D_dot")
 
 
-def test_spined_product_rejects_non_homomorphism(dl2, lz2):
+def test_spined_product_rejects_non_homomorphism(dl2, lz2, order1):
     with pytest.raises(sl.PreconditionError):
         sl.spined_product(dl2, dl2, dl2, [0, 0], [0, 1])  # not surjective
     with pytest.raises(sl.PreconditionError):
         sl.spined_product(lz2, dl2, dl2, [1, 0], [0, 1])  # not a homomorphism
+    z2 = sl.SemiringTable.from_rows([[0, 1], [1, 0]], [[0, 0], [0, 1]])
+    assert sl.validate_semiring(z2).is_semiring  # but 1+1 = 0
+    with pytest.raises(sl.PreconditionError):
+        sl.spined_product(z2, order1, order1, [0, 0], [0])  # not idempotent
 
 
 def test_spined_decompose_requires_membership(golden3):
@@ -233,9 +287,19 @@ def test_spined_decompose_trivial(order1):
     assert d.s1.order == d.s2.order == d.d.order == 1
 
 
-def test_spined_round_trip_small(small_semirings):
+def test_green_d_is_l_then_r_and_h_is_trivial(iso_upto4):
+    # oracle for the spined decomposition, which trusts that theta is a
+    # bijection onto the fiber product: in a band D = L o R and L meet R
+    # is equality
+    for t in iso_upto4:
+        for l, r, d in (sl.green_mult(t), sl.green_add(t)):
+            assert d.as_relation() == l.as_relation().compose(r.as_relation())
+            assert l.meet(r) == Partition.equality(t.order)
+
+
+def test_spined_round_trip_small(small_semirings, iso4):
     count = 0
-    for t in small_semirings:
+    for t in small_semirings + iso4:
         if not sl.in_variety(t, "D_dot"):
             ok, _, _ = _attempt_spined_decomposition(t)
             assert not ok
