@@ -19,6 +19,8 @@ import multiprocessing
 import os
 import sys
 import time
+from collections import Counter
+from contextlib import nullcontext
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .core import (BudgetExceededError, InternalConsistencyError,
@@ -26,6 +28,7 @@ from .core import (BudgetExceededError, InternalConsistencyError,
                    format_semiring_text, parse_semiring_text, validate_semiring)
 from .congruences import least_dl_congruence, sigma, sigma_star
 from .enumeration import (DEFAULT_NODE_BUDGET, DEFAULT_SECS_BUDGET, EnumConfig,
+                          _Budget, bands, completions,
                           enumerate_idempotent_semirings)
 from .relations import green_add, green_mult, quasi_orders
 from .structure import spined_decompose
@@ -82,18 +85,62 @@ def _read_input(path: str) -> str:
         raise SemiringFormatError("cannot read input: %s" % exc) from exc
 
 
-def _enumerate_orders(max_order: int, iso: bool, budget_nodes: int,
-                      budget_secs: float) -> List[Tuple[int, int, SemiringTable]]:
-    if max_order < 1:
+def _configs(args) -> List[EnumConfig]:
+    if args.max_order < 1:
         raise PreconditionError("--max-order must be >= 1")
     # every order's bounds are checked before any enumeration starts
-    cfgs = [EnumConfig(order=n, up_to_iso=iso, budget_nodes=budget_nodes,
-                       budget_secs=budget_secs) for n in range(1, max_order + 1)]
-    out = []
-    for n, cfg in enumerate(cfgs, 1):
-        for i, t in enumerate(enumerate_idempotent_semirings(cfg)):
-            out.append((n, i, t))
-    return out
+    return [EnumConfig(order=n, up_to_iso=args.iso, budget_nodes=args.budget_nodes,
+                       budget_secs=args.budget_secs) for n in range(1, args.max_order + 1)]
+
+
+def _band_job(job) -> Tuple[int, int, int, List[Dict]]:
+    """check((order, index in the band, table, arg)) on each table completing
+    one band; returns the order, the table count, the nodes spent, the items."""
+    check, arg, n, add, auts, nodes, deadline = job
+    budget = _Budget(nodes, deadline - time.monotonic())
+    count, items = 0, []
+    for count, mul in enumerate(completions(add, auts, budget), 1):
+        items += check((n, count - 1, SemiringTable.from_rows(add, mul), arg))
+    return n, count, nodes - budget.nodes_left, items
+
+
+def _sweep(cfgs: List[EnumConfig], workers: int, check, arg) -> Tuple[int, List[Dict]]:
+    """The instance count and check's items over the configured orders, in
+    stream order for any worker count, each index counting its order's
+    tables.  This process searches the bands; each is one _band_job, run
+    here or, with more workers, through an ordered Pool.imap, whose thread
+    runs jobs().  An order's node budget covers its band search and all its
+    . searches: a job gets the nodes left at dispatch, never fewer than it
+    may spend (each count has one writing thread; stale reads overstate the
+    nodes left), and is charged as its result arrives, so
+    BudgetExceededError is raised exactly when the serial enumeration does."""
+    spent: Dict[int, list] = {}  # order -> [its band search's budget, its jobs' nodes]
+
+    def jobs():
+        for cfg in cfgs:
+            budget = _Budget(cfg.budget_nodes, cfg.budget_secs)
+            spent[cfg.order] = tally = [budget, 0]
+            for add, auts in bands(cfg.order, cfg.up_to_iso, budget):
+                yield (check, arg, cfg.order, add, auts,
+                       budget.nodes_left - tally[1], budget.deadline)
+
+    def charge(n: int, nodes: int) -> None:
+        spent[n][1] += nodes
+        if spent[n][1] > spent[n][0].nodes_left:
+            raise BudgetExceededError("node budget exhausted")
+
+    offsets: Dict[int, int] = Counter()  # order -> its tables so far
+    out: List[Dict] = []
+    with multiprocessing.Pool(workers) if workers > 1 else nullcontext() as pool:
+        for n, count, nodes, items in (pool.imap if pool else map)(_band_job, jobs()):
+            charge(n, nodes)
+            for item in items:
+                item["index"] += offsets[n]
+            offsets[n] += count
+            out += items
+    for n in spent:  # the band searches have ended: charge their last nodes
+        charge(n, 0)
+    return sum(offsets.values()), out
 
 
 # ---------------------------------------------------------------------------
@@ -175,27 +222,19 @@ def cmd_verify(args, started: float) -> int:
     else:
         raise PreconditionError("unknown suite %r; known: all, %s"
                                 % (args.suite, ", ".join(sorted(THEOREMS))))
-    tables = _enumerate_orders(args.max_order, args.iso,
-                               args.budget_nodes, args.budget_secs)
-    jobs = [(n, i, t, suite) for n, i, t in tables]
-    if args.workers > 1:
-        with multiprocessing.Pool(args.workers) as pool:
-            chunks = pool.map(_verify_one, jobs)
-    else:
-        chunks = [_verify_one(job) for job in jobs]
-    failures = [f for chunk in chunks for f in chunk]
+    instances, failures = _sweep(_configs(args), args.workers, _verify_one, suite)
     results = {
         "suite": list(suite),
         "max_order": args.max_order,
         "up_to_iso": args.iso,
-        "instances": len(tables),
-        "checks": len(tables) * len(suite),
+        "instances": instances,
+        "checks": instances * len(suite),
         "inconsistencies": len(failures),
     }
     params = "suite=%s max_order=%d iso=%s" % (args.suite, args.max_order, args.iso)
     out = _report("verify", _digest(params), results, failures, None)
     code = _emit(out, "verify: %d instances, %d checks, %d inconsistencies"
-                 % (len(tables), results["checks"], len(failures)),
+                 % (instances, results["checks"], len(failures)),
                  started, args.timing)
     return EXIT_INTERNAL if failures else code
 
@@ -265,35 +304,31 @@ def cmd_decompose(args, started: float) -> int:
 # ---------------------------------------------------------------------------
 # explore-sigma
 
+def _sigma_row(job: Tuple[int, int, SemiringTable, None]) -> List[Dict]:
+    n, index, t, _ = job
+    a = Analysis(t)
+    transitive = a.sigma.is_transitive()
+    return [{"order": n, "index": index, "sigma_transitive": transitive,
+             "in_N": a.member("N"),
+             "sigma_is_eta": transitive and a.sigma.to_partition() == a.eta}]
+
+
 def cmd_explore_sigma(args, started: float) -> int:
-    tables = _enumerate_orders(args.max_order, args.iso,
-                               args.budget_nodes, args.budget_secs)
-    rows = []
-    cross: Dict[Tuple[bool, bool, bool], int] = {}
-    for n, i, t in tables:
-        a = Analysis(t)
-        rel = a.sigma
-        transitive = rel.is_transitive()
-        in_n = a.member("N")
-        sigma_is_eta = transitive and rel.to_partition() == a.eta
-        rows.append({"order": n, "index": i, "sigma_transitive": transitive,
-                     "in_N": in_n, "sigma_is_eta": sigma_is_eta})
-        key = (transitive, in_n, sigma_is_eta)
-        cross[key] = cross.get(key, 0) + 1
-    cross_table = [{"sigma_transitive": k[0], "in_N": k[1],
-                    "sigma_is_eta": k[2], "count": v}
-                   for k, v in sorted(cross.items())]
+    instances, rows = _sweep(_configs(args), 1, _sigma_row, None)
+    keys = ("sigma_transitive", "in_N", "sigma_is_eta")
+    cross = Counter(tuple(row[k] for k in keys) for row in rows)
+    cross_table = [dict(zip(keys, k), count=v) for k, v in sorted(cross.items())]
     results = {
         "max_order": args.max_order,
         "up_to_iso": args.iso,
-        "instances": len(tables),
+        "instances": instances,
         "rows": rows,
         "cross_table": cross_table,
     }
     params = "max_order=%d iso=%s" % (args.max_order, args.iso)
     out = _report("explore-sigma", _digest(params), results, [], None)
     return _emit(out, "explore-sigma: %d instances, %d cross-table cells"
-                 % (len(tables), len(cross_table)), started, args.timing)
+                 % (instances, len(cross_table)), started, args.timing)
 
 
 # ---------------------------------------------------------------------------

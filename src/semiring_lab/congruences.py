@@ -10,13 +10,12 @@ treats any disagreement as an implementation bug.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Tuple, Union
 
 from .core import (InternalConsistencyError, PreconditionError,
                    ResourceBoundError, SemiringTable)
-from .relations import BinRelation, Partition, UnionFind
+from .relations import BinRelation, Partition
 
 DEFAULT_ORDER_BOUND = 8
 
@@ -45,27 +44,29 @@ def congruence_closure(t: SemiringTable,
                        ) -> Partition:
     """Least congruence of t containing the seed relation.
 
-    Union-find plus a work queue of newly merged pairs: each merge (a, b)
-    enqueues the substitution consequences (a+c, b+c), (c+a, c+b),
-    (ac, bc), (ca, cb) for every c.
+    A pair (a, b) from different blocks (label[x] names x's block, members
+    lists each block) merges the smaller block into the larger and adds
+    (a+c, b+c), (c+a, c+b), (ac, bc), (ca, cb) for every c, read off rows
+    and columns.  Closing the merging pairs suffices: each translation maps
+    a chain of them joining x and y to one joining its images.
     """
-    n = t.order
-    pairs = seed.pairs if isinstance(seed, BinRelation) else seed
-    uf = UnionFind(n)
-    queue = deque()
-    for a, b in pairs:
-        if uf.union(a, b):
-            queue.append((a, b))
-    while queue:
-        a, b = queue.popleft()
-        for c in range(n):
-            for x, y in ((t.add[a][c], t.add[b][c]),
-                         (t.add[c][a], t.add[c][b]),
-                         (t.mul[a][c], t.mul[b][c]),
-                         (t.mul[c][a], t.mul[c][b])):
-                if uf.union(x, y):
-                    queue.append((x, y))
-    return uf.partition()
+    work = list(seed.pairs if isinstance(seed, BinRelation) else seed)
+    label = list(range(t.order))
+    members = [[x] for x in label]
+    lines = (t.add, tuple(zip(*t.add)), t.mul, tuple(zip(*t.mul)))
+    while work:
+        a, b = work.pop()
+        keep, gone = label[a], label[b]
+        if keep == gone:
+            continue
+        if len(members[keep]) < len(members[gone]):
+            keep, gone = gone, keep
+        for x in members[gone]:
+            label[x] = keep
+        members[keep] += members[gone]
+        for rows in lines:
+            work += zip(rows[a], rows[b])
+    return Partition(label)
 
 
 def sigma(t: SemiringTable) -> BinRelation:

@@ -51,6 +51,11 @@ def quotient(t: SemiringTable, p: Partition
     from .congruences import is_congruence
     if not is_congruence(t, p):
         raise PreconditionError("partition is not a congruence")
+    return _quotient(t, p)
+
+
+def _quotient(t: SemiringTable, p: Partition) -> Tuple[SemiringTable, Tuple[int, ...]]:
+    """quotient for a partition already known to be a congruence."""
     blocks = p.blocks()
     k = len(blocks)
     reps = [block[0] for block in blocks]
@@ -92,19 +97,16 @@ def _instances(t: SemiringTable, spec: "VarietySpec",  # noqa: F821
                 yield u, v
 
 
-def _least_congruence(t: SemiringTable, expr: ClassExpr,
-                     right: Optional[Partition] = None) -> Partition:
-    """rho(expr) (see malcev_membership); `right`, if given, is
-    rho(expr.right)."""
+def _least_congruence(t: SemiringTable, expr: ClassExpr) -> Partition:
+    """rho(expr) (see malcev_membership)."""
     from .congruences import congruence_closure
     if isinstance(expr, Named):
         return congruence_closure(t, _instances(t, expr.variety, [range(t.order)]))
-    right = _least_congruence(t, expr.right) if right is None else right
+    right = _least_congruence(t, expr.right)
     return congruence_closure(t, _instances(t, expr.left.variety, right.blocks()))
 
 
-def malcev_membership(t: SemiringTable, expr: ClassExpr,
-                      right: Optional[Partition] = None
+def malcev_membership(t: SemiringTable, expr: ClassExpr
                       ) -> Tuple[bool, Optional[Partition]]:
     """Membership of an idempotent semiring t in a class expression, with
     the least witness congruence.
@@ -116,7 +118,7 @@ def malcev_membership(t: SemiringTable, expr: ClassExpr,
     W is the congruence closure of all identity instances of W on t;
     rho(V o E) is the closure of those instances of V whose assignment
     lies inside one class of rho(E).  rho(D) is the least distributive
-    lattice congruence eta.  `right`, if given, is rho(E).
+    lattice congruence eta.
 
     Proof: every right-nested product of varieties is closed under
     subalgebras and subdirect products, so t has a least congruence with
@@ -133,7 +135,7 @@ def malcev_membership(t: SemiringTable, expr: ClassExpr,
         from .varieties import variety_membership
         return variety_membership(t, expr.variety), None
     _require_idempotent(t, "Malcev membership")
-    rho = _least_congruence(t, expr.right) if right is None else right
+    rho = _least_congruence(t, expr.right)
     for _ in _instances(t, expr.left.variety, rho.blocks()):
         return False, None
     return True, rho
@@ -252,13 +254,13 @@ def _attempt_spined_decomposition(t: SemiringTable, a: Optional["Analysis"] = No
     for p, name in ((l_dot, "L-dot"), (r_dot, "R-dot")):
         if not is_congruence(t, p):
             return False, None, "%s is not a congruence" % name
-    s1, proj1 = quotient(t, l_dot)
-    s2, proj2 = quotient(t, r_dot)
+    s1, proj1 = _quotient(t, l_dot)
+    s2, proj2 = _quotient(t, r_dot)
     if not variety_membership(s1, CATALOG["R_dot"]):
         return False, None, "S/L-dot is not in R_dot"
     if not variety_membership(s2, CATALOG["L_dot"]):
         return False, None, "S/R-dot is not in L_dot"
-    d, projd = quotient(t, d_dot)
+    d, projd = _quotient(t, d_dot)  # d_dot = eta, a congruence
     # phi maps: L-class of a -> D-class of a (well-defined since L-dot
     # refines D-dot); likewise for R-classes
     phi1 = [0] * s1.order

@@ -18,7 +18,7 @@ from .core import (Identity, PreconditionError, SemiringTable, parse_identity,
                    satisfies_identity)
 from .relations import Partition, green_add, green_mult, quasi_orders
 from .structure import (ClassExpr, Malcev, Named, _attempt_spined_decomposition,
-                        _least_congruence, malcev_membership, quotient)
+                        _instances, _quotient, _require_idempotent, malcev_membership)
 
 
 @dataclass(frozen=True)
@@ -130,18 +130,20 @@ class Analysis:
         return satisfies_identity(self.t, THEOREM_IDENTITIES[text])[0]
 
     def rho(self, names: Tuple[str, ...]) -> Partition:
-        """rho of the right-nested product of the named varieties; rho(D)
-        is eta (see malcev_membership)."""
+        """rho of the right-nested product of the named varieties, as in
+        structure._least_congruence; rho(D) is eta (see malcev_membership)."""
         if names not in self._rho:
-            self._rho[names] = self.eta if names == ("D",) else _least_congruence(
-                self.t, malcev_product(*names),
-                self.rho(names[1:]) if len(names) > 1 else None)
+            blocks = self.rho(names[1:]).blocks() if names[1:] else [range(self.t.order)]
+            self._rho[names] = self.eta if names == ("D",) else congruence_closure(
+                self.t, _instances(self.t, CATALOG[names[0]], blocks))
         return self._rho[names]
 
     def malcev(self, *names: str) -> bool:
-        """Membership in the right-nested product of two or more varieties."""
-        return malcev_membership(self.t, malcev_product(*names),
-                                 self.rho(names[1:]))[0]
+        """Membership in the right-nested product of two or more varieties,
+        decided as in malcev_membership."""
+        _require_idempotent(self.t, "Malcev membership")
+        return next(_instances(self.t, CATALOG[names[0]],
+                               self.rho(names[1:]).blocks()), None) is None
 
 
 # The identities the theorems test beyond the catalog's, parsed once.
@@ -310,7 +312,7 @@ def _thm_lemma_4_2(a: Analysis) -> TheoremReport:
     d_mul = a.green["D_dot"]
     clause = False
     if is_congruence(a.t, d_mul):
-        q, _ = quotient(a.t, d_mul)
+        q, _ = _quotient(a.t, d_mul)
         clause = malcev_membership(q, malcev_product("LZ_plus", "D"))[0]
     return _equivalence("LEMMA_4_2", [
         ("in_LN", a.member("LN")),

@@ -1,17 +1,20 @@
+import gc
 import hashlib
 import json
 import os
 import resource
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import semiring_lab
-from semiring_lab import cli
+from semiring_lab import cli, varieties
 from semiring_lab.cli import main
+from semiring_lab.enumeration import _Budget, bands, completions
 
 from conftest import GOLDEN3_TEXT
 
@@ -152,12 +155,106 @@ def test_verify_unknown_suite(capsys):
     assert code == 3
 
 
+# sha256 of `verify --max-order 4 --iso` stdout, frozen from one worker
+# while every instance was still listed before the sweep began
+VERIFY_ISO4_SHA256 = (
+    "9ea8491842e5ea875c8a9862ca5d3ced2e9c04694d8f38c8901b600202857e7f")
+
+
 def test_verify_worker_determinism(capsys):
     _, out1, _ = run(capsys, "verify", "--suite", "all", "--max-order", "2",
                      "--workers", "1")
     _, out2, _ = run(capsys, "verify", "--suite", "all", "--max-order", "2",
                      "--workers", "4")
     assert out1 == out2
+    # 46 order-4 bands, each one job, through the pool and in-process
+    for workers in ("1", "2", "3"):
+        code, out, _ = run(capsys, "verify", "--max-order", "4", "--iso",
+                           "--workers", workers)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_ISO4_SHA256
+
+
+def _fails_on_some_tables(a):
+    # a stand-in theorem that is contradicted on about one table in five
+    consistent = sum(map(sum, a.t.mul)) % 5 != 1
+    return varieties.TheoremReport("THM_2_5", "implication",
+                                   (("stand_in", consistent),), consistent)
+
+
+def test_verify_failures_keep_stream_order_for_any_worker_count(capsys, monkeypatch):
+    # patched before the pool is made, so its forked workers see it too
+    monkeypatch.setitem(varieties.THEOREMS, "THM_2_5", _fails_on_some_tables)
+    outs = []
+    for workers in ("1", "2"):
+        code, out, _ = run(capsys, "verify", "--suite", "THM_2_5", "--max-order",
+                           "4", "--iso", "--workers", workers)
+        assert code == 5
+        outs.append(out)
+    assert outs[0] == outs[1]
+    failures = json.loads(outs[0])["failures"]
+    by_order = {n: semiring_lab.all_idempotent_semirings(n, up_to_iso=True)
+                for n in (1, 2, 3, 4)}
+    assert {f["order"] for f in failures} == {2, 3, 4}
+    positions = [(f["order"], f["index"]) for f in failures]
+    assert positions == sorted(set(positions))  # orders, then indices, rise
+    expected = [(n, i) for n, ts in by_order.items() for i, t in enumerate(ts)
+                if not _fails_on_some_tables(varieties.Analysis(t)).consistent]
+    assert positions == expected
+    for f in failures:  # each index counts the tables of its order
+        assert f["semiring"] == semiring_lab.format_semiring_text(
+            by_order[f["order"]][f["index"]])
+
+
+@pytest.mark.parametrize("workers", ["1", "2", "3"])
+def test_verify_node_budget_is_per_order(capsys, workers):
+    # an order's budget covers its band search and all its . searches; at
+    # --max-order 3 the largest is order 3's, 939 nodes
+    budget = _Budget(10 ** 6, 60.0)
+    for add, auts in bands(3, True, budget):
+        for _ in completions(add, auts, budget):
+            pass
+    assert 10 ** 6 - budget.nodes_left == 939
+    argv = ["verify", "--max-order", "3", "--iso", "--suite", "THM_2_5",
+            "--workers", workers, "--budget-nodes"]
+    # the parent's band search runs in the pool's task thread while the
+    # main thread charges results: switch between them as often as it can
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        code, out, _ = run(capsys, *argv, "939")
+        assert code == 0 and json.loads(out)["results"]["instances"] == 92
+        code, out, err = run(capsys, *argv, "938")
+    finally:
+        sys.setswitchinterval(interval)
+    assert code == 4 and out == ""
+    assert "node budget exhausted" in err and "Traceback" not in err
+
+
+def test_serial_verify_holds_no_instance_list(capsys):
+    # the parent keeps one band's work at a time, not the 927 instances;
+    # 1 375 KiB while they were listed first, about 520 KiB streamed
+    run(capsys, "verify", "--max-order", "3", "--iso")  # lazy set-up first
+    gc.collect()
+    tracemalloc.start()
+    try:
+        code, _, _ = run(capsys, "verify", "--max-order", "4", "--iso")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak <= 768 * 1024, "peak %d KiB" % (peak // 1024)
+
+
+@pytest.mark.slow
+def test_verify_order5_with_two_workers_is_frozen(capsys):
+    # about 4 s on two cores; digest frozen from one worker while every
+    # instance was still listed before the sweep began
+    code, out, _ = run(capsys, "verify", "--max-order", "5", "--iso",
+                       "--workers", "2")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "45fefa69ef6853dd9e29350f31e88a10fa130d69cc15e0e11cedba5a1fc5bf2f")
 
 
 def test_enumerate_count_only(capsys):

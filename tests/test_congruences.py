@@ -1,10 +1,13 @@
 import itertools
+from collections import deque
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import semiring_lab as sl
 from semiring_lab.congruences import principal_congruence
-from semiring_lab.relations import BinRelation, Partition
+from semiring_lab.relations import BinRelation, Partition, UnionFind
 
 from conftest import set_partitions
 
@@ -26,6 +29,25 @@ def naive_congruence_closure(t, pairs):
                 rel.add((t.mul[c][a], t.mul[c][b]))
         if len(rel) == before:
             return Partition.from_pairs(t.order, rel)
+
+
+def union_find_closure(t, pairs):
+    """The closure congruence_closure used before its flat block lists:
+    union-find plus a queue of merged pairs, each merge (a, b) enqueueing
+    (a+c, b+c), (c+a, c+b), (ac, bc), (ca, cb) for every c."""
+    uf = UnionFind(t.order)
+    queue = deque()
+    for a, b in pairs:
+        if uf.union(a, b):
+            queue.append((a, b))
+    while queue:
+        a, b = queue.popleft()
+        for c in range(t.order):
+            for x, y in ((t.add[a][c], t.add[b][c]), (t.add[c][a], t.add[c][b]),
+                         (t.mul[a][c], t.mul[b][c]), (t.mul[c][a], t.mul[c][b])):
+                if uf.union(x, y):
+                    queue.append((x, y))
+    return uf.partition()
 
 
 def all_congruences_by_filter(t):
@@ -77,6 +99,15 @@ def test_closure_matches_naive_fixpoint(small_semirings):
         for seed in seeds:
             seed = [(a % t.order, b % t.order) for a, b in seed]
             assert sl.congruence_closure(t, seed) == naive_congruence_closure(t, seed)
+
+
+@given(data=st.data())
+@settings(deadline=None, max_examples=300)
+def test_closure_matches_the_union_find_closure(iso_upto4, data):
+    t = data.draw(st.sampled_from(iso_upto4))
+    element = st.integers(0, t.order - 1)
+    seed = data.draw(st.lists(st.tuples(element, element), max_size=6))
+    assert sl.congruence_closure(t, seed) == union_find_closure(t, seed)
 
 
 def test_closure_result_is_a_congruence(small_semirings):

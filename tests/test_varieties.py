@@ -183,6 +183,29 @@ def test_shared_analysis_computes_each_relation_once(monkeypatch, dl2, golden3):
         assert calls["compile"] == 0, calls
 
 
+def test_sweep_tests_each_congruence_and_builds_each_product_once(monkeypatch, iso4):
+    # quotients the theorem layer takes only by partitions it has already
+    # tested, or by eta, skip quotient's own test; the Analysis reads the
+    # catalog directly instead of building a Malcev product per call
+    calls = collections.Counter()
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for module, name in ((congruences, "is_congruence"), (varieties, "is_congruence"),
+                         (varieties, "malcev_product")):
+        monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
+    suite = tuple(sorted(THEOREMS))
+    for t in iso4:
+        assert cli._verify_one((4, 0, t, suite)) == []
+    # 2 413 and 9 133 while quotient re-tested and every call built a product
+    assert calls["is_congruence"] == 1153, calls
+    assert calls["malcev_product"] == 783, calls
+
+
 def test_identities_pickle_and_copy_after_use(dl2, golden3):
     # compiled evaluators are made by exec and cannot be pickled; they
     # must stay out of the pickled state of everything that holds them
