@@ -98,9 +98,10 @@ def _band_job(job) -> Tuple[int, int, int, List[Dict]]:
     one band; returns the order, the table count, the nodes spent, the items."""
     check, arg, n, add, auts, nodes, deadline = job
     budget = _Budget(nodes, deadline - time.monotonic())
+    names = tuple("e%d" % i for i in range(n))
     count, items = 0, []
     for count, mul in enumerate(completions(add, auts, budget), 1):
-        items += check((n, count - 1, SemiringTable.from_rows(add, mul), arg))
+        items += check((n, count - 1, SemiringTable(n, names, add, mul), arg))
     return n, count, nodes - budget.nodes_left, items
 
 

@@ -16,8 +16,8 @@ exhaustive generation", J. Algorithms 1998): a partial band is abandoned
 as soon as some relabelling makes it smaller, so only the bands that are
 their own least relabelling are completed, and a partial . table as soon
 as some automorphism of the band makes it smaller.  Both tests are one
-early-exit comparison in key order (lex-leader pruning: Crawford,
-Ginsberg, Luks and Roy, KR 1996).
+comparison in key order, resumed where the parent node's stopped
+(lex-leader pruning: Crawford, Ginsberg, Luks and Roy, KR 1996).
 """
 
 from __future__ import annotations
@@ -58,7 +58,6 @@ class EnumConfig:
     order: int
     up_to_iso: bool = False
     filter: Optional[Union[VarietySpec, ClassExpr]] = None
-    max_count: Optional[int] = None
     budget_nodes: int = DEFAULT_NODE_BUDGET
     budget_secs: float = DEFAULT_SECS_BUDGET
 
@@ -136,23 +135,32 @@ def _distrib_ok(add: Sequence[Sequence[int]],
 
 
 _Check = Callable[[_Partial, _Index, int, int], bool]
+# a relabelling as (perm, inverse)
+Relabelling = Tuple[Sequence[int], Sequence[int]]
 
 
-def _complete(n: int, ok: _Check, budget: _Budget) -> Iterator[Rows]:
-    """Every idempotent n x n table that ok accepts cell by cell, depth
-    first: the off-diagonal cells are filled in row-major order, each
-    trying 0..n-1 in turn.  A value costs one budget node and is kept when
-    ok(table, pre, i, j) holds for the cell (i, j) just set, pre[v] being
-    the determined cells of value v, kept in step with the table.  One loop
-    walks the cells; the cell at depth k holds the value being tried there,
-    None before the first."""
+def _complete(n: int, ok: _Check, perms: List[Relabelling], budget: _Budget
+              ) -> Iterator[Tuple[Rows, list]]:
+    """Every idempotent n x n table that ok accepts cell by cell and no
+    relabelling in perms makes smaller, depth first, each with the (p, q, c)
+    of the p in perms that fix it.  The off-diagonal cells are filled in
+    row-major order, each trying 0..n-1 in turn.  A value costs one budget
+    node and is kept when ok(table, pre, i, j) holds for the cell (i, j)
+    just set, pre[v] being the determined cells of value v, kept in step
+    with the table, and then no p makes the table smaller on the prefix
+    determined on both sides.  One loop walks the cells; the cell at depth
+    k holds the value being tried there, None before the first.  ties[k]
+    holds the (p, q, c), c <= k, with p.T = T on the cells before depth c,
+    all determined on both sides; each resumes at c (proof in
+    enumerate_idempotent_semirings)."""
     table: _Partial = [[i if i == j else None for j in range(n)] for i in range(n)]
     pre: _Index = [[(v, v)] for v in range(n)]
     cells = _off_diagonal_cells(n)
     last, k = len(cells) - 1, 0
     if last < 0:
-        yield ((0,),)
+        yield ((0,),), []
         return
+    ties = [[(p, q, 0) for p, q in perms]] + [[]] * last
     while k >= 0:
         i, j = cells[k]
         v = table[i][j]
@@ -168,11 +176,33 @@ def _complete(n: int, ok: _Check, budget: _Budget) -> Iterator[Rows]:
         budget.spend()
         table[i][j] = v
         pre[v].append((i, j))
-        if ok(table, pre, i, j):
-            if k == last:
-                yield tuple(tuple(row) for row in table)  # type: ignore[misc]
-            else:
-                k += 1
+        if not ok(table, pre, i, j):
+            continue
+        tied = ties[k]
+        if tied:  # diagonal cells always tie: p[T[q a][q a]] = p[q a] = a
+            kept = []
+            for p, q, c in tied:
+                while c <= k:
+                    a, b = cells[c]
+                    x = table[q[a]][q[b]]
+                    if x is None or p[x] != table[a][b]:
+                        break
+                    c += 1
+                else:
+                    x = None
+                if x is None:  # tied up to cell c, the first one undetermined
+                    kept.append((p, q, c))
+                elif p[x] < table[a][b]:  # p.T smaller: prune; larger: drop p
+                    kept = None
+                    break
+            if kept is None:
+                continue
+            tied = kept
+        if k == last:
+            yield tuple(tuple(row) for row in table), tied  # type: ignore[misc]
+        else:
+            k += 1
+            ties[k] = tied
 
 
 def _off_diagonal_cells(n: int) -> List[Tuple[int, int]]:
@@ -188,42 +218,6 @@ def _matches_filter(t: SemiringTable,
     return malcev_membership(t, flt)[0]
 
 
-def _relabelled_cmp(rows: Sequence[Sequence[Optional[int]]],
-                    perm: Sequence[int], inv: Sequence[int]) -> int:
-    """Sign of perm.rows - rows, cell (a, b) of perm.rows being
-    perm[rows[inv a][inv b]], over all cells in row-major order up to the
-    first cell that is None on either side (0 if they agree there)."""
-    for a, ia in enumerate(inv):
-        row, src = rows[a], rows[ia]
-        for b, ib in enumerate(inv):
-            x, v = row[b], src[ib]
-            if x is None or v is None:
-                return 0
-            if perm[v] != x:
-                return -1 if perm[v] < x else 1
-    return 0
-
-
-# a relabelling as (perm, inverse)
-Relabelling = Tuple[Sequence[int], Sequence[int]]
-
-
-def _orderly(ok: _Check, perms: List[Relabelling]) -> _Check:
-    """ok, and no relabelling in perms makes the table smaller on the
-    prefix determined on both sides."""
-    if not perms:
-        return ok
-
-    def least_ok(tab: _Partial, pre: _Index, i: int, j: int) -> bool:
-        if not ok(tab, pre, i, j):
-            return False
-        for p, q in perms:  # a plain loop: all() over a generator costs more
-            if _relabelled_cmp(tab, p, q) < 0:
-                return False
-        return True
-    return least_ok
-
-
 def bands(n: int, up_to_iso: bool, budget: _Budget
           ) -> Iterator[Tuple[Rows, List[Relabelling]]]:
     """The + tables of order n, depth first, each with its non-identity
@@ -233,8 +227,8 @@ def bands(n: int, up_to_iso: bool, budget: _Budget
     # the identity, first, fixes every table
     perms = [(p, sorted(range(n), key=p.__getitem__))
              for p in itertools.permutations(range(n))][1:] if up_to_iso else []
-    for add in _complete(n, _orderly(_assoc_ok, perms), budget):
-        yield add, [(p, q) for p, q in perms if _relabelled_cmp(add, p, q) == 0]
+    for add, auts in _complete(n, _assoc_ok, perms, budget):
+        yield add, [(p, q) for p, q, _ in auts]
 
 
 def completions(add: Rows, auts: List[Relabelling], budget: _Budget
@@ -248,7 +242,7 @@ def completions(add: Rows, auts: List[Relabelling], budget: _Budget
     def mul_ok(tab: _Partial, pre: _Index, i: int, j: int) -> bool:
         return _assoc_ok(tab, pre, i, j) and _distrib_ok(add, touching, tab, i, j)
 
-    return _complete(n, _orderly(mul_ok, auts), budget)
+    return (mul for mul, _ in _complete(n, mul_ok, auts, budget))
 
 
 def enumerate_idempotent_semirings(cfg: EnumConfig) -> Iterator[SemiringTable]:
@@ -279,21 +273,26 @@ def enumerate_idempotent_semirings(cfg: EnumConfig) -> Iterator[SemiringTable]:
     canonical ones, in the same depth-first order.  The labelled search
     skips both tests.
 
+    A node need not compare p.T with T from cell (0, 0) again: its parent
+    stopped at the first cell c undetermined on either side, and setting
+    more cells changes no cell before c, so a tie before c stays a tie and
+    the comparison resumes at c.  A p.T larger on the determined prefix
+    stays larger on every completion, by the lemma with the sides swapped,
+    so that p can neither prune nor fix a leaf below and is dropped for the
+    whole subtree.  The p tied at a leaf, every cell determined, are the p
+    with p.T = T: Aut(B) in the band search.
+
     Exceeding the budget raises BudgetExceededError mid-stream; consumers
     must treat a truncated stream as failure, never as a complete
     enumeration.
     """
+    n, names = cfg.order, tuple("e%d" % i for i in range(cfg.order))
     budget = _Budget(cfg.budget_nodes, cfg.budget_secs)
-    emitted = 0
-    for add, auts in bands(cfg.order, cfg.up_to_iso, budget):
+    for add, auts in bands(n, cfg.up_to_iso, budget):
         for mul in completions(add, auts, budget):
-            t = SemiringTable.from_rows(add, mul)
-            if not _matches_filter(t, cfg.filter):
-                continue
-            yield t
-            emitted += 1
-            if cfg.max_count is not None and emitted >= cfg.max_count:
-                return
+            t = SemiringTable(n, names, add, mul)  # entries in range(n) already
+            if _matches_filter(t, cfg.filter):
+                yield t
 
 
 def all_idempotent_semirings(order: int, up_to_iso: bool = False,

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 import semiring_lab as sl
 from semiring_lab.core import _relabel_rows
 from semiring_lab.enumeration import (_assoc_ok, _Budget, _complete, _distrib_ok,
-                                      _relabelled_cmp, _touching_sums, bands)
+                                      _touching_sums, bands)
 
 # counts computed once with naive_labeled_count and frozen; the live
 # oracle comparison below keeps the generator honest regardless.  Order 4
@@ -23,6 +23,8 @@ def test_generator_matches_oracle(n, labeled_by_order):
     # itertools.product lists the naive pairs in depth-first order
     assert [(t.add, t.mul) for t in labeled_by_order[n]] == sl.naive_labeled_pairs(n)
     assert len(labeled_by_order[n]) == LABELED_COUNTS[n]
+    # built without from_rows' input checks, yet the same tables
+    assert all(t == sl.SemiringTable.from_rows(t.add, t.mul) for t in labeled_by_order[n])
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
@@ -71,7 +73,8 @@ def _preimages(table):
 
 @functools.cache
 def _labelled_bands(n):
-    return tuple(_complete(n, _assoc_ok_by_scan, _Budget(10 ** 7, 1800.0)))
+    return tuple(add for add, _ in _complete(n, _assoc_ok_by_scan, [],
+                                             _Budget(10 ** 7, 1800.0)))
 
 
 def _leaf_filtered_bands(n):
@@ -96,9 +99,9 @@ def _leaf_filtered_iso_stream(n):
     kept, least, completions = [], _leaf_filtered_bands(n), 0
     for add, auts in least:
         touching = _touching_sums(add, n)
-        for mul in _complete(n, lambda tab, pre, i, j: (
+        for mul, _ in _complete(n, lambda tab, pre, i, j: (
                 _assoc_ok_by_scan(tab, pre, i, j) and
-                _distrib_ok(add, touching, tab, i, j)), budget):
+                _distrib_ok(add, touching, tab, i, j)), [], budget):
             completions += 1
             if not any(_relabel_rows(mul, p) < mul for p in auts):
                 kept.append((add, mul))
@@ -137,9 +140,8 @@ def test_least_bands_and_their_orbit_sums(n, least, orbits):
         assert len(_labelled_bands(n)) == orbits
 
 
-@pytest.mark.slow
 def test_order6_least_bands():
-    # about 12 s; the labelled order-6 band search alone takes 120 M nodes
+    # about 1 s; the labelled order-6 band search alone takes 120 M nodes
     budget = _Budget(126096, 1800.0)
     found = list(bands(6, True, budget))
     assert len(found) == 1682
@@ -188,7 +190,7 @@ def test_preimage_index_stays_in_step():
         assert in_step(tab, pre)
         return _assoc_ok(tab, pre, i, j)
 
-    assert len(list(_complete(4, band_ok, budget))) == 604
+    assert len(list(_complete(4, band_ok, [], budget))) == 604
     semirings = 0
     for add in _labelled_bands(3):
         touching = _touching_sums(add, 3)
@@ -197,9 +199,78 @@ def test_preimage_index_stays_in_step():
             assert in_step(tab, pre)
             return _assoc_ok(tab, pre, i, j) and _distrib_ok(add, touching, tab, i, j)
 
-        semirings += len(list(_complete(3, mul_ok, budget)))
+        semirings += len(list(_complete(3, mul_ok, [], budget)))
     assert semirings == 379
     assert checked[0] == 10 ** 7 - budget.nodes_left
+
+
+def _relabelled_cmp(rows, perm, inv):
+    """Sign of perm.rows - rows, cell (a, b) of perm.rows being
+    perm[rows[inv a][inv b]], over all cells in row-major order up to the
+    first cell that is None on either side (0 if they agree there)."""
+    for a, ia in enumerate(inv):
+        row, src = rows[a], rows[ia]
+        for b, ib in enumerate(inv):
+            x, v = row[b], src[ib]
+            if x is None or v is None:
+                return 0
+            if perm[v] != x:
+                return -1 if perm[v] < x else 1
+    return 0
+
+
+def restart_orderly(ok, perms):
+    """ok, and no relabelling in perms makes the table smaller on the
+    prefix determined on both sides, compared from cell (0, 0) at every
+    node: the lex-leader test that _complete resumes from the parent's."""
+    def least_ok(tab, pre, i, j):
+        return ok(tab, pre, i, j) and all(_relabelled_cmp(tab, p, q) >= 0
+                                          for p, q in perms)
+    return least_ok
+
+
+def _perms(n):
+    return [(p, sorted(range(n), key=p.__getitem__))
+            for p in itertools.permutations(range(n))][1:]
+
+
+def _mul_ok(add):
+    touching = _touching_sums(add, len(add))
+    return lambda tab, pre, i, j: (_assoc_ok(tab, pre, i, j) and
+                                   _distrib_ok(add, touching, tab, i, j))
+
+
+def _resumed_and_restarted(n, ok, perms):
+    """Each table of _complete(n, ok, perms) with the relabellings that fix
+    it, and the nodes spent; then the same from the reference search,
+    which restarts every comparison and finds the automorphisms of each
+    leaf by a second pass over perms."""
+    resumed, restarted = _Budget(10 ** 7, 1800.0), _Budget(10 ** 7, 1800.0)
+    found = []
+    for rows, tied in _complete(n, ok, perms, resumed):
+        # a relabelling tied at a leaf has compared every cell
+        assert all(c == n * n - n for _, _, c in tied)
+        found.append((rows, [(p, q) for p, q, _ in tied]))
+    expected = [(rows, [(p, q) for p, q in perms if _relabelled_cmp(rows, p, q) == 0])
+                for rows, _ in _complete(n, restart_orderly(ok, perms), [], restarted)]
+    return (found, resumed.nodes_left), (expected, restarted.nodes_left)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_resumed_band_search_is_the_restart_search(n):
+    resumed, restarted = _resumed_and_restarted(n, _assoc_ok, _perms(n))
+    assert resumed == restarted
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_resumed_dot_searches_are_the_restart_searches(n):
+    # under every least band, with its automorphisms
+    with_auts = 0
+    for add, auts in bands(n, True, _Budget(10 ** 7, 1800.0)):
+        resumed, restarted = _resumed_and_restarted(n, _mul_ok(add), auts)
+        assert resumed == restarted
+        with_auts += bool(auts)
+    assert with_auts == {3: 7, 4: 34}[n]  # of the 10 and 46 least bands
 
 
 def _cmp_by_prefix(rows, perm):
@@ -305,7 +376,7 @@ def test_node_budget_pins_the_orderly_pruning(n, nodes, classes):
 
 @pytest.mark.slow
 def test_order5_iso_count():
-    # two order-5 searches, about 6 s; run with `pytest -m slow`
+    # two order-5 searches, about 1.5 s; run with `pytest -m slow`
     cfg = sl.EnumConfig(order=5, up_to_iso=True, budget_nodes=514360)
     assert sum(1 for _ in sl.enumerate_idempotent_semirings(cfg)) == 9407
     with pytest.raises(sl.BudgetExceededError):
@@ -339,11 +410,6 @@ def test_filter_by_malcev_expression():
     assert members
     for t in members:
         assert sl.in_variety(t, "L_dot")  # Malcev characterization
-
-
-def test_max_count_truncates():
-    cfg = sl.EnumConfig(order=3, max_count=5)
-    assert len(list(sl.enumerate_idempotent_semirings(cfg))) == 5
 
 
 def test_config_validation():
