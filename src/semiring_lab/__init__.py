@@ -24,7 +24,6 @@ from .structure import (ClassExpr, Malcev, Named, SpinedDecomposition,
                         malcev_membership, quotient, reconstruct,
                         spined_decompose, spined_product)
 from .enumeration import (EnumConfig, all_idempotent_semirings,
-                          enumerate_idempotent_semirings, naive_labeled_count,
-                          naive_labeled_pairs)
+                          enumerate_idempotent_semirings)
 
 __version__ = "0.1.0"

@@ -308,10 +308,8 @@ def cmd_decompose(args, started: float) -> int:
 def _sigma_row(job: Tuple[int, int, SemiringTable, None]) -> List[Dict]:
     n, index, t, _ = job
     a = Analysis(t)
-    transitive = a.sigma.is_transitive()
-    return [{"order": n, "index": index, "sigma_transitive": transitive,
-             "in_N": a.member("N"),
-             "sigma_is_eta": transitive and a.sigma.to_partition() == a.eta}]
+    return [{"order": n, "index": index, "sigma_transitive": a.sigma_transitive,
+             "in_N": a.member("N"), "sigma_is_eta": a.sigma_is_eta}]
 
 
 def cmd_explore_sigma(args, started: float) -> int:

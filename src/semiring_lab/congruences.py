@@ -13,8 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Tuple, Union
 
-from .core import (InternalConsistencyError, PreconditionError,
-                   ResourceBoundError, SemiringTable)
+from .core import PreconditionError, ResourceBoundError, SemiringTable
 from .relations import BinRelation, Partition
 
 DEFAULT_ORDER_BOUND = 8
@@ -86,9 +85,9 @@ def sigma(t: SemiringTable) -> BinRelation:
 def sigma_star(t: SemiringTable) -> BinRelation:
     """a sigma_star b iff some x has axbxa, bxaxb absorbed as in sigma.
 
-    The witness search is exhaustive over x in S.  The result must equal
-    the transitive closure of sigma; that equality is asserted here and a
-    mismatch raises InternalConsistencyError.
+    The witness search is exhaustive over x in S.  The result is the
+    transitive closure of sigma, a proved theorem (tests/
+    test_congruences.py::test_sigma_star_is_transitive_closure).
     """
     n = t.order
 
@@ -96,13 +95,9 @@ def sigma_star(t: SemiringTable) -> BinRelation:
         w = t.prod_of((a, x, b, x, a))
         return t.add[t.add[w][a]][w] == w
 
-    rel = BinRelation.from_predicate(
+    return BinRelation.from_predicate(
         n, lambda a, b: any(absorbed_via(a, b, x) and absorbed_via(b, a, x)
                             for x in range(n)))
-    if rel != sigma(t).transitive_closure():
-        raise InternalConsistencyError(
-            "sigma_star differs from the transitive closure of sigma")
-    return rel
 
 
 @dataclass(frozen=True)
@@ -165,9 +160,8 @@ def least_dl_congruence(t: SemiringTable, method: str = "sigma_closure"
 
     meet_oracle:    partition meet of every distributive-lattice congruence.
     sigma_closure:  congruence closure of sigma.
-    sigma_star:     the partition induced by sigma_star directly; raises
-                    InternalConsistencyError if sigma_star is not an
-                    equivalence (it provably is).
+    sigma_star:     the partition induced by sigma_star directly, which
+                    provably is an equivalence (to_partition checks it).
     """
     if method == "meet_oracle":
         dl = all_congruences(t).distributive_lattice_congruences()
@@ -179,10 +173,7 @@ def least_dl_congruence(t: SemiringTable, method: str = "sigma_closure"
     if method == "sigma_closure":
         return congruence_closure(t, sigma(t))
     if method == "sigma_star":
-        rel = sigma_star(t)
-        if not rel.is_equivalence():
-            raise InternalConsistencyError("sigma_star is not an equivalence")
-        return rel.to_partition()
+        return sigma_star(t).to_partition()
     raise PreconditionError("unknown method %r; expected one of %r"
                             % (method, LDC_METHODS))
 

@@ -29,7 +29,7 @@ from typing import Callable, Iterator, List, Optional, Sequence, Tuple, Union
 
 from .congruences import DEFAULT_ORDER_BOUND
 from .core import (BudgetExceededError, PreconditionError, ResourceBoundError,
-                   SemiringTable, validate_semiring)
+                   SemiringTable)
 from .structure import ClassExpr, malcev_membership
 from .varieties import VarietySpec, variety_membership
 
@@ -299,33 +299,3 @@ def all_idempotent_semirings(order: int, up_to_iso: bool = False,
                              **kwargs) -> List[SemiringTable]:
     cfg = EnumConfig(order=order, up_to_iso=up_to_iso, **kwargs)
     return list(enumerate_idempotent_semirings(cfg))
-
-
-# ---------------------------------------------------------------------------
-# Naive oracle, kept deliberately independent of the backtracking search
-
-def _idempotent_ops(n: int) -> Iterator[Tuple[Tuple[int, ...], ...]]:
-    cells = _off_diagonal_cells(n)
-    for values in itertools.product(range(n), repeat=len(cells)):
-        table = [[i if i == j else 0 for j in range(n)] for i in range(n)]
-        for (i, j), v in zip(cells, values):
-            table[i][j] = v
-        yield tuple(tuple(row) for row in table)
-
-
-def naive_labeled_pairs(n: int) -> List[Tuple[Tuple[Tuple[int, ...], ...], ...]]:
-    """The (add, mul) rows of every labeled idempotent semiring of order n,
-    found by filtering every pair of idempotent associative tables through
-    validate_semiring; itertools.product lists them in the generator's
-    depth-first order.  Exponential; oracle use only."""
-    def associative(op):
-        return all(op[op[a][b]][c] == op[a][op[b][c]]
-                   for a in range(n) for b in range(n) for c in range(n))
-
-    bands = [op for op in _idempotent_ops(n) if associative(op)]
-    return [(add, mul) for add in bands for mul in bands
-            if validate_semiring(SemiringTable.from_rows(add, mul)).is_idempotent_semiring]
-
-
-def naive_labeled_count(n: int) -> int:
-    return len(naive_labeled_pairs(n))

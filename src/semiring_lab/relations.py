@@ -1,17 +1,18 @@
 """Partitions, binary relations, Green's relations and the six quasi-orders.
 
-Green's relations are computed from the band characterizations (O(n^2)
-table lookups); on a valid idempotent semiring both reducts are bands, so
-the characterizations are genuine equivalences.  That is verified anyway,
-in O(n^2), and a failure raises InternalConsistencyError, since it can
-only mean upstream validation was skipped or buggy.
+Green's relations of a band are computed from their definitions: the L-,
+R- and D-class of a are labelled by the principal ideals Sa, aS and SaS,
+so each is an equivalence by construction (Howie, Fundamentals of
+Semigroup Theory, ch. 2).  green_mult and green_add refuse a reduct that
+is not a band; the theorem layer, which holds a validated idempotent
+semiring, calls _green directly.
 """
 
 from __future__ import annotations
 
 from typing import Callable, FrozenSet, Iterable, List, Sequence, Tuple
 
-from .core import (InternalConsistencyError, PreconditionError, SemiringTable)
+from .core import PreconditionError, SemiringTable
 
 
 class UnionFind:
@@ -246,30 +247,31 @@ class BinRelation:
 
 def _green(table: Tuple[Tuple[int, ...], ...], n: int
            ) -> Tuple[Partition, Partition, Partition]:
-    """L, R, D of a band given by `table`, via the band characterizations;
-    each is an equivalence iff it relates exactly the elements whose rows
-    in it are equal, and those rows then label the classes."""
-    def classes(name: str, rel: Callable[[int, int], bool]) -> Partition:
-        rows = [tuple(rel(a, b) for b in range(n)) for a in range(n)]
-        p = Partition(rows)
-        if any(rows[a][b] != (p.labels[a] == p.labels[b])
-               for a in range(n) for b in range(n)):
-            raise InternalConsistencyError(
-                "Green's %s is not an equivalence; input was not a valid band" % name)
-        return p
-    return (classes("L", lambda a, b: table[a][b] == a and table[b][a] == b),
-            classes("R", lambda a, b: table[a][b] == b and table[b][a] == a),
-            classes("D", lambda a, b: table[a][table[b][a]] == a
-                                      and table[b][table[a][b]] == b))
+    """L, R, D of a band given by `table`, by the principal ideals Sa (the
+    column of a), aS (its row) and SaS (the union of the rows of Sa).  As
+    a = aa, these are S^1a, aS^1 and S^1aS^1, and D = J in a finite semigroup."""
+    cols = [frozenset(col) for col in zip(*table)]
+    rows = [frozenset(row) for row in table]
+    ideals = [frozenset().union(*(rows[x] for x in col)) for col in cols]
+    return Partition(cols), Partition(rows), Partition(ideals)
+
+
+def _require_band(table: Tuple[Tuple[int, ...], ...], n: int, reduct: str) -> None:
+    r = range(n)
+    if any(table[a][a] != a or table[table[a][b]][c] != table[a][table[b][c]]
+           for a in r for b in r for c in r):
+        raise PreconditionError("Green's relations: the %s reduct is not a band" % reduct)
 
 
 def green_mult(t: SemiringTable) -> Tuple[Partition, Partition, Partition]:
     """Green's relations on the multiplicative reduct: (L., R., D.)."""
+    _require_band(t.mul, t.order, "multiplicative")
     return _green(t.mul, t.order)
 
 
 def green_add(t: SemiringTable) -> Tuple[Partition, Partition, Partition]:
     """Green's relations on the additive reduct: (L+, R+, D+)."""
+    _require_band(t.add, t.order, "additive")
     return _green(t.add, t.order)
 
 

@@ -16,7 +16,7 @@ from typing import Callable, Dict, List, Tuple, Union
 from .congruences import congruence_closure, eta, is_congruence, sigma
 from .core import (Identity, PreconditionError, SemiringTable, parse_identity,
                    satisfies_identity)
-from .relations import Partition, green_add, green_mult, quasi_orders
+from .relations import Partition, _green, quasi_orders
 from .structure import (ClassExpr, Malcev, Named, _attempt_spined_decomposition,
                         _instances, _quotient, _require_idempotent, malcev_membership)
 
@@ -106,20 +106,30 @@ class Analysis:
     most once and dropped with this object: Green's relations of both
     reducts, the quasi-orders, sigma, eta (the closure of sigma, as in
     congruences.eta), catalog memberships, and the least congruence rho(E)
-    of each right factor E of a Malcev product."""
+    of each right factor E of a Malcev product, kept as its blocks.
 
-    # Each lambda calls the module-level function of the same name.
+    t must be an idempotent semiring.  Only idempotency is checked, once,
+    here; the rest is the caller's to validate."""
+
+    # quasi_orders and sigma call the module-level functions of the same
+    # name; green skips green_add's and green_mult's band check
     green = cached_property(lambda self: dict(zip(
         ("L_plus", "R_plus", "D_plus", "L_dot", "R_dot", "D_dot"),
-        green_add(self.t) + green_mult(self.t))))
+        _green(self.t.add, self.t.order) + _green(self.t.mul, self.t.order))))
     quasi_orders = cached_property(lambda self: quasi_orders(self.t))
     sigma = cached_property(lambda self: sigma(self.t))
     eta = cached_property(lambda self: congruence_closure(self.t, self.sigma))
+    # sigma is reflexive and symmetric by construction, so it is an
+    # equivalence exactly when it is transitive
+    sigma_transitive = cached_property(lambda self: self.sigma.is_transitive())
+    sigma_is_eta = cached_property(lambda self: self.sigma_transitive and (
+        Partition.from_pairs(self.t.order, self.sigma.pairs) == self.eta))
 
     def __init__(self, t: SemiringTable):
+        _require_idempotent(t, "Analysis")
         self.t = t
         self._members: Dict[str, bool] = {}
-        self._rho: Dict[Tuple[str, ...], Partition] = {}
+        self._rho: Dict[Tuple[str, ...], Tuple[Tuple[int, ...], ...]] = {}
 
     def member(self, name: str) -> bool:
         if name not in self._members:
@@ -129,21 +139,20 @@ class Analysis:
     def holds(self, text: str) -> bool:
         return satisfies_identity(self.t, THEOREM_IDENTITIES[text])[0]
 
-    def rho(self, names: Tuple[str, ...]) -> Partition:
-        """rho of the right-nested product of the named varieties, as in
-        structure._least_congruence; rho(D) is eta (see malcev_membership)."""
+    def _rho_blocks(self, names: Tuple[str, ...]) -> Tuple[Tuple[int, ...], ...]:
+        """The blocks of rho of the right-nested product of the named varieties,
+        as in structure._least_congruence; rho(D) is eta (see malcev_membership)."""
         if names not in self._rho:
-            blocks = self.rho(names[1:]).blocks() if names[1:] else [range(self.t.order)]
-            self._rho[names] = self.eta if names == ("D",) else congruence_closure(
-                self.t, _instances(self.t, CATALOG[names[0]], blocks))
+            blocks = self._rho_blocks(names[1:]) if names[1:] else [range(self.t.order)]
+            self._rho[names] = (self.eta if names == ("D",) else congruence_closure(
+                self.t, _instances(self.t, CATALOG[names[0]], blocks))).blocks()
         return self._rho[names]
 
     def malcev(self, *names: str) -> bool:
         """Membership in the right-nested product of two or more varieties,
         decided as in malcev_membership."""
-        _require_idempotent(self.t, "Malcev membership")
         return next(_instances(self.t, CATALOG[names[0]],
-                               self.rho(names[1:]).blocks()), None) is None
+                               self._rho_blocks(names[1:])), None) is None
 
 
 # The identities the theorems test beyond the catalog's, parsed once.
@@ -214,12 +223,9 @@ def _thm_lemma_2_4(a: Analysis) -> TheoremReport:
 
 def _thm_2_5(a: Analysis) -> TheoremReport:
     in_n = a.member("N")
-    rel = a.sigma
-    transitive = rel.is_transitive()
-    induces = transitive and rel.is_equivalence() and rel.to_partition() == a.eta
     return _implication("THM_2_5", [
-        ("N_implies_sigma_transitive", (not in_n) or transitive),
-        ("N_implies_sigma_is_eta", (not in_n) or induces),
+        ("N_implies_sigma_transitive", (not in_n) or a.sigma_transitive),
+        ("N_implies_sigma_is_eta", (not in_n) or a.sigma_is_eta),
     ])
 
 

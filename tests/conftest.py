@@ -191,3 +191,34 @@ def violations_by_loops(t: SemiringTable) -> Tuple:
         if a is not None:
             out.append((name, (a,)))
     return tuple(out)
+
+
+# ---------------------------------------------------------------------------
+# Naive enumeration oracle, kept deliberately independent of the
+# backtracking search
+
+def _idempotent_ops(n):
+    cells = [(i, j) for i in range(n) for j in range(n) if i != j]
+    for values in itertools.product(range(n), repeat=len(cells)):
+        table = [[i if i == j else 0 for j in range(n)] for i in range(n)]
+        for (i, j), v in zip(cells, values):
+            table[i][j] = v
+        yield tuple(tuple(row) for row in table)
+
+
+def naive_labeled_pairs(n):
+    """The (add, mul) rows of every labeled idempotent semiring of order n,
+    found by filtering every pair of idempotent associative tables through
+    validate_semiring; itertools.product lists them in the generator's
+    depth-first order.  Exponential; oracle use only."""
+    def associative(op):
+        return all(op[op[a][b]][c] == op[a][op[b][c]]
+                   for a in range(n) for b in range(n) for c in range(n))
+
+    bands = [op for op in _idempotent_ops(n) if associative(op)]
+    return [(add, mul) for add in bands for mul in bands
+            if sl.validate_semiring(SemiringTable.from_rows(add, mul)).is_idempotent_semiring]
+
+
+def naive_labeled_count(n):
+    return len(naive_labeled_pairs(n))

@@ -407,6 +407,27 @@ def test_explore_sigma(capsys):
     assert total == results["instances"]
 
 
+def test_explore_sigma_iso4_is_frozen(capsys):
+    code, out, _ = run(capsys, "explore-sigma", "--max-order", "4", "--iso")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "36bf07cd37f6a39b10c5caa7e93b358aef59500c1c1bc6f42bc7f64f83755c5f")
+
+
+def test_analyze_reports_up_to_order4_are_frozen(capsys, tmp_path, iso_upto4):
+    # one digest over the stdout of `analyze` on every class up to order 4,
+    # in stream order; about 4 s
+    path = tmp_path / "t.txt"
+    digest = hashlib.sha256()
+    for t in iso_upto4:
+        path.write_text(semiring_lab.format_semiring_text(t))
+        code, out, _ = run(capsys, "analyze", str(path))
+        assert code == 0
+        digest.update(out.encode())
+    assert digest.hexdigest() == (
+        "5e889502bde0f6bdd16197301dab703349a74bde4345d74ef2b6ee00d9ddc245")
+
+
 def test_timing_flag_controls_json_field(capsys):
     _, out, _ = run(capsys, "verify", "--suite", "THM_2_5", "--max-order", "1")
     assert json.loads(out)["timing"] is None

@@ -138,8 +138,8 @@ def test_sigma_star_golden3(golden3):
     assert len(rel.pairs) == 9  # universal
 
 
-def test_sigma_star_is_transitive_closure(small_semirings):
-    for t in small_semirings:
+def test_sigma_star_is_transitive_closure(small_semirings, iso4):
+    for t in small_semirings + iso4:
         assert sl.sigma_star(t) == sl.sigma(t).transitive_closure()
 
 

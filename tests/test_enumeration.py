@@ -11,6 +11,8 @@ from semiring_lab.core import _relabel_rows
 from semiring_lab.enumeration import (_assoc_ok, _Budget, _complete, _distrib_ok,
                                       _touching_sums, bands)
 
+from conftest import naive_labeled_pairs
+
 # counts computed once with naive_labeled_count and frozen; the live
 # oracle comparison below keeps the generator honest regardless.  Order 4
 # is reached only up to isomorphism, through the orbit sum below.
@@ -21,7 +23,7 @@ ISO_COUNTS = {1: 1, 2: 10, 3: 81, 4: 835}
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_generator_matches_oracle(n, labeled_by_order):
     # itertools.product lists the naive pairs in depth-first order
-    assert [(t.add, t.mul) for t in labeled_by_order[n]] == sl.naive_labeled_pairs(n)
+    assert [(t.add, t.mul) for t in labeled_by_order[n]] == naive_labeled_pairs(n)
     assert len(labeled_by_order[n]) == LABELED_COUNTS[n]
     # built without from_rows' input checks, yet the same tables
     assert all(t == sl.SemiringTable.from_rows(t.add, t.mul) for t in labeled_by_order[n])

@@ -3,7 +3,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import semiring_lab as sl
-from semiring_lab.relations import BinRelation, Partition
+from semiring_lab.relations import BinRelation, Partition, _green
 
 from conftest import set_partitions
 
@@ -80,9 +80,30 @@ def test_green_rejects_a_non_band():
     # + is max; . is not associative: (2.0).1 = 1 but 2.(0.1) = 2
     add = [[max(i, j) for j in range(3)] for i in range(3)]
     t = sl.SemiringTable.from_rows(add, [[0, 0, 0], [0, 1, 0], [2, 1, 2]])
-    with pytest.raises(sl.InternalConsistencyError,
-                       match="Green's D is not an equivalence"):
+    with pytest.raises(sl.PreconditionError, match="multiplicative reduct"):
         sl.green_mult(t)
+    sl.green_add(t)
+    with pytest.raises(sl.PreconditionError, match="additive reduct"):
+        sl.green_add(sl.SemiringTable.from_rows(t.mul, add))
+
+
+def _green_by_characterization(table, n):
+    """L, R, D of a band by the band characterizations, each asserted to be
+    an equivalence: the oracle for relations._green's principal ideals."""
+    out = []
+    for rel in (lambda a, b: table[a][b] == a and table[b][a] == b,
+                lambda a, b: table[a][b] == b and table[b][a] == a,
+                lambda a, b: table[a][table[b][a]] == a and table[b][table[a][b]] == b):
+        r = BinRelation.from_predicate(n, rel)
+        assert r.is_equivalence()
+        out.append(r.to_partition())
+    return tuple(out)
+
+
+def test_green_matches_the_band_characterizations(iso_upto4, labeled_by_order):
+    for t in iso_upto4 + labeled_by_order[3]:
+        for table in (t.add, t.mul):
+            assert _green(table, t.order) == _green_by_characterization(table, t.order)
 
 
 def test_green_containments(small_semirings):

@@ -35,6 +35,14 @@ def test_green_relation_selector(golden3):
         green_relation(golden3, "H_dot")
 
 
+def test_analysis_refuses_a_non_idempotent_table():
+    # a semiring whose . is constant: 0.0 = 1
+    t = sl.SemiringTable.from_rows([[0, 1], [1, 1]], [[1, 1], [1, 1]])
+    assert sl.validate_semiring(t).is_semiring
+    with pytest.raises(sl.PreconditionError, match="Analysis needs an idempotent"):
+        sl.Analysis(t)
+
+
 def test_eta_equals_relation_examples(golden3, dl2):
     assert sl.eta_equals_relation(dl2, "D_dot")  # both are equality
     assert not sl.eta_equals_relation(golden3, "D_dot")
@@ -164,19 +172,27 @@ def test_shared_analysis_computes_each_relation_once(monkeypatch, dl2, golden3):
             return fn(*args, **kwargs)
         return wrapper
 
-    for name, fn in (("green_add", relations.green_add),
-                     ("green_mult", relations.green_mult),
+    for name, fn in (("_green", relations._green),
                      ("eta", congruences.eta), ("sigma", congruences.sigma),
                      ("parse_term", core.parse_term), ("compile", core._compile)):
         for module in (core, relations, congruences, structure, varieties, cli):
             for attr, value in list(vars(module).items()):
                 if value is fn:
                     monkeypatch.setattr(module, attr, counting(name, fn))
+    checked = []
+    require = structure._require_idempotent
+    for module in (structure, varieties):
+        monkeypatch.setattr(module, "_require_idempotent",
+                            lambda t, what: checked.append(t) or require(t, what))
     suite = tuple(sorted(THEOREMS))
     for t in (dl2, golden3):  # dl2 reaches every branch of the suite
         calls.clear()
+        checked.clear()
         assert cli._verify_one((t.order, 0, t, suite)) == []
-        assert calls["green_add"] == calls["green_mult"] == calls["sigma"] == 1
+        # one _green per reduct; 8 idempotency checks of t, one per Malcev
+        # call, while Analysis.malcev checked
+        assert calls["_green"] == 2 and calls["sigma"] == 1, calls
+        assert sum(x is t for x in checked) == 1, checked
         assert calls["eta"] <= 1 and calls["parse_term"] == 0, calls
         calls.clear()
         cli._verify_one((t.order, 0, t, suite))
@@ -186,7 +202,8 @@ def test_shared_analysis_computes_each_relation_once(monkeypatch, dl2, golden3):
 def test_sweep_tests_each_congruence_and_builds_each_product_once(monkeypatch, iso4):
     # quotients the theorem layer takes only by partitions it has already
     # tested, or by eta, skip quotient's own test; the Analysis reads the
-    # catalog directly instead of building a Malcev product per call
+    # catalog directly instead of building a Malcev product per call, and
+    # keeps the blocks of each rho
     calls = collections.Counter()
 
     def counting(name, fn):
@@ -198,12 +215,24 @@ def test_sweep_tests_each_congruence_and_builds_each_product_once(monkeypatch, i
     for module, name in ((congruences, "is_congruence"), (varieties, "is_congruence"),
                          (varieties, "malcev_product")):
         monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
+    monkeypatch.setattr(Partition, "blocks", counting("blocks", Partition.blocks))
+    monkeypatch.setattr(relations.BinRelation, "is_equivalence",
+                        counting("is_equivalence", relations.BinRelation.is_equivalence))
     suite = tuple(sorted(THEOREMS))
     for t in iso4:
         assert cli._verify_one((4, 0, t, suite)) == []
     # 2 413 and 9 133 while quotient re-tested and every call built a product
     assert calls["is_congruence"] == 1153, calls
     assert calls["malcev_product"] == 783, calls
+    # 11 546 and 1 504 while Analysis.malcev took the blocks of rho on every
+    # call and THM_2_5 tested a transitive sigma for an equivalence
+    assert calls["blocks"] == 5701 and calls["is_equivalence"] == 0, calls
+    a = sl.Analysis(iso4[-1])
+    a.malcev("RB", "LZ_plus", "D")
+    calls.clear()
+    a.malcev("RB", "LZ_plus", "D")
+    a.malcev("LZ_plus", "D")
+    assert calls["blocks"] == 0, calls
 
 
 def test_identities_pickle_and_copy_after_use(dl2, golden3):
