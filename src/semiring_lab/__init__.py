@@ -1,10 +1,14 @@
 """Finite-algebra workbench for idempotent semirings.
 
 Computes Green's relations on both reducts, the least distributive
-lattice congruence (three independent routes), variety and Malcev-product
-membership, quotients and spined-product decompositions, and machine
-checks a catalog of theorems about these on exhaustively enumerated small
-semirings.
+lattice congruence (three independent routes, cross-checked), variety and
+Malcev-product membership, quotients and spined-product decompositions,
+and machine checks a catalog of theorems about these on exhaustively
+enumerated small semirings.  Apart from the three eta routes, each
+question has one implementation: Malcev products (of catalog varieties)
+are decided through varieties.Analysis, every block merge goes through
+relations._merge_blocks, and the spined-product conditions are tested by
+structure._spined_obstruction.
 """
 
 from .core import (BudgetExceededError, Identity, InternalConsistencyError,

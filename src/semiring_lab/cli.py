@@ -26,14 +26,12 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from .core import (BudgetExceededError, InternalConsistencyError,
                    PreconditionError, SemiringFormatError, SemiringTable,
                    format_semiring_text, parse_semiring_text, validate_semiring)
-from .congruences import least_dl_congruence, sigma, sigma_star
+from .congruences import least_dl_congruence, sigma_star
 from .enumeration import (DEFAULT_NODE_BUDGET, DEFAULT_SECS_BUDGET, EnumConfig,
                           _Budget, bands, completions,
                           enumerate_idempotent_semirings)
-from .relations import green_add, green_mult, quasi_orders
 from .structure import spined_decompose
-from .varieties import (CATALOG, THEOREMS, Analysis, in_variety,
-                        malcev_product, verify_theorem)
+from .varieties import CATALOG, THEOREMS, Analysis, malcev_product, verify_theorem
 
 SCHEMA_VERSION = 1
 
@@ -163,30 +161,27 @@ def cmd_analyze(args, started: float) -> int:
         _emit(out, "analyze: FAILED validation", started, args.timing)
         return EXIT_PRECONDITION
 
-    l_mul, r_mul, d_mul = green_mult(t)
-    l_add, r_add, d_add = green_add(t)
-    qorders = quasi_orders(t)
-    sig = sigma(t)
+    # validated above, so green_mult's and green_add's band checks are skipped
+    a = Analysis(t)
+    g = a.green
     sig_star = sigma_star(t)
-    etas = {m: least_dl_congruence(t, m) for m in
-            ("meet_oracle", "sigma_closure", "sigma_star")}
+    etas = {"meet_oracle": least_dl_congruence(t, "meet_oracle"),
+            "sigma_closure": a.eta, "sigma_star": sig_star.to_partition()}
     agree = len({p.labels for p in etas.values()}) == 1
     results = {
         "order": t.order,
         "names": list(names),
         "validation": validation,
-        "green_mult": {"L": l_mul.to_json(names), "R": r_mul.to_json(names),
-                       "D": d_mul.to_json(names)},
-        "green_add": {"L": l_add.to_json(names), "R": r_add.to_json(names),
-                      "D": d_add.to_json(names)},
+        "green_mult": {k: g[k + "_dot"].to_json(names) for k in "LRD"},
+        "green_add": {k: g[k + "_plus"].to_json(names) for k in "LRD"},
         "quasi_orders": dict(zip(
             ("le_l_add", "le_r_add", "le_l_mul", "le_r_mul", "le_add", "le_mul"),
-            (q.to_json(names) for q in qorders))),
-        "sigma": {"pairs": sig.to_json(names), "transitive": sig.is_transitive()},
+            (q.to_json(names) for q in a.quasi_orders))),
+        "sigma": {"pairs": a.sigma.to_json(names), "transitive": a.sigma_transitive},
         "sigma_star": {"pairs": sig_star.to_json(names)},
         "eta": {m: p.to_json(names) for m, p in etas.items()},
         "eta_methods_agree": agree,
-        "varieties": {name: in_variety(t, name) for name in sorted(CATALOG)},
+        "varieties": {name: a.member(name) for name in sorted(CATALOG)},
     }
     failures = [] if agree else [{"reason": "eta methods disagree"}]
     out = _report("analyze", _digest(text), results, failures, None)

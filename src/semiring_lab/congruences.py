@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Iterable, Tuple, Union
 
 from .core import PreconditionError, ResourceBoundError, SemiringTable
-from .relations import BinRelation, Partition
+from .relations import BinRelation, Partition, _merge_blocks
 
 DEFAULT_ORDER_BOUND = 8
 
@@ -43,29 +43,16 @@ def congruence_closure(t: SemiringTable,
                        ) -> Partition:
     """Least congruence of t containing the seed relation.
 
-    A pair (a, b) from different blocks (label[x] names x's block, members
-    lists each block) merges the smaller block into the larger and adds
-    (a+c, b+c), (c+a, c+b), (ac, bc), (ca, cb) for every c, read off rows
-    and columns.  Closing the merging pairs suffices: each translation maps
-    a chain of them joining x and y to one joining its images.
+    relations._merge_blocks, the block merge of Partition.from_pairs, given
+    the four translation tables: merging a and b adds (a+c, b+c),
+    (c+a, c+b), (ac, bc), (ca, cb) for every c, read off the rows and
+    columns of + and .  Closing the merging pairs suffices: each
+    translation maps a chain of them joining x and y to one joining its
+    images.
     """
-    work = list(seed.pairs if isinstance(seed, BinRelation) else seed)
-    label = list(range(t.order))
-    members = [[x] for x in label]
-    lines = (t.add, tuple(zip(*t.add)), t.mul, tuple(zip(*t.mul)))
-    while work:
-        a, b = work.pop()
-        keep, gone = label[a], label[b]
-        if keep == gone:
-            continue
-        if len(members[keep]) < len(members[gone]):
-            keep, gone = gone, keep
-        for x in members[gone]:
-            label[x] = keep
-        members[keep] += members[gone]
-        for rows in lines:
-            work += zip(rows[a], rows[b])
-    return Partition(label)
+    pairs = seed.pairs if isinstance(seed, BinRelation) else seed
+    return _merge_blocks(t.order, pairs, (t.add, tuple(zip(*t.add)),
+                                          t.mul, tuple(zip(*t.mul))))
 
 
 def sigma(t: SemiringTable) -> BinRelation:
@@ -119,18 +106,17 @@ def principal_congruence(t: SemiringTable, a: int, b: int) -> Partition:
     return congruence_closure(t, [(a, b)])
 
 
-def all_congruences(t: SemiringTable,
-                    order_bound: int = DEFAULT_ORDER_BOUND) -> CongruenceSet:
+def all_congruences(t: SemiringTable) -> CongruenceSet:
     """The full congruence lattice, by closing the principal congruences
-    under pairwise join.
+    under pairwise join; orders above DEFAULT_ORDER_BOUND are refused.
 
     Joins of congruences are taken as partition joins: the equivalence
     join of two congruences is again a congruence.
     """
     n = t.order
-    if n > order_bound:
-        raise ResourceBoundError(
-            "order %d exceeds congruence-lattice bound %d" % (n, order_bound))
+    if n > DEFAULT_ORDER_BOUND:
+        raise ResourceBoundError("order %d exceeds congruence-lattice bound %d"
+                                 % (n, DEFAULT_ORDER_BOUND))
     found = {Partition.equality(n)}
     for a in range(n):
         for b in range(a + 1, n):

@@ -15,29 +15,29 @@ from typing import Callable, FrozenSet, Iterable, List, Sequence, Tuple
 from .core import PreconditionError, SemiringTable
 
 
-class UnionFind:
-    """Disjoint sets over range(n); union reports whether it merged."""
-
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-
-    def find(self, x: int) -> int:
-        root = x
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[x] != root:
-            self.parent[x], x = root, self.parent[x]
-        return root
-
-    def union(self, a: int, b: int) -> bool:
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return False
-        self.parent[max(ra, rb)] = min(ra, rb)
-        return True
-
-    def partition(self) -> "Partition":
-        return Partition([self.find(x) for x in range(len(self.parent))])
+def _merge_blocks(order: int, pairs: Iterable[Tuple[int, int]],
+                  lines: Sequence[Sequence[Sequence[int]]] = ()) -> "Partition":
+    """The partition generated by pairs, closed under the translations
+    given as lines: tables whose row a and row b are paired off whenever
+    a and b are merged.  A pair (a, b) from different blocks (label[x]
+    names x's block, members lists each block) merges the smaller block
+    into the larger, so each element is relabelled O(log n) times."""
+    work = list(pairs)
+    label = list(range(order))
+    members = [[x] for x in label]
+    while work:
+        a, b = work.pop()
+        keep, gone = label[a], label[b]
+        if keep == gone:
+            continue
+        if len(members[keep]) < len(members[gone]):
+            keep, gone = gone, keep
+        for x in members[gone]:
+            label[x] = keep
+        members[keep] += members[gone]
+        for rows in lines:
+            work += zip(rows[a], rows[b])
+    return Partition(label)
 
 
 class Partition:
@@ -73,6 +73,8 @@ class Partition:
         labels = [-1] * order
         for i, block in enumerate(blocks):
             for x in block:
+                if not 0 <= x < order:
+                    raise PreconditionError("element %d outside [0, %d)" % (x, order))
                 if labels[x] != -1:
                     raise PreconditionError("element %d in two blocks" % x)
                 labels[x] = i
@@ -82,10 +84,7 @@ class Partition:
 
     @classmethod
     def from_pairs(cls, order: int, pairs: Iterable[Tuple[int, int]]) -> "Partition":
-        uf = UnionFind(order)
-        for a, b in pairs:
-            uf.union(a, b)
-        return uf.partition()
+        return _merge_blocks(order, pairs)
 
     def blocks(self) -> Tuple[Tuple[int, ...], ...]:
         out: List[List[int]] = [[] for _ in range(self.num_blocks())]

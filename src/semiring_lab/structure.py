@@ -97,26 +97,19 @@ def _instances(t: SemiringTable, spec: "VarietySpec",  # noqa: F821
                 yield u, v
 
 
-def _least_congruence(t: SemiringTable, expr: ClassExpr) -> Partition:
-    """rho(expr) (see malcev_membership)."""
-    from .congruences import congruence_closure
-    if isinstance(expr, Named):
-        return congruence_closure(t, _instances(t, expr.variety, [range(t.order)]))
-    right = _least_congruence(t, expr.right)
-    return congruence_closure(t, _instances(t, expr.left.variety, right.blocks()))
-
-
 def malcev_membership(t: SemiringTable, expr: ClassExpr
                       ) -> Tuple[bool, Optional[Partition]]:
     """Membership of an idempotent semiring t in a class expression, with
     the least witness congruence.
 
-    Named(V) is plain variety membership (no witness).  t lies in
-    Malcev(V, E) iff V's identities hold inside every class of rho(E),
-    the least congruence of t with quotient in E; rho(E) is then returned
-    as the witness, and every witness contains it.  rho(W) for a variety
-    W is the congruence closure of all identity instances of W on t;
-    rho(V o E) is the closure of those instances of V whose assignment
+    Named(V) is plain variety membership (no witness).  A product's
+    factors must be catalog varieties, each the CATALOG entry of its name
+    (PreconditionError otherwise); it is decided by varieties.Analysis(t).
+    t lies in Malcev(V, E) iff V's identities hold inside every class of
+    rho(E), the least congruence of t with quotient in E; rho(E) is then
+    returned as the witness, and every witness contains it.  rho(W) for a
+    variety W is the congruence closure of all identity instances of W on
+    t; rho(V o E) is the closure of those instances of V whose assignment
     lies inside one class of rho(E).  rho(D) is the least distributive
     lattice congruence eta.
 
@@ -131,14 +124,23 @@ def malcev_membership(t: SemiringTable, expr: ClassExpr
     classes of rho(E); their closure theta0 lies inside rho(E), and
     rho(E)/theta0 witnesses t/theta0 in V o E, so theta0 is rho(V o E).
     """
+    from .varieties import CATALOG, Analysis, variety_membership
     if isinstance(expr, Named):
-        from .varieties import variety_membership
         return variety_membership(t, expr.variety), None
-    _require_idempotent(t, "Malcev membership")
-    rho = _least_congruence(t, expr.right)
-    for _ in _instances(t, expr.left.variety, rho.blocks()):
+    factors = []
+    while isinstance(expr, Malcev):
+        factors.append(expr.left.variety)
+        expr = expr.right
+    factors.append(expr.variety)
+    for spec in factors:
+        if CATALOG.get(spec.name) != spec:
+            raise PreconditionError("Malcev factor %r is not the catalog variety "
+                                    "of that name" % spec.name)
+    names = tuple(spec.name for spec in factors)
+    a = Analysis(t)
+    if not a.malcev(*names):
         return False, None
-    return True, rho
+    return True, Partition.from_blocks(t.order, a._rho_blocks(names[1:]))
 
 
 # ---------------------------------------------------------------------------
@@ -227,49 +229,37 @@ class SpinedDecomposition:
     theta: Tuple[Tuple[int, int], ...]  # a -> (L-class, R-class)
 
 
-def _attempt_spined_decomposition(t: SemiringTable, a: Optional["Analysis"] = None
-                                  ) -> Tuple[bool, Optional[SpinedDecomposition], str]:
-    """Run the decomposition machinery without assuming membership.
-
-    Returns (ok, decomposition, reason).  Used both by spined_decompose
-    (where a failure on a member contradicts the theorem) and by the
-    corollary check (where failure on a non-member is expected).
-    `a` is t's Analysis (for its Green's relations and eta), made if None.
+def _spined_obstruction(a: "Analysis") -> str:  # noqa: F821 (in varieties)
+    """Why the table t of the Analysis a does not decompose as the spined
+    product of S/L. and S/R. over S/D., or "" when it does.
 
     Only the paper's content is tested: D. = eta, L. and R. are
-    congruences, S/L. is in R_dot and S/R. in L_dot.  The rest holds by
-    construction: eta is a congruence with S/eta in D (tests/
-    test_congruences.py::test_quotient_by_eta_is_distributive_lattice);
-    D = L o R in any semigroup (Howie, Fundamentals of Semigroup Theory,
-    ch. 2) and bands are H-trivial, so theta is a bijection onto the fiber
-    product (tests/test_structure.py::test_green_d_is_l_then_r_and_h_is_trivial).
+    congruences, S/L. is in R_dot and S/R. in L_dot.  The last two are
+    decided without building the quotients: the projection onto S/L. is a
+    surjective homomorphism, so S/L. satisfies x = yx+x+yx iff both sides
+    are L.-related at every assignment in S, and likewise for S/R. (tests/
+    test_structure.py::test_spined_round_trip_small checks the quotient
+    tables).  The rest holds by construction: eta is a congruence with
+    S/eta in D (tests/test_congruences.py::
+    test_quotient_by_eta_is_distributive_lattice); D = L o R in any
+    semigroup (Howie, Fundamentals of Semigroup Theory, ch. 2) and bands
+    are H-trivial, so theta is a bijection onto the fiber product (tests/
+    test_structure.py::test_green_d_is_l_then_r_and_h_is_trivial).
     """
     from .congruences import is_congruence
-    from .varieties import CATALOG, Analysis, variety_membership
-    a = Analysis(t) if a is None else a
-    l_dot, r_dot, d_dot = (a.green[k] for k in ("L_dot", "R_dot", "D_dot"))
-    # the cheapest refutation first, before any congruence test or quotient
-    if d_dot != a.eta:
-        return False, None, "D-dot differs from the least d.l. congruence"
+    from .varieties import CATALOG
+    t, l_dot, r_dot = a.t, a.green["L_dot"], a.green["R_dot"]
+    # the cheapest refutation first, before any congruence test
+    if a.green["D_dot"] != a.eta:
+        return "D-dot differs from the least d.l. congruence"
     for p, name in ((l_dot, "L-dot"), (r_dot, "R-dot")):
         if not is_congruence(t, p):
-            return False, None, "%s is not a congruence" % name
-    s1, proj1 = _quotient(t, l_dot)
-    s2, proj2 = _quotient(t, r_dot)
-    if not variety_membership(s1, CATALOG["R_dot"]):
-        return False, None, "S/L-dot is not in R_dot"
-    if not variety_membership(s2, CATALOG["L_dot"]):
-        return False, None, "S/R-dot is not in L_dot"
-    d, projd = _quotient(t, d_dot)  # d_dot = eta, a congruence
-    # phi maps: L-class of a -> D-class of a (well-defined since L-dot
-    # refines D-dot); likewise for R-classes
-    phi1 = [0] * s1.order
-    phi2 = [0] * s2.order
-    for x in range(t.order):
-        phi1[proj1[x]] = projd[x]
-        phi2[proj2[x]] = projd[x]
-    theta = tuple(zip(proj1, proj2))
-    return True, SpinedDecomposition(s1, s2, d, tuple(phi1), tuple(phi2), theta), ""
+            return "%s is not a congruence" % name
+    for p, name, variety in ((l_dot, "L-dot", "R_dot"), (r_dot, "R-dot", "L_dot")):
+        if not all(p.related(u, v)
+                   for u, v in _instances(t, CATALOG[variety], [range(t.order)])):
+            return "S/%s is not in %s" % (name, variety)
+    return ""
 
 
 def spined_decompose(t: SemiringTable) -> SpinedDecomposition:
@@ -277,19 +267,31 @@ def spined_decompose(t: SemiringTable) -> SpinedDecomposition:
 
     Non-members are refused with a PreconditionError naming the failing
     identity witness.  Any post-membership failure contradicts a proved
-    theorem and raises InternalConsistencyError.
+    theorem and raises InternalConsistencyError.  The quotients and the
+    maps are built only once _spined_obstruction has found none.
     """
-    from .varieties import CATALOG
+    from .varieties import CATALOG, Analysis
     ok, witness = satisfies_identity(t, CATALOG["D_dot"].identities[0])
     if not ok:
         raise PreconditionError(
             "not in D_dot: identity x = xyx+x+xyx fails at %r" % (witness,))
-    success, decomp, reason = _attempt_spined_decomposition(t)
-    if not success:
+    a = Analysis(t)
+    reason = _spined_obstruction(a)
+    if reason:
         raise InternalConsistencyError(
             "spined decomposition failed on a D_dot member: %s" % reason)
-    assert decomp is not None
-    return decomp
+    s1, proj1 = _quotient(t, a.green["L_dot"])
+    s2, proj2 = _quotient(t, a.green["R_dot"])
+    d, projd = _quotient(t, a.eta)
+    # phi maps: L-class of a -> D-class of a (well-defined since L-dot
+    # refines D-dot); likewise for R-classes
+    phi1 = [0] * s1.order
+    phi2 = [0] * s2.order
+    for x in range(t.order):
+        phi1[proj1[x]] = projd[x]
+        phi2[proj2[x]] = projd[x]
+    return SpinedDecomposition(s1, s2, d, tuple(phi1), tuple(phi2),
+                               tuple(zip(proj1, proj2)))
 
 
 def reconstruct(decomp: SpinedDecomposition

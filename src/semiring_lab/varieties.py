@@ -17,8 +17,8 @@ from .congruences import congruence_closure, eta, is_congruence, sigma
 from .core import (Identity, PreconditionError, SemiringTable, parse_identity,
                    satisfies_identity)
 from .relations import Partition, _green, quasi_orders
-from .structure import (ClassExpr, Malcev, Named, _attempt_spined_decomposition,
-                        _instances, _quotient, _require_idempotent, malcev_membership)
+from .structure import (ClassExpr, Malcev, Named, _instances, _quotient,
+                        _require_idempotent, _spined_obstruction)
 
 
 @dataclass(frozen=True)
@@ -140,8 +140,9 @@ class Analysis:
         return satisfies_identity(self.t, THEOREM_IDENTITIES[text])[0]
 
     def _rho_blocks(self, names: Tuple[str, ...]) -> Tuple[Tuple[int, ...], ...]:
-        """The blocks of rho of the right-nested product of the named varieties,
-        as in structure._least_congruence; rho(D) is eta (see malcev_membership)."""
+        """The blocks of rho of the right-nested product of the named varieties:
+        the closure of the first's identity instances inside the blocks of rho
+        of the rest, and rho(D) is eta (see structure.malcev_membership)."""
         if names not in self._rho:
             blocks = self._rho_blocks(names[1:]) if names[1:] else [range(self.t.order)]
             self._rho[names] = (self.eta if names == ("D",) else congruence_closure(
@@ -149,8 +150,9 @@ class Analysis:
         return self._rho[names]
 
     def malcev(self, *names: str) -> bool:
-        """Membership in the right-nested product of two or more varieties,
-        decided as in malcev_membership."""
+        """Membership in the right-nested product of two or more catalog
+        varieties: no identity instance of the first inside a block of rho of
+        the rest (the proof is at structure.malcev_membership)."""
         return next(_instances(self.t, CATALOG[names[0]],
                                self._rho_blocks(names[1:])), None) is None
 
@@ -316,10 +318,8 @@ def _thm_lnb(a: Analysis) -> TheoremReport:
 
 def _thm_lemma_4_2(a: Analysis) -> TheoremReport:
     d_mul = a.green["D_dot"]
-    clause = False
-    if is_congruence(a.t, d_mul):
-        q, _ = _quotient(a.t, d_mul)
-        clause = malcev_membership(q, malcev_product("LZ_plus", "D"))[0]
+    clause = (is_congruence(a.t, d_mul)
+              and Analysis(_quotient(a.t, d_mul)[0]).malcev("LZ_plus", "D"))
     return _equivalence("LEMMA_4_2", [
         ("in_LN", a.member("LN")),
         ("Ddot_congruence_and_quotient_in_LZplus_malcev_D", clause),
@@ -364,10 +364,9 @@ def _thm_band_regular(a: Analysis) -> TheoremReport:
 
 
 def _thm_cor_join(a: Analysis) -> TheoremReport:
-    ok, _, _ = _attempt_spined_decomposition(a.t, a)
     return _equivalence("COR_JOIN", [
         ("in_D_dot", a.member("D_dot")),
-        ("spined_decomposition_succeeds", ok),
+        ("spined_decomposition_succeeds", not _spined_obstruction(a)),
     ])
 
 

@@ -12,7 +12,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import semiring_lab
-from semiring_lab import cli, varieties
+from semiring_lab import cli, congruences, varieties
 from semiring_lab.cli import main
 from semiring_lab.enumeration import _Budget, bands, completions
 
@@ -279,6 +279,20 @@ def test_enumerate_filter_and_stream(capsys):
     assert all(rec.startswith("2\n") for rec in records)
 
 
+@pytest.mark.parametrize("product, classes, sha256", [
+    ("LZ_dot:D", 73,
+     "89fcc2db77e23fc66eea954dabb3ccdbf3601d185e7aeb6303fbf8c7e3d55e37"),
+    ("RB:LZ_plus:D", 258,
+     "73215c19d47b80a797300189f3735eaad21bcbaa240ff4f25d1cd0ea2da8a8b2"),
+])
+def test_enumerate_malcev_filter_is_frozen(capsys, product, classes, sha256):
+    # digests frozen while Malcev membership had its own least-congruence route
+    code, out, _ = run(capsys, "enumerate", "-n", "4", "--iso", "--filter", product)
+    assert code == 0
+    assert len(out.split("%%\n")) == classes
+    assert hashlib.sha256(out.encode()).hexdigest() == sha256
+
+
 def test_enumerate_to_directory(capsys, tmp_path):
     out_dir = str(tmp_path / "stream")
     code, _, _ = run(capsys, "enumerate", "-n", "2", "--out", out_dir)
@@ -388,6 +402,23 @@ def test_decompose_round_trip(capsys, tmp_path):
     assert sl.is_isomorphic(prod, member) is not None
 
 
+def test_decompose_reports_up_to_order4_are_frozen(capsys, tmp_path, iso_upto4):
+    # one digest over the stdout of `decompose` on every D_dot class up to
+    # order 4, in stream order, frozen while the decomposition built its
+    # quotients before testing them
+    path = tmp_path / "t.txt"
+    digest = hashlib.sha256()
+    members = [t for t in iso_upto4 if semiring_lab.in_variety(t, "D_dot")]
+    assert len(members) == 196
+    for t in members:
+        path.write_text(semiring_lab.format_semiring_text(t))
+        code, out, _ = run(capsys, "decompose", str(path))
+        assert code == 0
+        digest.update(out.encode())
+    assert digest.hexdigest() == (
+        "7a0f6e005ba3d47ef0810178e9b8016bf2261343e509b846ecdda522231ce89d")
+
+
 def test_decompose_non_member(capsys, golden3_file):
     code, _, err = run(capsys, "decompose", golden3_file)
     assert code == 3
@@ -426,6 +457,31 @@ def test_analyze_reports_up_to_order4_are_frozen(capsys, tmp_path, iso_upto4):
         digest.update(out.encode())
     assert digest.hexdigest() == (
         "5e889502bde0f6bdd16197301dab703349a74bde4345d74ef2b6ee00d9ddc245")
+
+
+def test_analyze_computes_sigma_and_sigma_star_once(capsys, monkeypatch, tmp_path,
+                                                   iso_small):
+    # one Analysis serves the report; sigma_star's partition is the
+    # sigma_star route to eta; two of each while they were computed apart
+    calls = {"sigma": 0, "sigma_star": 0}
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in calls:
+        fn = getattr(congruences, name)
+        for module in (cli, congruences, varieties):
+            for attr, value in list(vars(module).items()):
+                if value is fn:
+                    monkeypatch.setattr(module, attr, counting(name, fn))
+    path = tmp_path / "t.txt"
+    for t in iso_small:
+        path.write_text(semiring_lab.format_semiring_text(t))
+        assert run(capsys, "analyze", str(path))[0] == 0
+    assert calls == {"sigma": len(iso_small), "sigma_star": len(iso_small)}
 
 
 def test_timing_flag_controls_json_field(capsys):

@@ -17,6 +17,13 @@ def test_partition_canonical_labels():
     assert Partition.from_pairs(4, [(3, 1)]) == Partition([0, 1, 2, 1])
 
 
+def test_from_blocks_refuses_bad_blocks():
+    # an element out of range, above or below, or listed twice, and a gap
+    for blocks in ([[0, 5], [1], [2]], [[-1], [0, 1]], [[0, 1], [1, 2]], [[0], [2]]):
+        with pytest.raises(sl.PreconditionError):
+            Partition.from_blocks(3, blocks)
+
+
 def test_partition_meet_join():
     p = Partition([0, 0, 1, 1])
     q = Partition([0, 1, 1, 0])

@@ -5,7 +5,7 @@ import pytest
 
 import semiring_lab as sl
 from semiring_lab.relations import Partition
-from semiring_lab.structure import _attempt_spined_decomposition
+from semiring_lab.structure import _spined_obstruction
 
 from conftest import is_isomorphic_by_search, preserves_operations, relabel_seeded
 
@@ -126,6 +126,22 @@ def test_malcev_trivial_algebra(order1):
 def test_malcev_left_factor_must_be_named():
     with pytest.raises(sl.PreconditionError):
         sl.Malcev(sl.malcev_product("LZ_dot", "D"), sl.Named(sl.CATALOG["D"]))
+
+
+def test_malcev_refuses_non_catalog_factors(dl2):
+    # a product is decided by name through the catalog, so a factor that is
+    # not the catalog variety of its name is refused, on either side
+    lz_dot, d = sl.CATALOG["LZ_dot"], sl.Named(sl.CATALOG["D"])
+    impostor = sl.VarietySpec("LZ_dot", (sl.parse_identity("xy = y"),))
+    ad_hoc = sl.VarietySpec("ad-hoc", lz_dot.identities)
+    for expr in (sl.Malcev(sl.Named(impostor), d), sl.Malcev(sl.Named(ad_hoc), d),
+                 sl.Malcev(sl.Named(lz_dot), sl.Named(impostor)),
+                 sl.Malcev(sl.Named(lz_dot), sl.Malcev(sl.Named(ad_hoc), d))):
+        with pytest.raises(sl.PreconditionError, match="not the catalog variety"):
+            sl.malcev_membership(dl2, expr)
+    # an equal copy of a catalog entry is accepted
+    copy = sl.VarietySpec("LZ_dot", (sl.parse_identity("xy = x"),))
+    assert sl.malcev_membership(dl2, sl.Malcev(sl.Named(copy), d))[0]
 
 
 def test_malcev_requires_idempotent_semiring():
@@ -301,8 +317,7 @@ def test_spined_round_trip_small(small_semirings, iso4):
     count = 0
     for t in small_semirings + iso4:
         if not sl.in_variety(t, "D_dot"):
-            ok, _, _ = _attempt_spined_decomposition(t)
-            assert not ok
+            assert _spined_obstruction(sl.Analysis(t))
             continue
         count += 1
         decomp = sl.spined_decompose(t)

@@ -165,10 +165,13 @@ def test_order5_theorem_reports_are_frozen():
 
 def test_shared_analysis_computes_each_relation_once(monkeypatch, dl2, golden3):
     calls = collections.Counter()
+    sigma_of = []
 
     def counting(name, fn):
         def wrapper(*args, **kwargs):
             calls[name] += 1
+            if name == "sigma":
+                sigma_of.append(args[0])
             return fn(*args, **kwargs)
         return wrapper
 
@@ -188,10 +191,12 @@ def test_shared_analysis_computes_each_relation_once(monkeypatch, dl2, golden3):
     for t in (dl2, golden3):  # dl2 reaches every branch of the suite
         calls.clear()
         checked.clear()
+        del sigma_of[:]
         assert cli._verify_one((t.order, 0, t, suite)) == []
-        # one _green per reduct; 8 idempotency checks of t, one per Malcev
+        # one _green per reduct; sigma once on t (LEMMA_4_2's quotient has
+        # an Analysis of its own); 8 idempotency checks of t, one per Malcev
         # call, while Analysis.malcev checked
-        assert calls["_green"] == 2 and calls["sigma"] == 1, calls
+        assert calls["_green"] == 2 and sum(x is t for x in sigma_of) == 1, calls
         assert sum(x is t for x in checked) == 1, checked
         assert calls["eta"] <= 1 and calls["parse_term"] == 0, calls
         calls.clear()
@@ -221,12 +226,14 @@ def test_sweep_tests_each_congruence_and_builds_each_product_once(monkeypatch, i
     suite = tuple(sorted(THEOREMS))
     for t in iso4:
         assert cli._verify_one((4, 0, t, suite)) == []
-    # 2 413 and 9 133 while quotient re-tested and every call built a product
+    # 2 413 and 9 133 while quotient re-tested and every call built a
+    # product; 783 while LEMMA_4_2 built one per D-dot quotient
     assert calls["is_congruence"] == 1153, calls
-    assert calls["malcev_product"] == 783, calls
+    assert calls["malcev_product"] == 0, calls
     # 11 546 and 1 504 while Analysis.malcev took the blocks of rho on every
-    # call and THM_2_5 tested a transitive sigma for an equivalence
-    assert calls["blocks"] == 5701 and calls["is_equivalence"] == 0, calls
+    # call and THM_2_5 tested a transitive sigma for an equivalence; 5 701
+    # while COR_JOIN built three quotients
+    assert calls["blocks"] == 5224 and calls["is_equivalence"] == 0, calls
     a = sl.Analysis(iso4[-1])
     a.malcev("RB", "LZ_plus", "D")
     calls.clear()
