@@ -238,6 +238,10 @@ def cmd_verify(args, started: float) -> int:
 # ---------------------------------------------------------------------------
 # enumerate
 
+def _record_path(out: str, width: int, index: int) -> str:
+    return os.path.join(out, "semiring_%0*d.txt" % (width, index))
+
+
 def cmd_enumerate(args, started: float) -> int:
     cfg = EnumConfig(order=args.n, up_to_iso=args.iso,
                      filter=_parse_filter(args.filter),
@@ -250,26 +254,29 @@ def cmd_enumerate(args, started: float) -> int:
         print("enumerate: %d semirings of order %d" % (count, args.n),
               file=sys.stderr)
         return EXIT_OK
-    if args.out:
-        try:
+    # records are written as they arrive (on exit 4, a prefix of the
+    # stream), files at width 4, renamed at the end if the count is wider
+    count = 0
+    try:
+        if args.out:
             os.makedirs(args.out, exist_ok=True)
-        except OSError as exc:
-            raise SemiringFormatError("cannot write output: %s" % exc) from exc
-    records = [format_semiring_text(t) for t in stream]
-    if args.out:
-        width = max(4, len(str(len(records))))
-        try:
-            for i, rec in enumerate(records):
-                path = os.path.join(args.out, "semiring_%0*d.txt" % (width, i))
-                with open(path, "w") as fh:
+        for count, t in enumerate(stream, 1):
+            rec = format_semiring_text(t)
+            if args.out:
+                with open(_record_path(args.out, 4, count - 1), "w") as fh:
                     fh.write(rec)
-        except OSError as exc:
-            raise SemiringFormatError("cannot write output: %s" % exc) from exc
-        print("enumerate: wrote %d files to %s" % (len(records), args.out),
-              file=sys.stderr)
+            else:
+                sys.stdout.write(rec if count == 1 else "%%\n" + rec)
+        width = len(str(count))
+        if args.out and width > 4:
+            for i in range(count):
+                os.rename(_record_path(args.out, 4, i), _record_path(args.out, width, i))
+    except OSError as exc:
+        raise SemiringFormatError("cannot write output: %s" % exc) from exc
+    if args.out:
+        print("enumerate: wrote %d files to %s" % (count, args.out), file=sys.stderr)
     else:
-        sys.stdout.write("%%\n".join(records))
-        print("enumerate: %d semirings of order %d" % (len(records), args.n),
+        print("enumerate: %d semirings of order %d" % (count, args.n),
               file=sys.stderr)
     return EXIT_OK
 

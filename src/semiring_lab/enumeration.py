@@ -2,12 +2,15 @@
 
 The generator fills the + table first (the additive band), then the .
 table, backtracking cell by cell.  Diagonal entries are pinned by
-idempotency.  After a cell is set, only the associativity and
-distributivity instances that look that cell up are checked: every other
-determined instance was checked at the parent node, so this prunes
-exactly the nodes a full re-check would, at O(n^2) instead of O(n^3) cost
-per node.  An index of the cells holding each value finds the
-associativity instances among them without scanning the table.
+idempotency.  As in finite model search (SEM: Zhang and Zhang, IJCAI
+1995; Mace4: McCune, ANL 2003) a cell tries only the values it can still
+take: those no associativity instance forces away and, in the . stage,
+that satisfy the distributivity instances it completes.  After a value
+is set, only the associativity instances that look its cell up are
+checked: every other determined instance was checked at the parent node,
+so this prunes exactly the nodes a full re-check would, at O(n^2) instead
+of O(n^3) cost per node.  An index of the cells holding each value finds
+the associativity instances among them without scanning the table.
 Distributivity is the strongest cross-table constraint, which
 is why the + table is completed before any . cell is chosen.
 
@@ -109,50 +112,43 @@ def _assoc_ok(table: _Partial, pre: _Index, i: int, j: int) -> bool:
     return True
 
 
-def _touching_sums(add: Sequence[Sequence[int]], n: int
-                   ) -> List[List[Tuple[int, int, int]]]:
-    """For each element e, the triples (y, z, y+z) with e among them."""
-    return [[(y, z, add[y][z]) for y in range(n) for z in range(n)
-             if e in (y, z, add[y][z])] for e in range(n)]
+def _forced(table: _Partial, pre: _Index, i: int, j: int, m: int) -> int:
+    """The n-bit value set m less the values that the undetermined cell
+    (i, j) cannot take: each determined instance (ab)j = a(bj) with ab = i
+    and (ib)c = i(bc) with bc = j, as _assoc_ok's last two loops read
+    them, forces one value."""
+    for a, b in pre[i]:
+        bj = table[b][j]
+        if bj is not None and table[a][bj] is not None:
+            m &= 1 << table[a][bj]
+    for b, c in pre[j]:
+        ib = table[i][b]
+        if ib is not None and table[ib][c] is not None:
+            m &= 1 << table[ib][c]
+    return m
 
 
-def _distrib_ok(add: Sequence[Sequence[int]],
-                touching: List[List[Tuple[int, int, int]]],
-                mul: _Partial, i: int, j: int) -> bool:
-    """Every determined instance of x(y+z) = xy+xz or (y+z)x = yx+zx that
-    looks up . cell (i, j) holds: x = i with j among y, z, y+z on the
-    left, x = j with i among them on the right."""
-    row_i = mul[i]
-    for y, z, s in touching[j]:
-        xy, xz, whole = row_i[y], row_i[z], row_i[s]
-        if None not in (xy, xz, whole) and whole != add[xy][xz]:
-            return False
-    for y, z, s in touching[i]:
-        yx, zx, whole = mul[y][j], mul[z][j], mul[s][j]
-        if None not in (yx, zx, whole) and whole != add[yx][zx]:
-            return False
-    return True
-
-
+_Domain = Callable[[_Partial, _Index, int, int], int]
 _Check = Callable[[_Partial, _Index, int, int], bool]
 # a relabelling as (perm, inverse)
 Relabelling = Tuple[Sequence[int], Sequence[int]]
 
 
-def _complete(n: int, ok: _Check, perms: List[Relabelling], budget: _Budget
-              ) -> Iterator[Tuple[Rows, list]]:
+def _complete(n: int, domain: _Domain, ok: _Check, perms: List[Relabelling],
+              budget: _Budget) -> Iterator[Tuple[Rows, list]]:
     """Every idempotent n x n table that ok accepts cell by cell and no
     relabelling in perms makes smaller, depth first, each with the (p, q, c)
     of the p in perms that fix it.  The off-diagonal cells are filled in
-    row-major order, each trying 0..n-1 in turn.  A value costs one budget
-    node and is kept when ok(table, pre, i, j) holds for the cell (i, j)
-    just set, pre[v] being the determined cells of value v, kept in step
-    with the table, and then no p makes the table smaller on the prefix
+    row-major order.  The cell (i, j) at depth k tries, in ascending order,
+    the n-bit set of values domain(table, pre, i, j) gives on reaching it,
+    pre[v] being the determined cells of value v, kept in step with the
+    table.  A value costs one budget node and is kept when ok(table, pre,
+    i, j) holds, and then no p makes the table smaller on the prefix
     determined on both sides.  One loop walks the cells; the cell at depth
-    k holds the value being tried there, None before the first.  ties[k]
-    holds the (p, q, c), c <= k, with p.T = T on the cells before depth c,
-    all determined on both sides; each resumes at c (proof in
-    enumerate_idempotent_semirings)."""
+    k holds the value being tried there, None before the first, and
+    rest[k] the values left to try.  ties[k] holds the (p, q, c), c <= k,
+    with p.T = T on the cells before depth c, all determined on both
+    sides; each resumes at c (proof in enumerate_idempotent_semirings)."""
     table: _Partial = [[i if i == j else None for j in range(n)] for i in range(n)]
     pre: _Index = [[(v, v)] for v in range(n)]
     cells = _off_diagonal_cells(n)
@@ -161,18 +157,21 @@ def _complete(n: int, ok: _Check, perms: List[Relabelling], budget: _Budget
         yield ((0,),), []
         return
     ties = [[(p, q, 0) for p, q in perms]] + [[]] * last
+    rest = [0] * (last + 1)
     while k >= 0:
         i, j = cells[k]
         v = table[i][j]
         if v is None:
-            v = 0
+            left = domain(table, pre, i, j)
         else:  # undo the value tried last, then try the next one
             pre[v].pop()
-            v += 1
-            if v == n:
-                table[i][j] = None
-                k -= 1
-                continue
+            left = rest[k]
+        if not left:
+            table[i][j] = None
+            k -= 1
+            continue
+        low = left & -left
+        rest[k], v = left ^ low, low.bit_length() - 1
         budget.spend()
         table[i][j] = v
         pre[v].append((i, j))
@@ -227,8 +226,55 @@ def bands(n: int, up_to_iso: bool, budget: _Budget
     # the identity, first, fixes every table
     perms = [(p, sorted(range(n), key=p.__getitem__))
              for p in itertools.permutations(range(n))][1:] if up_to_iso else []
-    for add, auts in _complete(n, _assoc_ok, perms, budget):
+    every = (1 << n) - 1
+    for add, auts in _complete(n, lambda tab, pre, i, j: _forced(tab, pre, i, j, every),
+                               _assoc_ok, perms, budget):
         yield add, [(p, q) for p, q, _ in auts]
+
+
+def _distributive_domain(add: Rows) -> _Domain:
+    """The . search's domain over the band add: the values v of the cell
+    (i, j) that _forced keeps and that satisfy each instance of x(y+z) =
+    xy+xz and (y+z)x = yx+zx whose last cell in row-major order is (i, j).
+    Each is listed once per band, as a mask table and the two cells that
+    index it: v = w+u, v+w = u or w+v = u for (i, j) the sum, the left or
+    the right addend, and v = v+w or v = w+v, read at (w, w), for the sum
+    and one addend."""
+    n = len(add)
+    sums = [[1 << add[w][u] for u in range(n)] for w in range(n)]
+    left, right = [[0] * n for _ in add], [[0] * n for _ in add]
+    for v, w in itertools.product(range(n), repeat=2):
+        left[w][add[v][w]] |= 1 << v
+        right[w][add[w][v]] |= 1 << v
+    fix_left = [[sum(left[w][v] & 1 << v for v in range(n))] * n for w in range(n)]
+    fix_right = [[sum(right[w][v] & 1 << v for v in range(n))] * n for w in range(n)]
+    rules: List[List[list]] = [[[] for _ in add] for _ in add]
+    for x, y, z in itertools.product(range(n), repeat=3):
+        if y == z:  # xy = xy+xy holds in any band
+            continue
+        s = add[y][z]
+        # the cells lie in row x, ordered by column, or in column x, ordered
+        # by row, the diagonal cell (x, x) being determined from the start
+        last = max({y, z, s} - {x})
+        if s != last:
+            masks, p, q = (left, z, s) if y == last else (right, y, s)
+        elif y == last:
+            masks, p, q = fix_left, z, z
+        elif z == last:
+            masks, p, q = fix_right, y, y
+        else:
+            masks, p, q = sums, y, z
+        rules[x][last].append((masks, x, p, x, q))
+        rules[last][x].append((masks, p, x, q, x))
+    every = (1 << n) - 1
+
+    def domain(table: _Partial, pre: _Index, i: int, j: int) -> int:
+        m = every
+        for masks, a, b, c, d in rules[i][j]:
+            m &= masks[table[a][b]][table[c][d]]
+        return _forced(table, pre, i, j, m)
+
+    return domain
 
 
 def completions(add: Rows, auts: List[Relabelling], budget: _Budget
@@ -236,13 +282,8 @@ def completions(add: Rows, auts: List[Relabelling], budget: _Budget
     """The . tables making (add, .) an idempotent semiring, depth first;
     given the non-identity automorphisms auts of add, only those that no
     automorphism relabels smaller (proof in enumerate_idempotent_semirings)."""
-    n = len(add)
-    touching = _touching_sums(add, n)
-
-    def mul_ok(tab: _Partial, pre: _Index, i: int, j: int) -> bool:
-        return _assoc_ok(tab, pre, i, j) and _distrib_ok(add, touching, tab, i, j)
-
-    return (mul for mul, _ in _complete(n, mul_ok, auts, budget))
+    return (mul for mul, _ in _complete(len(add), _distributive_domain(add),
+                                        _assoc_ok, auts, budget))
 
 
 def enumerate_idempotent_semirings(cfg: EnumConfig) -> Iterator[SemiringTable]:
@@ -281,6 +322,15 @@ def enumerate_idempotent_semirings(cfg: EnumConfig) -> Iterator[SemiringTable]:
     so that p can neither prune nor fix a leaf below and is dropped for the
     whole subtree.  The p tied at a leaf, every cell determined, are the p
     with p.T = T: Aut(B) in the band search.
+
+    A cell tries only its domain's values, and this changes no leaf, no
+    leaf's order and no Aut(B).  The determined cells at a cell are the
+    diagonal and the cells before it, so a distributivity instance whose
+    last cell this is becomes complete when it is set; the domain leaves a
+    value out only if it breaks such an instance or an associativity one
+    that _forced reads, both checked at the node the value would make.  So
+    the values that pass the checks are the same, in the same ascending
+    order, and every test after them sees the same tables.
 
     Exceeding the budget raises BudgetExceededError mid-stream; consumers
     must treat a truncated stream as failure, never as a complete

@@ -209,12 +209,12 @@ def test_verify_failures_keep_stream_order_for_any_worker_count(capsys, monkeypa
 @pytest.mark.parametrize("workers", ["1", "2", "3"])
 def test_verify_node_budget_is_per_order(capsys, workers):
     # an order's budget covers its band search and all its . searches; at
-    # --max-order 3 the largest is order 3's, 939 nodes
+    # --max-order 3 the largest is order 3's, 502 nodes
     budget = _Budget(10 ** 6, 60.0)
     for add, auts in bands(3, True, budget):
         for _ in completions(add, auts, budget):
             pass
-    assert 10 ** 6 - budget.nodes_left == 939
+    assert 10 ** 6 - budget.nodes_left == 502
     argv = ["verify", "--max-order", "3", "--iso", "--suite", "THM_2_5",
             "--workers", workers, "--budget-nodes"]
     # the parent's band search runs in the pool's task thread while the
@@ -222,9 +222,9 @@ def test_verify_node_budget_is_per_order(capsys, workers):
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        code, out, _ = run(capsys, *argv, "939")
+        code, out, _ = run(capsys, *argv, "502")
         assert code == 0 and json.loads(out)["results"]["instances"] == 92
-        code, out, err = run(capsys, *argv, "938")
+        code, out, err = run(capsys, *argv, "501")
     finally:
         sys.setswitchinterval(interval)
     assert code == 4 and out == ""
@@ -298,6 +298,50 @@ def test_enumerate_to_directory(capsys, tmp_path):
     code, _, _ = run(capsys, "enumerate", "-n", "2", "--out", out_dir)
     assert code == 0
     assert len(os.listdir(out_dir)) == 16
+
+
+def _directory_digest(path):
+    """sha256 over the file names and contents of a directory, by name."""
+    h = hashlib.sha256()
+    for name in sorted(os.listdir(path)):
+        with open(os.path.join(path, name)) as fh:
+            h.update(name.encode() + b"\0" + fh.read().encode() + b"\0")
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("n, files, last, sha256", [
+    ("3", 379, "semiring_0378.txt",
+     "2d700ad091b1b4eb97e0407df305038dad19abd706202d20fc3bfb694729a462"),
+    ("4", 15108, "semiring_15107.txt",  # written at width 4, then renamed
+     "83befe456dc6fc6c23b77165f077e811917de91c3931b8353e36a3da63830692"),
+])
+def test_enumerate_out_names_and_contents_are_frozen(capsys, tmp_path, n, files,
+                                                     last, sha256):
+    # digests frozen while every record was held until the stream ended
+    out_dir = str(tmp_path / "stream")
+    code, _, _ = run(capsys, "enumerate", "-n", n, "--out", out_dir)
+    assert code == 0
+    assert len(os.listdir(out_dir)) == files and max(os.listdir(out_dir)) == last
+    assert _directory_digest(out_dir) == sha256
+
+
+def test_enumerate_exhausted_budget_leaves_a_prefix(capsys, tmp_path):
+    # records are written as they arrive: on exit 4 the output is the
+    # stream's first records, on stdout and under --out alike
+    code, full, _ = run(capsys, "enumerate", "-n", "3")
+    records = full.split("%%\n")
+    assert code == 0 and len(records) == 379
+    code, part, err = run(capsys, "enumerate", "-n", "3", "--budget-nodes", "1000")
+    assert code == 4 and "node budget exhausted" in err
+    kept = part.split("%%\n")
+    assert 0 < len(kept) < 379 and kept == records[:len(kept)]
+    out_dir = tmp_path / "stream"
+    code, _, _ = run(capsys, "enumerate", "-n", "3", "--budget-nodes", "1000",
+                     "--out", str(out_dir))
+    assert code == 4
+    assert sorted(os.listdir(out_dir)) == ["semiring_%04d.txt" % i for i in range(len(kept))]
+    assert [(out_dir / ("semiring_%04d.txt" % i)).read_text()
+            for i in range(len(kept))] == kept
 
 
 def test_enumerate_to_unwritable_directory(capsys, tmp_path):

@@ -8,8 +8,9 @@ from hypothesis import strategies as st
 
 import semiring_lab as sl
 from semiring_lab.core import _relabel_rows
-from semiring_lab.enumeration import (_assoc_ok, _Budget, _complete, _distrib_ok,
-                                      _touching_sums, bands)
+from semiring_lab.enumeration import (DEFAULT_NODE_BUDGET, _assoc_ok, _Budget, _complete,
+                                      _distributive_domain, _forced, bands,
+                                      completions)
 
 from conftest import naive_labeled_pairs
 
@@ -63,6 +64,46 @@ def _assoc_ok_by_scan(table, pre, i, j):
     return True
 
 
+def _touching_sums(add, n):
+    """For each element e, the triples (y, z, y+z) with e among them."""
+    return [[(y, z, add[y][z]) for y in range(n) for z in range(n)
+             if e in (y, z, add[y][z])] for e in range(n)]
+
+
+def _distrib_ok(add, touching, mul, i, j):
+    """Every determined instance of x(y+z) = xy+xz or (y+z)x = yx+zx that
+    looks up . cell (i, j) holds: x = i with j among y, z, y+z on the
+    left, x = j with i among them on the right."""
+    row_i = mul[i]
+    for y, z, s in touching[j]:
+        xy, xz, whole = row_i[y], row_i[z], row_i[s]
+        if None not in (xy, xz, whole) and whole != add[xy][xz]:
+            return False
+    for y, z, s in touching[i]:
+        yx, zx, whole = mul[y][j], mul[z][j], mul[s][j]
+        if None not in (yx, zx, whole) and whole != add[yx][zx]:
+            return False
+    return True
+
+
+def _check_only(add):
+    """The . search's rule before domains: a value is kept iff the
+    associativity and distributivity instances that look its cell up hold."""
+    touching = _touching_sums(add, len(add))
+    return lambda tab, pre, i, j: (_assoc_ok(tab, pre, i, j) and
+                                   _distrib_ok(add, touching, tab, i, j))
+
+
+def _every(n):
+    """The domain that tries every value 0..n-1 at every cell."""
+    return lambda tab, pre, i, j: (1 << n) - 1
+
+
+def _band_domain(n):
+    """The band search's domain: the values _forced keeps."""
+    return lambda tab, pre, i, j: _forced(tab, pre, i, j, (1 << n) - 1)
+
+
 def _preimages(table):
     """The preimage index of table, rebuilt from scratch."""
     pre = [[] for _ in table]
@@ -75,7 +116,7 @@ def _preimages(table):
 
 @functools.cache
 def _labelled_bands(n):
-    return tuple(add for add, _ in _complete(n, _assoc_ok_by_scan, [],
+    return tuple(add for add, _ in _complete(n, _every(n), _assoc_ok_by_scan, [],
                                              _Budget(10 ** 7, 1800.0)))
 
 
@@ -98,16 +139,16 @@ def _leaf_filtered_iso_stream(n):
     automorphism of + relabels it smaller.  Returns the kept (add, mul)
     pairs and the numbers of least bands and of completions."""
     budget = _Budget(10 ** 7, 1800.0)
-    kept, least, completions = [], _leaf_filtered_bands(n), 0
+    kept, least, completed = [], _leaf_filtered_bands(n), 0
     for add, auts in least:
         touching = _touching_sums(add, n)
-        for mul, _ in _complete(n, lambda tab, pre, i, j: (
+        for mul, _ in _complete(n, _every(n), lambda tab, pre, i, j: (
                 _assoc_ok_by_scan(tab, pre, i, j) and
                 _distrib_ok(add, touching, tab, i, j)), [], budget):
-            completions += 1
+            completed += 1
             if not any(_relabel_rows(mul, p) < mul for p in auts):
                 kept.append((add, mul))
-    return kept, len(least), completions
+    return kept, len(least), completed
 
 
 @pytest.mark.parametrize("n, bands, completions", [(3, 10, 138), (4, 46, 2216)])
@@ -143,8 +184,9 @@ def test_least_bands_and_their_orbit_sums(n, least, orbits):
 
 
 def test_order6_least_bands():
-    # about 1 s; the labelled order-6 band search alone takes 120 M nodes
-    budget = _Budget(126096, 1800.0)
+    # about 1 s; 126096 nodes when every value was tried at every cell,
+    # and 120 M for the labelled order-6 band search
+    budget = _Budget(63545, 1800.0)
     found = list(bands(6, True, budget))
     assert len(found) == 1682
     assert sum(720 // (1 + len(auts)) for _, auts in found) == 681232
@@ -180,30 +222,33 @@ def test_indexed_assoc_check_matches_the_full_scan(case):
 
 def test_preimage_index_stays_in_step():
     # at every node of the order-4 band search and of the order-3 .
-    # searches, the index _complete hands to the check equals the one
-    # rebuilt from the table
-    budget, checked = _Budget(10 ** 7, 1800.0), [0]
+    # searches, and wherever a domain is computed, the index _complete
+    # hands over equals the one rebuilt from the table
+    budget, checked, domains = _Budget(10 ** 7, 1800.0), [0], [0]
 
     def in_step(tab, pre):
-        checked[0] += 1
         return sorted(map(sorted, pre)) == sorted(map(sorted, _preimages(tab)))
 
-    def band_ok(tab, pre, i, j):
+    def stepped_ok(tab, pre, i, j):
+        checked[0] += 1
         assert in_step(tab, pre)
         return _assoc_ok(tab, pre, i, j)
 
-    assert len(list(_complete(4, band_ok, [], budget))) == 604
+    def stepped(domain):
+        def stepped_domain(tab, pre, i, j):
+            domains[0] += 1
+            assert tab[i][j] is None and in_step(tab, pre)
+            return domain(tab, pre, i, j)
+        return stepped_domain
+
+    assert len(list(_complete(4, stepped(_band_domain(4)), stepped_ok, [], budget))) == 604
     semirings = 0
     for add in _labelled_bands(3):
-        touching = _touching_sums(add, 3)
-
-        def mul_ok(tab, pre, i, j):
-            assert in_step(tab, pre)
-            return _assoc_ok(tab, pre, i, j) and _distrib_ok(add, touching, tab, i, j)
-
-        semirings += len(list(_complete(3, mul_ok, [], budget)))
+        semirings += len(list(_complete(3, stepped(_distributive_domain(add)),
+                                        stepped_ok, [], budget)))
     assert semirings == 379
     assert checked[0] == 10 ** 7 - budget.nodes_left
+    assert domains[0] > 0
 
 
 def _relabelled_cmp(rows, perm, inv):
@@ -236,31 +281,26 @@ def _perms(n):
             for p in itertools.permutations(range(n))][1:]
 
 
-def _mul_ok(add):
-    touching = _touching_sums(add, len(add))
-    return lambda tab, pre, i, j: (_assoc_ok(tab, pre, i, j) and
-                                   _distrib_ok(add, touching, tab, i, j))
-
-
-def _resumed_and_restarted(n, ok, perms):
-    """Each table of _complete(n, ok, perms) with the relabellings that fix
-    it, and the nodes spent; then the same from the reference search,
-    which restarts every comparison and finds the automorphisms of each
-    leaf by a second pass over perms."""
+def _resumed_and_restarted(n, domain, perms):
+    """Each table of _complete(n, domain, _assoc_ok, perms) with the
+    relabellings that fix it, and the nodes spent; then the same from the
+    reference search, which restarts every comparison and finds the
+    automorphisms of each leaf by a second pass over perms."""
     resumed, restarted = _Budget(10 ** 7, 1800.0), _Budget(10 ** 7, 1800.0)
     found = []
-    for rows, tied in _complete(n, ok, perms, resumed):
+    for rows, tied in _complete(n, domain, _assoc_ok, perms, resumed):
         # a relabelling tied at a leaf has compared every cell
         assert all(c == n * n - n for _, _, c in tied)
         found.append((rows, [(p, q) for p, q, _ in tied]))
     expected = [(rows, [(p, q) for p, q in perms if _relabelled_cmp(rows, p, q) == 0])
-                for rows, _ in _complete(n, restart_orderly(ok, perms), [], restarted)]
+                for rows, _ in _complete(n, domain, restart_orderly(_assoc_ok, perms),
+                                         [], restarted)]
     return (found, resumed.nodes_left), (expected, restarted.nodes_left)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 def test_resumed_band_search_is_the_restart_search(n):
-    resumed, restarted = _resumed_and_restarted(n, _assoc_ok, _perms(n))
+    resumed, restarted = _resumed_and_restarted(n, _band_domain(n), _perms(n))
     assert resumed == restarted
 
 
@@ -269,10 +309,67 @@ def test_resumed_dot_searches_are_the_restart_searches(n):
     # under every least band, with its automorphisms
     with_auts = 0
     for add, auts in bands(n, True, _Budget(10 ** 7, 1800.0)):
-        resumed, restarted = _resumed_and_restarted(n, _mul_ok(add), auts)
+        resumed, restarted = _resumed_and_restarted(n, _distributive_domain(add), auts)
         assert resumed == restarted
         with_auts += bool(auts)
     assert with_auts == {3: 7, 4: 34}[n]  # of the 10 and 46 least bands
+
+
+def _searched(n, domain, ok, perms):
+    """Each table of _complete(n, domain, ok, perms) with the relabellings
+    that fix it, in stream order, and the nodes spent."""
+    budget = _Budget(10 ** 7, 1800.0)
+    found = [(rows, [(p, q) for p, q, _ in tied])
+             for rows, tied in _complete(n, domain, ok, perms, budget)]
+    return found, 10 ** 7 - budget.nodes_left
+
+
+def _domain_checked(n, domain, oracle):
+    """domain, asserting at each node it is computed at that its values
+    passing _assoc_ok are exactly the values 0..n-1 that oracle accepts."""
+    def checked(tab, pre, i, j):
+        m, passing, accepted = domain(tab, pre, i, j), set(), set()
+        for v in range(n):
+            tab[i][j] = v
+            pre[v].append((i, j))
+            if m >> v & 1 and _assoc_ok(tab, pre, i, j):
+                passing.add(v)
+            if oracle(tab, pre, i, j):
+                accepted.add(v)
+            pre[v].pop()
+        tab[i][j] = None
+        assert passing == accepted
+        return m
+    return checked
+
+
+@pytest.mark.parametrize("n, nodes, check_only", [
+    (1, 0, 0), (2, 6, 6), (3, 75, 105), (4, 702, 1152), (5, 6414, 11785)])
+def test_band_domains_keep_the_check_only_search(n, nodes, check_only):
+    # the check-only search tries every value at every cell, as the search
+    # did before value sets, and spends the node counts it spent
+    found = _searched(n, _domain_checked(n, _band_domain(n), _assoc_ok), _assoc_ok, _perms(n))
+    expected = _searched(n, _every(n), _assoc_ok, _perms(n))
+    assert found == (expected[0], nodes)
+    assert expected[1] == check_only
+
+
+@pytest.mark.parametrize("n, up_to_iso, nodes, check_only", [
+    (3, True, 427, 834), (4, True, 7820, 22296), (3, False, 1602, 3372)])
+def test_dot_domains_keep_the_check_only_search(n, up_to_iso, nodes, check_only):
+    # every . search under the least bands with their automorphisms, or
+    # under every labelled band with none: the same tables, automorphisms
+    # and order; the check-only search spends the node counts of the search
+    # before value sets (the labelled order-3 stream took 222 + 3372 = 3594)
+    spent = [0, 0]
+    for add, auts in bands(n, up_to_iso, _Budget(10 ** 7, 1800.0)):
+        domain = _domain_checked(n, _distributive_domain(add), _check_only(add))
+        found = _searched(n, domain, _assoc_ok, auts)
+        expected = _searched(n, _every(n), _check_only(add), auts)
+        assert found[0] == expected[0]
+        spent[0] += found[1]
+        spent[1] += expected[1]
+    assert spent == [nodes, check_only]
 
 
 def _cmp_by_prefix(rows, perm):
@@ -358,17 +455,19 @@ def test_budget_exhaustion_is_an_error():
 
 
 def test_node_budget_pins_the_pruning():
-    # the labelled order-3 search visits exactly 3594 nodes
-    cfg = sl.EnumConfig(order=3, budget_nodes=3594)
+    # the labelled order-3 search visits exactly 1750 nodes (3594 when
+    # every value was tried at every cell)
+    cfg = sl.EnumConfig(order=3, budget_nodes=1750)
     assert len(list(sl.enumerate_idempotent_semirings(cfg))) == 379
     with pytest.raises(sl.BudgetExceededError):
-        list(sl.enumerate_idempotent_semirings(sl.EnumConfig(order=3, budget_nodes=3593)))
+        list(sl.enumerate_idempotent_semirings(sl.EnumConfig(order=3, budget_nodes=1749)))
 
 
-@pytest.mark.parametrize("n, nodes, classes", [(3, 939, 81), (4, 23448, 835)])
+@pytest.mark.parametrize("n, nodes, classes", [(3, 502, 81), (4, 8522, 835)])
 def test_node_budget_pins_the_orderly_pruning(n, nodes, classes):
-    # without the orderly band search the iso search visits 1056 and
-    # 32572, and without pruning under Aut(+) either, 1320 and 54168
+    # without the orderly band search the iso search visits 575 and
+    # 13009, and without pruning under Aut(+) either, 732 and 23070 (939
+    # and 23448 when every value was tried at every cell)
     cfg = sl.EnumConfig(order=n, up_to_iso=True, budget_nodes=nodes)
     assert len(list(sl.enumerate_idempotent_semirings(cfg))) == classes
     with pytest.raises(sl.BudgetExceededError):
@@ -376,19 +475,31 @@ def test_node_budget_pins_the_orderly_pruning(n, nodes, classes):
             sl.EnumConfig(order=n, up_to_iso=True, budget_nodes=nodes - 1)))
 
 
-@pytest.mark.slow
+def _iso_classes(n, budget):
+    return sum(1 for add, auts in bands(n, True, budget)
+               for _ in completions(add, auts, budget))
+
+
 def test_order5_iso_count():
-    # two order-5 searches, about 1.5 s; run with `pytest -m slow`
-    cfg = sl.EnumConfig(order=5, up_to_iso=True, budget_nodes=514360)
-    assert sum(1 for _ in sl.enumerate_idempotent_semirings(cfg)) == 9407
-    with pytest.raises(sl.BudgetExceededError):
-        for _ in sl.enumerate_idempotent_semirings(
-                sl.EnumConfig(order=5, up_to_iso=True, budget_nodes=514359)):
-            pass
+    # about 1 s: 6414 band and 134793 . nodes (514360 when every value
+    # was tried at every cell)
+    budget = _Budget(141207, 1800.0)
+    assert _iso_classes(5, budget) == 9407
+    assert budget.nodes_left == 0
+
+
+@pytest.mark.slow
+def test_order6_iso_count():
+    # about 16 s; run with `pytest -m slow`.  63545 band and 2461137 .
+    # nodes, within the default budget of 10**7 (11472144 when every value
+    # was tried at every cell)
+    budget = _Budget(2524682, 1800.0)
+    assert _iso_classes(6, budget) == 119699
+    assert budget.nodes_left == 0 and 2524682 < DEFAULT_NODE_BUDGET
 
 
 def test_iso_search_completes_only_least_bands():
-    # the labelled order-4 search alone needs 410152 nodes
+    # the labelled order-4 search alone needs 132868 nodes
     cfg = sl.EnumConfig(order=4, up_to_iso=True, budget_nodes=100_000)
     assert len(list(sl.enumerate_idempotent_semirings(cfg))) == 835
 
