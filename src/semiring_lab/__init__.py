@@ -4,29 +4,33 @@ Computes Green's relations on both reducts, the least distributive
 lattice congruence (three independent routes, cross-checked), variety and
 Malcev-product membership, quotients and spined-product decompositions,
 and machine checks a catalog of theorems about these on exhaustively
-enumerated small semirings.  Apart from the three eta routes, each
-question has one implementation: Malcev products (of catalog varieties)
-are decided through varieties.Analysis, every block merge goes through
-relations._merge_blocks, and the spined-product conditions are tested by
-structure._spined_obstruction.
+enumerated small semirings.
+
+A class is a right-nested Malcev product V1 o (V2 o (... o Vk)) of
+catalog varieties, given as the tuple of their names (malcev_product);
+varieties.Analysis.member decides it, one name being plain membership.
+Apart from the three eta routes, each question has one implementation,
+and the modules import only downwards: core, relations, congruences,
+structure, varieties, enumeration, cli.
 """
 
-from .core import (BudgetExceededError, Identity, InternalConsistencyError,
-                   PreconditionError, ResourceBoundError, SemiringFormatError,
-                   SemiringTable, Term, ValidationReport, eval_term,
-                   format_semiring_text, parse_identity, parse_semiring_text,
-                   parse_term, satisfies_identity, validate_semiring)
+from .core import (CATALOG, BudgetExceededError, Identity,
+                   InternalConsistencyError, PreconditionError,
+                   ResourceBoundError, SemiringFormatError, SemiringTable, Term,
+                   ValidationReport, VarietySpec, eval_term,
+                   format_semiring_text, in_variety, parse_identity,
+                   parse_semiring_text, parse_term, satisfies_identity,
+                   validate_semiring, variety_membership)
 from .relations import BinRelation, Partition, green_add, green_mult, quasi_orders
 from .congruences import (CongruenceSet, all_congruences, congruence_closure,
                           eta, is_congruence, least_dl_congruence, sigma,
                           sigma_star)
-from .varieties import (CATALOG, Analysis, TheoremReport, THEOREMS,
-                        VarietySpec, eta_equals_relation, in_variety,
-                        malcev_product, variety_membership, verify_theorem)
-from .structure import (ClassExpr, Malcev, Named, SpinedDecomposition,
-                        canonical_form, is_distributive_lattice, is_isomorphic,
-                        malcev_membership, quotient, reconstruct,
-                        spined_decompose, spined_product)
+from .structure import (SpinedDecomposition, canonical_form,
+                        is_distributive_lattice, is_isomorphic, quotient,
+                        reconstruct, spined_product)
+from .varieties import (Analysis, TheoremReport, THEOREMS, eta_equals_relation,
+                        malcev_membership, malcev_product, spined_decompose,
+                        verify_theorem)
 from .enumeration import (EnumConfig, all_idempotent_semirings,
                           enumerate_idempotent_semirings)
 

@@ -23,15 +23,15 @@ from collections import Counter
 from contextlib import nullcontext
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .core import (BudgetExceededError, InternalConsistencyError,
+from .core import (CATALOG, BudgetExceededError, InternalConsistencyError,
                    PreconditionError, SemiringFormatError, SemiringTable,
                    format_semiring_text, parse_semiring_text, validate_semiring)
 from .congruences import least_dl_congruence, sigma_star
 from .enumeration import (DEFAULT_NODE_BUDGET, DEFAULT_SECS_BUDGET, EnumConfig,
                           _Budget, bands, completions,
                           enumerate_idempotent_semirings)
-from .structure import spined_decompose
-from .varieties import CATALOG, THEOREMS, Analysis, malcev_product, verify_theorem
+from .varieties import (THEOREMS, Analysis, malcev_product, spined_decompose,
+                        verify_theorem)
 
 SCHEMA_VERSION = 1
 
@@ -71,7 +71,8 @@ def _emit(report: Dict, summary: str, started: float, show_timing: bool) -> int:
 
 
 def _parse_filter(text: Optional[str]):
-    """A variety name, or a right-nested Malcev product like LZ_dot:D."""
+    """A variety name, or a right-nested Malcev product like LZ_dot:D, as
+    the tuple of its catalog names."""
     return None if text is None else malcev_product(*text.split(":"))
 
 

@@ -13,7 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Tuple, Union
 
-from .core import PreconditionError, ResourceBoundError, SemiringTable
+from .core import (CATALOG, PreconditionError, ResourceBoundError, SemiringTable,
+                   _instances, _require_idempotent)
 from .relations import BinRelation, Partition, _merge_blocks
 
 DEFAULT_ORDER_BOUND = 8
@@ -107,33 +108,39 @@ def principal_congruence(t: SemiringTable, a: int, b: int) -> Partition:
 
 
 def all_congruences(t: SemiringTable) -> CongruenceSet:
-    """The full congruence lattice, by closing the principal congruences
-    under pairwise join; orders above DEFAULT_ORDER_BOUND are refused.
+    """The full congruence lattice of an idempotent semiring, by joining
+    each congruence found with the principal ones until none is new:
+    every congruence is the join of the principal congruences of its
+    pairs.  Orders above DEFAULT_ORDER_BOUND are refused.
 
     Joins of congruences are taken as partition joins: the equivalence
-    join of two congruences is again a congruence.
+    join of two congruences is again a congruence.  theta is flagged when
+    t/theta is a distributive lattice, that is when both sides of every
+    instance of D's identities on t are theta-related: the projection onto
+    t/theta is a surjective homomorphism, and t/theta is idempotent as t
+    is (the argument of structure._spined_obstruction).
     """
     n = t.order
     if n > DEFAULT_ORDER_BOUND:
         raise ResourceBoundError("order %d exceeds congruence-lattice bound %d"
                                  % (n, DEFAULT_ORDER_BOUND))
-    found = {Partition.equality(n)}
-    for a in range(n):
-        for b in range(a + 1, n):
-            found.add(principal_congruence(t, a, b))
-    frontier = list(found)
+    _require_idempotent(t, "the congruence lattice")
+    principal = tuple({principal_congruence(t, a, b)
+                       for a in range(n) for b in range(a + 1, n)})
+    found = {Partition.equality(n), *principal}
+    frontier = principal
     while frontier:
         fresh = []
         for p in frontier:
-            for q in list(found):
+            for q in principal:
                 j = p.join(q)
                 if j not in found:
                     found.add(j)
                     fresh.append(j)
         frontier = fresh
     parts = tuple(sorted(found, key=lambda p: p.labels))
-    from .structure import is_distributive_lattice, quotient
-    flags = tuple(is_distributive_lattice(quotient(t, p)[0]) for p in parts)
+    d_pairs = list(_instances(t, CATALOG["D"], [range(n)]))
+    flags = tuple(all(p.related(u, v) for u, v in d_pairs) for p in parts)
     return CongruenceSet(parts, flags)
 
 

@@ -1,4 +1,5 @@
-"""Finite idempotent semirings as Cayley tables, plus terms and identities.
+"""Finite idempotent semirings as Cayley tables, plus terms, identities and
+the catalog of varieties they define.
 
 Elements are 0-based indices; the ``names`` field is display-only.  Tables
 are immutable after construction and validation is explicit: nothing is
@@ -10,7 +11,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, Iterator, Optional, Sequence, Tuple, Union
 
 
 class SemiringFormatError(ValueError):
@@ -310,6 +311,75 @@ def validate_semiring(t: SemiringTable) -> ValidationReport:
     is_semiring = not (bad & {name for name, _ in _SEMIRING_AXIOMS})
     is_idempotent = is_semiring and not (bad & {name for name, _ in _IDEMPOTENT_AXIOMS})
     return ValidationReport(is_semiring, is_idempotent, tuple(violations))
+
+
+def _require_idempotent(t: SemiringTable, what: str) -> None:
+    if any(t.add[a][a] != a or t.mul[a][a] != a for a in range(t.order)):
+        raise PreconditionError("%s needs an idempotent semiring" % what)
+
+
+# ---------------------------------------------------------------------------
+# The variety catalog
+
+@dataclass(frozen=True)
+class VarietySpec:
+    """A named variety given by its defining identities, read within the
+    class of idempotent semirings (the semiring axioms are presupposed)."""
+
+    name: str
+    identities: Tuple[Identity, ...]
+
+
+def _spec(name: str, *identity_texts: str) -> VarietySpec:
+    return VarietySpec(name, tuple(parse_identity(s) for s in identity_texts))
+
+
+# Naming note: the literature writes R-bullet both for the variety of
+# multiplicatively rectangular semirings (xyx = x) and for the variety on
+# which the least distributive lattice congruence equals Green's R of the
+# multiplicative reduct.  Here the former is "RB", the latter "R_dot".
+CATALOG: Dict[str, VarietySpec] = {spec.name: spec for spec in [
+    _spec("I"),                                  # all idempotent semirings
+    _spec("R_plus", "x+y+x = x"),
+    _spec("RB", "xyx = x"),
+    _spec("LZ_plus", "x+y = x"),
+    _spec("RZ_plus", "x+y = y"),
+    _spec("LZ_dot", "xy = x"),
+    _spec("RZ_dot", "xy = y"),
+    _spec("LNB_dot", "xyz = xzy"),
+    _spec("RNB_dot", "xyz = yxz"),
+    _spec("LQBi", "x+xy+x = x"),
+    _spec("RQBi", "x+yx+x = x"),
+    _spec("LN", "x+xyx = x"),
+    _spec("RN", "xyx+x = x"),
+    _spec("N", "x+xyx+x = x"),
+    _spec("Sl_plus", "x+y = y+x"),
+    _spec("D", "x+y = y+x", "xy = yx", "x+xy = x"),
+    _spec("Bi", "x+xy+x = x", "x+yx+x = x"),
+    _spec("D_dot", "x = xyx+x+xyx"),
+    _spec("L_dot", "x = xy+x+xy"),
+    _spec("R_dot", "x = yx+x+yx"),
+    _spec("L_plus_var", "x+yxy = x"),
+]}
+
+
+def variety_membership(t: SemiringTable, v: VarietySpec) -> bool:
+    """Conjunction of exhaustive identity checks over v's identities."""
+    return all(satisfies_identity(t, ident)[0] for ident in v.identities)
+
+
+def in_variety(t: SemiringTable, name: str) -> bool:
+    return variety_membership(t, CATALOG[name])
+
+
+def _instances(t: SemiringTable, spec: VarietySpec,
+               blocks: Sequence[Sequence[int]]) -> Iterator[Tuple[int, int]]:
+    """Every pair (u(a), v(a)) with u(a) != v(a), for an identity u = v of
+    spec and an assignment a drawn from a single block."""
+    for ident in spec.identities:
+        for block in blocks:
+            for _, u, v in ident.failures(t.add, t.mul, block):
+                yield u, v
 
 
 # ---------------------------------------------------------------------------

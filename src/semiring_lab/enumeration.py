@@ -6,11 +6,12 @@ idempotency.  As in finite model search (SEM: Zhang and Zhang, IJCAI
 1995; Mace4: McCune, ANL 2003) a cell tries only the values it can still
 take: those no associativity instance forces away and, in the . stage,
 that satisfy the distributivity instances it completes.  After a value
-is set, only the associativity instances that look its cell up are
-checked: every other determined instance was checked at the parent node,
-so this prunes exactly the nodes a full re-check would, at O(n^2) instead
-of O(n^3) cost per node.  An index of the cells holding each value finds
-the associativity instances among them without scanning the table.
+is set, only the associativity instances that look its cell up, and that
+its domain did not already settle, are checked: every other determined
+instance was checked at the parent node, so this prunes exactly the nodes
+a full re-check would, at O(n) instead of O(n^3) cost per node.  An index
+of the cells holding each value finds the instances a domain settles
+without scanning the table.
 Distributivity is the strongest cross-table constraint, which
 is why the + table is completed before any . cell is chosen.
 
@@ -28,13 +29,12 @@ from __future__ import annotations
 import itertools
 import time
 from dataclasses import dataclass
-from typing import Callable, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Iterator, List, Optional, Sequence, Tuple
 
 from .congruences import DEFAULT_ORDER_BOUND
 from .core import (BudgetExceededError, PreconditionError, ResourceBoundError,
                    SemiringTable)
-from .structure import ClassExpr, malcev_membership
-from .varieties import VarietySpec, variety_membership
+from .varieties import Analysis, malcev_product
 
 DEFAULT_NODE_BUDGET = 10 ** 7
 DEFAULT_SECS_BUDGET = 1800.0
@@ -60,7 +60,8 @@ class _Budget:
 class EnumConfig:
     order: int
     up_to_iso: bool = False
-    filter: Optional[Union[VarietySpec, ClassExpr]] = None
+    # a class, as the catalog names malcev_product takes; None keeps all
+    filter: Optional[Tuple[str, ...]] = None
     budget_nodes: int = DEFAULT_NODE_BUDGET
     budget_secs: float = DEFAULT_SECS_BUDGET
 
@@ -73,6 +74,10 @@ class EnumConfig:
                                      % (self.order, DEFAULT_ORDER_BOUND))
         if not (self.budget_nodes > 0 and self.budget_secs > 0):  # rejects nan
             raise PreconditionError("budget must be positive")
+        if self.filter is not None:
+            if not isinstance(self.filter, tuple):
+                raise PreconditionError("filter must be a tuple of catalog names")
+            malcev_product(*self.filter)
 
 
 # a table being filled (None = undetermined), a full one, and the
@@ -84,11 +89,19 @@ _Index = List[List[Tuple[int, int]]]
 
 def _assoc_ok(table: _Partial, pre: _Index, i: int, j: int) -> bool:
     """Every determined instance of (ab)c = a(bc) that looks up cell (i, j)
-    holds.  These are the instances with (a, b) = (i, j), (b, c) = (i, j),
-    ab = i and c = j, or a = i and bc = j; every other determined instance
-    was already checked at the parent node.  pre[v] lists the determined
-    cells (k, m) with table[k][m] = v, so the last two kinds are read off
-    pre[i] and pre[j] instead of a scan of all n^2 cells."""
+    holds, given that its value v is one _forced kept (pre is unused).
+    These are the instances with (a, b) = (i, j), (b, c) = (i, j), ab = i
+    and c = j, or a = i and bc = j; every other determined instance was
+    already checked at the parent node.  Only the first two kinds are
+    scanned here.
+
+    Proof that the last two hold: _forced read them when the cell's domain
+    was computed, and the table has changed since only at (i, j).  An
+    instance (km)j = k(mj) with km = i, or (im)k = i(mk) with mk = j, whose
+    lookups miss (i, j) was read there and forced v.  One whose lookups
+    pass through (i, j) is (ki)j = k(ij) with ki = i or (ij)k = i(jk) with
+    jk = j, both of the first two kinds, or reads v on both sides: (im)j =
+    i(mj) with im = i and mj = j, (ij)j = i(jj) or (ii)j = i(ij)."""
     v = table[i][j]
     row_i, row_j, row_v = table[i], table[j], table[v]
     for k, row_k in enumerate(table):
@@ -101,22 +114,14 @@ def _assoc_ok(table: _Partial, pre: _Index, i: int, j: int) -> bool:
             left, right = table[ki][j], row_k[v]
             if left is not None and right is not None and left != right:
                 return False
-    for k, m in pre[i]:  # (km)j = k(mj) with km = i
-        mj = table[m][j]
-        if mj is not None and table[k][mj] not in (None, v):
-            return False
-    for m, k in pre[j]:  # (im)k = i(mk) with mk = j
-        im = row_i[m]
-        if im is not None and table[im][k] not in (None, v):
-            return False
     return True
 
 
 def _forced(table: _Partial, pre: _Index, i: int, j: int, m: int) -> int:
     """The n-bit value set m less the values that the undetermined cell
     (i, j) cannot take: each determined instance (ab)j = a(bj) with ab = i
-    and (ib)c = i(bc) with bc = j, as _assoc_ok's last two loops read
-    them, forces one value."""
+    and (ib)c = i(bc) with bc = j forces one value, read off pre[i] and
+    pre[j] instead of a scan of all n^2 cells."""
     for a, b in pre[i]:
         bj = table[b][j]
         if bj is not None and table[a][bj] is not None:
@@ -206,15 +211,6 @@ def _complete(n: int, domain: _Domain, ok: _Check, perms: List[Relabelling],
 
 def _off_diagonal_cells(n: int) -> List[Tuple[int, int]]:
     return [(i, j) for i in range(n) for j in range(n) if i != j]
-
-
-def _matches_filter(t: SemiringTable,
-                    flt: Optional[Union[VarietySpec, ClassExpr]]) -> bool:
-    if flt is None:
-        return True
-    if isinstance(flt, VarietySpec):
-        return variety_membership(t, flt)
-    return malcev_membership(t, flt)[0]
 
 
 def bands(n: int, up_to_iso: bool, budget: _Budget
@@ -328,9 +324,11 @@ def enumerate_idempotent_semirings(cfg: EnumConfig) -> Iterator[SemiringTable]:
     diagonal and the cells before it, so a distributivity instance whose
     last cell this is becomes complete when it is set; the domain leaves a
     value out only if it breaks such an instance or an associativity one
-    that _forced reads, both checked at the node the value would make.  So
-    the values that pass the checks are the same, in the same ascending
-    order, and every test after them sees the same tables.
+    that _forced reads, both of which a full check at the node the value
+    would make rejects, and _assoc_ok skips only the instances _forced read
+    (proof at _assoc_ok).  So the values that pass the checks are the same,
+    in the same ascending order, and every test after them sees the same
+    tables.
 
     Exceeding the budget raises BudgetExceededError mid-stream; consumers
     must treat a truncated stream as failure, never as a complete
@@ -341,7 +339,7 @@ def enumerate_idempotent_semirings(cfg: EnumConfig) -> Iterator[SemiringTable]:
     for add, auts in bands(n, cfg.up_to_iso, budget):
         for mul in completions(add, auts, budget):
             t = SemiringTable(n, names, add, mul)  # entries in range(n) already
-            if _matches_filter(t, cfg.filter):
+            if cfg.filter is None or Analysis(t).member(*cfg.filter):
                 yield t
 
 

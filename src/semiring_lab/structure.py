@@ -1,38 +1,22 @@
-"""Quotients, Malcev products, spined products and isomorphism testing."""
+"""Quotients, distributive lattices, isomorphism and spined products.
+
+The tables here are built from a semiring and a congruence, or from
+factors and maps; the spined-product conditions of an Analysis are tested
+by _spined_obstruction, and varieties.spined_decompose builds the
+decomposition from them.
+"""
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterator, Optional, Sequence, Tuple, Union
+from typing import Optional, Sequence, Tuple
 
-from .core import (InternalConsistencyError, PreconditionError, SemiringTable,
-                   _relabel_rows, satisfies_identity, validate_semiring)
+from .congruences import is_congruence
+from .core import (CATALOG, PreconditionError, SemiringTable, _instances,
+                   _relabel_rows, _require_idempotent, validate_semiring,
+                   variety_membership)
 from .relations import Partition
-
-
-# ---------------------------------------------------------------------------
-# Class expressions: named varieties and Malcev products
-
-@dataclass(frozen=True)
-class Named:
-    variety: "VarietySpec"  # noqa: F821 (defined in varieties)
-
-
-@dataclass(frozen=True)
-class Malcev:
-    """The Malcev product left o right of a variety and a class expression."""
-
-    left: Named
-    right: "ClassExpr"
-
-    def __post_init__(self):
-        if not isinstance(self.left, Named):
-            raise PreconditionError("the left factor of a Malcev product "
-                                    "must be a named variety")
-
-
-ClassExpr = Union[Named, Malcev]
 
 
 # ---------------------------------------------------------------------------
@@ -48,7 +32,6 @@ def quotient(t: SemiringTable, p: Partition
     identities (Burris & Sankappanavar), so the quotient is not re-validated
     (tests/test_structure.py::test_quotients_validate).
     """
-    from .congruences import is_congruence
     if not is_congruence(t, p):
         raise PreconditionError("partition is not a congruence")
     return _quotient(t, p)
@@ -66,11 +49,6 @@ def _quotient(t: SemiringTable, p: Partition) -> Tuple[SemiringTable, Tuple[int,
     return SemiringTable.from_rows(add, mul, names), tuple(lab)
 
 
-def _require_idempotent(t: SemiringTable, what: str) -> None:
-    if any(t.add[a][a] != a or t.mul[a][a] != a for a in range(t.order)):
-        raise PreconditionError("%s needs an idempotent semiring" % what)
-
-
 def is_distributive_lattice(t: SemiringTable) -> bool:
     """Membership of an idempotent semiring in the variety D: both
     operations commutative plus absorption x+xy = x.
@@ -79,68 +57,8 @@ def is_distributive_lattice(t: SemiringTable) -> bool:
     distributivity and xx = x, hence the idempotency guard (tests/
     test_structure.py::test_distributive_lattices_absorb_dually).
     """
-    from .varieties import CATALOG, variety_membership
     _require_idempotent(t, "distributive lattice recognition")
     return variety_membership(t, CATALOG["D"])
-
-
-# ---------------------------------------------------------------------------
-# Malcev products
-
-def _instances(t: SemiringTable, spec: "VarietySpec",  # noqa: F821
-               blocks: Sequence[Sequence[int]]) -> Iterator[Tuple[int, int]]:
-    """Every pair (u(a), v(a)) with u(a) != v(a), for an identity u = v of
-    spec and an assignment a drawn from a single block."""
-    for ident in spec.identities:
-        for block in blocks:
-            for _, u, v in ident.failures(t.add, t.mul, block):
-                yield u, v
-
-
-def malcev_membership(t: SemiringTable, expr: ClassExpr
-                      ) -> Tuple[bool, Optional[Partition]]:
-    """Membership of an idempotent semiring t in a class expression, with
-    the least witness congruence.
-
-    Named(V) is plain variety membership (no witness).  A product's
-    factors must be catalog varieties, each the CATALOG entry of its name
-    (PreconditionError otherwise); it is decided by varieties.Analysis(t).
-    t lies in Malcev(V, E) iff V's identities hold inside every class of
-    rho(E), the least congruence of t with quotient in E; rho(E) is then
-    returned as the witness, and every witness contains it.  rho(W) for a
-    variety W is the congruence closure of all identity instances of W on
-    t; rho(V o E) is the closure of those instances of V whose assignment
-    lies inside one class of rho(E).  rho(D) is the least distributive
-    lattice congruence eta.
-
-    Proof: every right-nested product of varieties is closed under
-    subalgebras and subdirect products, so t has a least congruence with
-    quotient in it (Burris & Sankappanavar, A Course in Universal Algebra,
-    1981), and a witness rho contains rho(E).  By idempotency congruence
-    classes are subalgebras, so each class of rho(E) is a subalgebra of a
-    class of rho; V is closed under subalgebras, so rho(E) is a witness
-    whenever any congruence is.  Applied to a quotient t/theta in V o E,
-    the same argument shows theta contains V's instances inside the
-    classes of rho(E); their closure theta0 lies inside rho(E), and
-    rho(E)/theta0 witnesses t/theta0 in V o E, so theta0 is rho(V o E).
-    """
-    from .varieties import CATALOG, Analysis, variety_membership
-    if isinstance(expr, Named):
-        return variety_membership(t, expr.variety), None
-    factors = []
-    while isinstance(expr, Malcev):
-        factors.append(expr.left.variety)
-        expr = expr.right
-    factors.append(expr.variety)
-    for spec in factors:
-        if CATALOG.get(spec.name) != spec:
-            raise PreconditionError("Malcev factor %r is not the catalog variety "
-                                    "of that name" % spec.name)
-    names = tuple(spec.name for spec in factors)
-    a = Analysis(t)
-    if not a.malcev(*names):
-        return False, None
-    return True, Partition.from_blocks(t.order, a._rho_blocks(names[1:]))
 
 
 # ---------------------------------------------------------------------------
@@ -229,7 +147,7 @@ class SpinedDecomposition:
     theta: Tuple[Tuple[int, int], ...]  # a -> (L-class, R-class)
 
 
-def _spined_obstruction(a: "Analysis") -> str:  # noqa: F821 (in varieties)
+def _spined_obstruction(a: "Analysis") -> str:  # noqa: F821 (varieties.Analysis)
     """Why the table t of the Analysis a does not decompose as the spined
     product of S/L. and S/R. over S/D., or "" when it does.
 
@@ -246,8 +164,6 @@ def _spined_obstruction(a: "Analysis") -> str:  # noqa: F821 (in varieties)
     are H-trivial, so theta is a bijection onto the fiber product (tests/
     test_structure.py::test_green_d_is_l_then_r_and_h_is_trivial).
     """
-    from .congruences import is_congruence
-    from .varieties import CATALOG
     t, l_dot, r_dot = a.t, a.green["L_dot"], a.green["R_dot"]
     # the cheapest refutation first, before any congruence test
     if a.green["D_dot"] != a.eta:
@@ -260,38 +176,6 @@ def _spined_obstruction(a: "Analysis") -> str:  # noqa: F821 (in varieties)
                    for u, v in _instances(t, CATALOG[variety], [range(t.order)])):
             return "S/%s is not in %s" % (name, variety)
     return ""
-
-
-def spined_decompose(t: SemiringTable) -> SpinedDecomposition:
-    """Decompose a member of D_dot as a spined product of S/L. and S/R..
-
-    Non-members are refused with a PreconditionError naming the failing
-    identity witness.  Any post-membership failure contradicts a proved
-    theorem and raises InternalConsistencyError.  The quotients and the
-    maps are built only once _spined_obstruction has found none.
-    """
-    from .varieties import CATALOG, Analysis
-    ok, witness = satisfies_identity(t, CATALOG["D_dot"].identities[0])
-    if not ok:
-        raise PreconditionError(
-            "not in D_dot: identity x = xyx+x+xyx fails at %r" % (witness,))
-    a = Analysis(t)
-    reason = _spined_obstruction(a)
-    if reason:
-        raise InternalConsistencyError(
-            "spined decomposition failed on a D_dot member: %s" % reason)
-    s1, proj1 = _quotient(t, a.green["L_dot"])
-    s2, proj2 = _quotient(t, a.green["R_dot"])
-    d, projd = _quotient(t, a.eta)
-    # phi maps: L-class of a -> D-class of a (well-defined since L-dot
-    # refines D-dot); likewise for R-classes
-    phi1 = [0] * s1.order
-    phi2 = [0] * s2.order
-    for x in range(t.order):
-        phi1[proj1[x]] = projd[x]
-        phi2[proj2[x]] = projd[x]
-    return SpinedDecomposition(s1, s2, d, tuple(phi1), tuple(phi2),
-                               tuple(zip(proj1, proj2)))
 
 
 def reconstruct(decomp: SpinedDecomposition

@@ -1,4 +1,9 @@
-"""Variety catalog, membership predicates, and per-instance theorem checks.
+"""Malcev-product membership, spined decomposition, and per-instance
+theorem checks.
+
+A class is the tuple of catalog names of a right-nested Malcev product
+V1 o (V2 o (... o Vk)), one name being the variety itself (the catalog is
+core.CATALOG); Analysis.member decides every such class.
 
 Every theorem of interest is either an equivalence (a list of conditions
 that must all agree on each finite instance) or an implication (a list of
@@ -11,78 +16,27 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Dict, List, Tuple, Union
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from .congruences import congruence_closure, eta, is_congruence, sigma
-from .core import (Identity, PreconditionError, SemiringTable, parse_identity,
+from .core import (CATALOG, Identity, InternalConsistencyError, PreconditionError,
+                   SemiringTable, _instances, _require_idempotent, parse_identity,
                    satisfies_identity)
 from .relations import Partition, _green, quasi_orders
-from .structure import (ClassExpr, Malcev, Named, _instances, _quotient,
-                        _require_idempotent, _spined_obstruction)
+from .structure import SpinedDecomposition, _quotient, _spined_obstruction
 
 
-@dataclass(frozen=True)
-class VarietySpec:
-    """A named variety given by its defining identities, read within the
-    class of idempotent semirings (the semiring axioms are presupposed)."""
-
-    name: str
-    identities: Tuple[Identity, ...]
-
-
-def _spec(name: str, *identity_texts: str) -> VarietySpec:
-    return VarietySpec(name, tuple(parse_identity(s) for s in identity_texts))
-
-
-# Naming note: the literature writes R-bullet both for the variety of
-# multiplicatively rectangular semirings (xyx = x) and for the variety on
-# which the least distributive lattice congruence equals Green's R of the
-# multiplicative reduct.  Here the former is "RB", the latter "R_dot".
-CATALOG: Dict[str, VarietySpec] = {spec.name: spec for spec in [
-    _spec("I"),                                  # all idempotent semirings
-    _spec("R_plus", "x+y+x = x"),
-    _spec("RB", "xyx = x"),
-    _spec("LZ_plus", "x+y = x"),
-    _spec("RZ_plus", "x+y = y"),
-    _spec("LZ_dot", "xy = x"),
-    _spec("RZ_dot", "xy = y"),
-    _spec("LNB_dot", "xyz = xzy"),
-    _spec("RNB_dot", "xyz = yxz"),
-    _spec("LQBi", "x+xy+x = x"),
-    _spec("RQBi", "x+yx+x = x"),
-    _spec("LN", "x+xyx = x"),
-    _spec("RN", "xyx+x = x"),
-    _spec("N", "x+xyx+x = x"),
-    _spec("Sl_plus", "x+y = y+x"),
-    _spec("D", "x+y = y+x", "xy = yx", "x+xy = x"),
-    _spec("Bi", "x+xy+x = x", "x+yx+x = x"),
-    _spec("D_dot", "x = xyx+x+xyx"),
-    _spec("L_dot", "x = xy+x+xy"),
-    _spec("R_dot", "x = yx+x+yx"),
-    _spec("L_plus_var", "x+yxy = x"),
-]}
-
-
-def variety_membership(t: SemiringTable, v: VarietySpec) -> bool:
-    """Conjunction of exhaustive identity checks over v's identities."""
-    return all(satisfies_identity(t, ident)[0] for ident in v.identities)
-
-
-def in_variety(t: SemiringTable, name: str) -> bool:
-    return variety_membership(t, CATALOG[name])
-
-
-def malcev_product(*names: str) -> ClassExpr:
+def malcev_product(*names: str) -> Tuple[str, ...]:
     """The right-nested Malcev product V1 o (V2 o (... o Vk)) of catalog
-    varieties; a single name gives that variety."""
+    varieties, as the tuple of their names; a single name is that variety.
+    An empty product or an unknown name is refused."""
+    if not names:
+        raise PreconditionError("a Malcev product needs at least one variety")
     for name in names:
         if name not in CATALOG:
             raise PreconditionError(
                 "unknown class %r; known: %s" % (name, ", ".join(sorted(CATALOG))))
-    expr = Named(CATALOG[names[-1]])
-    for name in reversed(names[:-1]):
-        expr = Malcev(Named(CATALOG[name]), expr)
-    return expr
+    return names
 
 
 RELATION_NAMES = ("D_plus", "L_plus", "R_plus", "D_dot", "L_dot", "R_dot")
@@ -105,8 +59,9 @@ class Analysis:
     """What the theorem catalog asks of one instance t, each computed at
     most once and dropped with this object: Green's relations of both
     reducts, the quasi-orders, sigma, eta (the closure of sigma, as in
-    congruences.eta), catalog memberships, and the least congruence rho(E)
-    of each right factor E of a Malcev product, kept as its blocks.
+    congruences.eta), the membership of each class asked about, and the
+    least congruence rho(E) of each right factor E of a Malcev product,
+    kept as its blocks.
 
     t must be an idempotent semiring.  Only idempotency is checked, once,
     here; the rest is the caller's to validate."""
@@ -128,33 +83,100 @@ class Analysis:
     def __init__(self, t: SemiringTable):
         _require_idempotent(t, "Analysis")
         self.t = t
-        self._members: Dict[str, bool] = {}
+        self._members: Dict[Tuple[str, ...], bool] = {}
         self._rho: Dict[Tuple[str, ...], Tuple[Tuple[int, ...], ...]] = {}
 
-    def member(self, name: str) -> bool:
-        if name not in self._members:
-            self._members[name] = in_variety(self.t, name)
-        return self._members[name]
+    def member(self, *names: str) -> bool:
+        """Membership in the right-nested Malcev product of the named catalog
+        varieties, one name being the variety itself: no identity instance
+        of the first inside a block of rho of the rest (the proof is at
+        malcev_membership)."""
+        if names not in self._members:
+            self._members[names] = next(_instances(
+                self.t, CATALOG[names[0]], self._rho_blocks(names[1:])), None) is None
+        return self._members[names]
 
     def holds(self, text: str) -> bool:
         return satisfies_identity(self.t, THEOREM_IDENTITIES[text])[0]
 
-    def _rho_blocks(self, names: Tuple[str, ...]) -> Tuple[Tuple[int, ...], ...]:
-        """The blocks of rho of the right-nested product of the named varieties:
-        the closure of the first's identity instances inside the blocks of rho
-        of the rest, and rho(D) is eta (see structure.malcev_membership)."""
+    def _rho_blocks(self, names: Tuple[str, ...]) -> Sequence[Sequence[int]]:
+        """The blocks of rho of the right-nested product of the named
+        varieties: the closure of the first's identity instances inside the
+        blocks of rho of the rest.  The product of no factors has the single
+        block range(n), and rho(D) is eta."""
+        if not names:
+            return (range(self.t.order),)
         if names not in self._rho:
-            blocks = self._rho_blocks(names[1:]) if names[1:] else [range(self.t.order)]
             self._rho[names] = (self.eta if names == ("D",) else congruence_closure(
-                self.t, _instances(self.t, CATALOG[names[0]], blocks))).blocks()
+                self.t, _instances(self.t, CATALOG[names[0]],
+                                   self._rho_blocks(names[1:])))).blocks()
         return self._rho[names]
 
-    def malcev(self, *names: str) -> bool:
-        """Membership in the right-nested product of two or more catalog
-        varieties: no identity instance of the first inside a block of rho of
-        the rest (the proof is at structure.malcev_membership)."""
-        return next(_instances(self.t, CATALOG[names[0]],
-                               self._rho_blocks(names[1:])), None) is None
+
+def malcev_membership(t: SemiringTable, names: Tuple[str, ...]
+                      ) -> Tuple[bool, Optional[Partition]]:
+    """Membership of an idempotent semiring t in the right-nested Malcev
+    product of the named catalog varieties, with the least witness
+    congruence (None for a single name, which is plain membership).
+
+    The names are checked as malcev_product checks them, and the product
+    is decided by Analysis(t).member.  t lies in V o E iff V's identities
+    hold inside every class of rho(E), the least congruence of t with
+    quotient in E; rho(E) is then returned as the witness, and every
+    witness contains it.  rho(W) for a variety W is the congruence closure
+    of all identity instances of W on t; rho(V o E) is the closure of
+    those instances of V whose assignment lies inside one class of rho(E).
+    rho(D) is the least distributive lattice congruence eta.
+
+    Proof: every right-nested product of varieties is closed under
+    subalgebras and subdirect products, so t has a least congruence with
+    quotient in it (Burris & Sankappanavar, A Course in Universal Algebra,
+    1981), and a witness rho contains rho(E).  By idempotency congruence
+    classes are subalgebras, so each class of rho(E) is a subalgebra of a
+    class of rho; V is closed under subalgebras, so rho(E) is a witness
+    whenever any congruence is.  Applied to a quotient t/theta in V o E,
+    the same argument shows theta contains V's instances inside the
+    classes of rho(E); their closure theta0 lies inside rho(E), and
+    rho(E)/theta0 witnesses t/theta0 in V o E, so theta0 is rho(V o E).
+    """
+    names = malcev_product(*names)
+    a = Analysis(t)
+    if not a.member(*names):
+        return False, None
+    if len(names) == 1:
+        return True, None
+    return True, Partition.from_blocks(t.order, a._rho_blocks(names[1:]))
+
+
+def spined_decompose(t: SemiringTable) -> SpinedDecomposition:
+    """Decompose a member of D_dot as a spined product of S/L. and S/R..
+
+    Non-members are refused with a PreconditionError naming the failing
+    identity witness.  Any post-membership failure contradicts a proved
+    theorem and raises InternalConsistencyError.  The quotients and the
+    maps are built only once _spined_obstruction has found none.
+    """
+    ok, witness = satisfies_identity(t, CATALOG["D_dot"].identities[0])
+    if not ok:
+        raise PreconditionError(
+            "not in D_dot: identity x = xyx+x+xyx fails at %r" % (witness,))
+    a = Analysis(t)
+    reason = _spined_obstruction(a)
+    if reason:
+        raise InternalConsistencyError(
+            "spined decomposition failed on a D_dot member: %s" % reason)
+    s1, proj1 = _quotient(t, a.green["L_dot"])
+    s2, proj2 = _quotient(t, a.green["R_dot"])
+    d, projd = _quotient(t, a.eta)
+    # phi maps: L-class of a -> D-class of a (well-defined since L-dot
+    # refines D-dot); likewise for R-classes
+    phi1 = [0] * s1.order
+    phi2 = [0] * s2.order
+    for x in range(t.order):
+        phi1[proj1[x]] = projd[x]
+        phi2[proj2[x]] = projd[x]
+    return SpinedDecomposition(s1, s2, d, tuple(phi1), tuple(phi2),
+                               tuple(zip(proj1, proj2)))
 
 
 # The identities the theorems test beyond the catalog's, parsed once.
@@ -202,7 +224,7 @@ def _thm_lemma_1_1(a: Analysis) -> TheoremReport:
     return _equivalence("LEMMA_1_1", [
         ("eta_equals_D_plus", a.eta == a.green["D_plus"]),
         ("band_semiring_identities", a.member("Bi")),
-        ("in_Rplus_malcev_D", a.malcev("R_plus", "D")),
+        ("in_Rplus_malcev_D", a.member("R_plus", "D")),
     ])
 
 
@@ -212,7 +234,7 @@ def _thm_lemma_1_2(a: Analysis) -> TheoremReport:
         ("LN_and_Ddot_in_Lplus",
          a.member("LN") and a.green["D_dot"].refines(a.green["L_plus"])),
         ("identity_x_plus_yxy", a.member("L_plus_var")),
-        ("in_LZplus_malcev_D", a.malcev("LZ_plus", "D")),
+        ("in_LZplus_malcev_D", a.member("LZ_plus", "D")),
     ])
 
 
@@ -319,7 +341,7 @@ def _thm_lnb(a: Analysis) -> TheoremReport:
 def _thm_lemma_4_2(a: Analysis) -> TheoremReport:
     d_mul = a.green["D_dot"]
     clause = (is_congruence(a.t, d_mul)
-              and Analysis(_quotient(a.t, d_mul)[0]).malcev("LZ_plus", "D"))
+              and Analysis(_quotient(a.t, d_mul)[0]).member("LZ_plus", "D"))
     return _equivalence("LEMMA_4_2", [
         ("in_LN", a.member("LN")),
         ("Ddot_congruence_and_quotient_in_LZplus_malcev_D", clause),
@@ -329,9 +351,9 @@ def _thm_lemma_4_2(a: Analysis) -> TheoremReport:
 def _thm_4_1(a: Analysis) -> TheoremReport:
     return _implication("THM_4_1", [
         ("L_dot_iff_LZdot_malcev_D",
-         a.member("L_dot") == a.malcev("LZ_dot", "D")),
+         a.member("L_dot") == a.member("LZ_dot", "D")),
         ("R_dot_iff_RZdot_malcev_D",
-         a.member("R_dot") == a.malcev("RZ_dot", "D")),
+         a.member("R_dot") == a.member("RZ_dot", "D")),
     ])
 
 
@@ -342,15 +364,15 @@ def _thm_4_3(a: Analysis) -> TheoremReport:
     # and reported as observations, never as gating conditions.
     report = _implication("THM_4_3", [
         ("LN_iff_RB_malcev_LZplus_D",
-         a.member("LN") == a.malcev("RB", "LZ_plus", "D")),
+         a.member("LN") == a.member("RB", "LZ_plus", "D")),
         ("RN_iff_RB_malcev_RZplus_D",
-         a.member("RN") == a.malcev("RB", "RZ_plus", "D")),
+         a.member("RN") == a.member("RB", "RZ_plus", "D")),
     ])
     observations = (
         ("LN_iff_Rdot_malcev_LZplus_D",
-         a.member("LN") == a.malcev("R_dot", "LZ_plus", "D")),
+         a.member("LN") == a.member("R_dot", "LZ_plus", "D")),
         ("LN_iff_Ldot_malcev_LZplus_D",
-         a.member("LN") == a.malcev("L_dot", "LZ_plus", "D")),
+         a.member("LN") == a.member("L_dot", "LZ_plus", "D")),
     )
     return TheoremReport(report.theorem_id, report.kind, report.conditions,
                          report.consistent, observations)

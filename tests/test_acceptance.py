@@ -150,8 +150,8 @@ def test_criterion_5_spined_round_trip(order4_instances, labeled_by_order):
 
 
 def test_criterion_6_malcev_equivalences(order4_instances):
-    lz_d = sl.Malcev(sl.Named(sl.CATALOG["LZ_dot"]), sl.Named(sl.CATALOG["D"]))
-    rz_d = sl.Malcev(sl.Named(sl.CATALOG["RZ_dot"]), sl.Named(sl.CATALOG["D"]))
+    lz_d = sl.malcev_product("LZ_dot", "D")
+    rz_d = sl.malcev_product("RZ_dot", "D")
     mismatches = 0
     for t in order4_instances:
         if sl.in_variety(t, "L_dot") != sl.malcev_membership(t, lz_d)[0]:

@@ -432,7 +432,7 @@ def test_enumerate_unknown_filter(capsys):
 
 def test_decompose_round_trip(capsys, tmp_path):
     import semiring_lab as sl
-    cfg = sl.EnumConfig(order=3, up_to_iso=True, filter=sl.CATALOG["D_dot"])
+    cfg = sl.EnumConfig(order=3, up_to_iso=True, filter=("D_dot",))
     member = next(iter(sl.enumerate_idempotent_semirings(cfg)))
     path = tmp_path / "member.txt"
     path.write_text(sl.format_semiring_text(member))

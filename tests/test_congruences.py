@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 
 import semiring_lab as sl
 from semiring_lab.congruences import principal_congruence
+from semiring_lab.core import _instances
 from semiring_lab.relations import BinRelation, Partition
-from semiring_lab.structure import _instances
 
 from conftest import set_partitions
 

@@ -5,8 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import semiring_lab as sl
-from semiring_lab.core import _AXIOMS, Add, Mul, Var
-from semiring_lab.structure import _instances
+from semiring_lab.core import _AXIOMS, Add, Mul, Var, _instances
 from semiring_lab.varieties import THEOREM_IDENTITIES
 
 from conftest import failures_by_eval_term, relabel_seeded, violations_by_loops

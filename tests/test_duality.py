@@ -65,7 +65,7 @@ def _clause(a, tid, name, member, malcev):
     """A THM_4_1 or THM_4_3 clause `member == malcev` of Analysis a, with
     both of its sides, which a slip could swap together."""
     return (dict(sl.verify_theorem(a, tid).conditions)[name],
-            a.member(member), a.malcev(*malcev))
+            a.member(member), a.member(*malcev))
 
 
 @pytest.mark.parametrize("plus", [False, True])

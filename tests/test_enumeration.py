@@ -38,8 +38,10 @@ def test_iso_stream_is_the_canonical_filter(n, labeled_by_order):
 
 
 def _assoc_ok_by_scan(table, pre, i, j):
-    """_assoc_ok's contract by a scan of all n^2 cells for km = i and
-    mk = j in place of the preimage index pre, which it ignores."""
+    """Every determined associativity instance that looks up cell (i, j)
+    holds, by a scan of all n^2 cells for km = i and mk = j, with no
+    preimage index (pre is ignored) and no domain assumed: _assoc_ok's
+    contract on any value, where _assoc_ok trusts _forced's."""
     n, v = len(table), table[i][j]
     row_i, row_v = table[i], table[v]
     for k in range(n):
@@ -90,7 +92,7 @@ def _check_only(add):
     """The . search's rule before domains: a value is kept iff the
     associativity and distributivity instances that look its cell up hold."""
     touching = _touching_sums(add, len(add))
-    return lambda tab, pre, i, j: (_assoc_ok(tab, pre, i, j) and
+    return lambda tab, pre, i, j: (_assoc_ok_by_scan(tab, pre, i, j) and
                                    _distrib_ok(add, touching, tab, i, j))
 
 
@@ -216,8 +218,18 @@ def _assoc_cases(draw):
 @given(case=_assoc_cases())
 @settings(deadline=None, max_examples=500)
 def test_indexed_assoc_check_matches_the_full_scan(case):
+    # on every value the cell's _forced domain keeps, whatever the rest of
+    # the table holds
     rows, i, j = case
-    assert _assoc_ok(rows, _preimages(rows), i, j) == _assoc_ok_by_scan(rows, None, i, j)
+    rows[i][j] = None
+    pre, n = _preimages(rows), len(rows)
+    kept = _forced(rows, pre, i, j, (1 << n) - 1)
+    for v in range(n):
+        if kept >> v & 1:
+            rows[i][j] = v
+            pre[v].append((i, j))
+            assert _assoc_ok(rows, pre, i, j) == _assoc_ok_by_scan(rows, None, i, j)
+            pre[v].pop()
 
 
 def test_preimage_index_stays_in_step():
@@ -348,8 +360,9 @@ def _domain_checked(n, domain, oracle):
 def test_band_domains_keep_the_check_only_search(n, nodes, check_only):
     # the check-only search tries every value at every cell, as the search
     # did before value sets, and spends the node counts it spent
-    found = _searched(n, _domain_checked(n, _band_domain(n), _assoc_ok), _assoc_ok, _perms(n))
-    expected = _searched(n, _every(n), _assoc_ok, _perms(n))
+    found = _searched(n, _domain_checked(n, _band_domain(n), _assoc_ok_by_scan),
+                      _assoc_ok, _perms(n))
+    expected = _searched(n, _every(n), _assoc_ok_by_scan, _perms(n))
     assert found == (expected[0], nodes)
     assert expected[1] == check_only
 
@@ -505,7 +518,7 @@ def test_iso_search_completes_only_least_bands():
 
 
 def test_filter_by_variety():
-    cfg = sl.EnumConfig(order=3, filter=sl.CATALOG["D_dot"])
+    cfg = sl.EnumConfig(order=3, filter=("D_dot",))
     members = list(sl.enumerate_idempotent_semirings(cfg))
     ident = sl.parse_identity("x = xyx+x+xyx")
     assert members
@@ -517,8 +530,7 @@ def test_filter_by_variety():
 
 
 def test_filter_by_malcev_expression():
-    expr = sl.Malcev(sl.Named(sl.CATALOG["LZ_dot"]), sl.Named(sl.CATALOG["D"]))
-    cfg = sl.EnumConfig(order=2, filter=expr)
+    cfg = sl.EnumConfig(order=2, filter=sl.malcev_product("LZ_dot", "D"))
     members = list(sl.enumerate_idempotent_semirings(cfg))
     assert members
     for t in members:

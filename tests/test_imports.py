@@ -1,0 +1,46 @@
+"""The package's modules import one another only downwards, at module level."""
+
+import ast
+from pathlib import Path
+
+import semiring_lab
+
+LAYERS = ("core", "relations", "congruences", "structure", "varieties",
+          "enumeration", "cli")
+PACKAGE = Path(semiring_lab.__file__).parent
+
+
+def _intra_package_imports(tree):
+    """(node, imported module) for every import of a sibling module."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            if node.level == 1 and node.module:
+                yield node, node.module.split(".")[0]
+            elif node.level == 1:  # from . import x
+                for alias in node.names:
+                    yield node, alias.name
+            elif node.module and node.module.split(".")[0] == "semiring_lab":
+                yield node, (node.module.split(".") + [""])[1]
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                parts = alias.name.split(".")
+                if parts[0] == "semiring_lab":
+                    yield node, (parts + [""])[1]
+
+
+def test_modules_import_downwards_at_module_level():
+    files = sorted(PACKAGE.glob("*.py"))
+    assert {f.stem for f in files} == set(LAYERS) | {"__init__"}
+    seen = 0
+    for path in files:
+        tree = ast.parse(path.read_text(), str(path))
+        top = set(map(id, tree.body))
+        # the package itself sits above every layer
+        rank = len(LAYERS) if path.stem == "__init__" else LAYERS.index(path.stem)
+        for node, target in _intra_package_imports(tree):
+            seen += 1
+            where = "%s:%d" % (path.name, node.lineno)
+            assert id(node) in top, "%s imports %s inside a block" % (where, target)
+            assert target in LAYERS and LAYERS.index(target) < rank, (
+                "%s imports %s against the layer order" % (where, target))
+    assert seen >= len(LAYERS)

@@ -27,11 +27,11 @@ def _subalgebra(t, elems):
 class LatticeMalcev:
     """Lattice-search oracle for malcev_membership.
 
-    For Malcev(V, W): search all congruences rho of t in canonical order
-    for one whose quotient lies in W and whose classes are all closed
-    under both operations and lie in V (both checks recursive).  A class
-    not closed under + or . disqualifies its congruence.  Returns the
-    first witness in canonical congruence order.
+    For the product (V,) + rest: search all congruences rho of t in
+    canonical order for one whose quotient lies in rest and whose classes
+    are all closed under both operations and lie in V (both checks
+    recursive).  A class not closed under + or . disqualifies its
+    congruence.  Returns the first witness in canonical congruence order.
 
     Each table's congruence list, quotients and class subalgebras, and
     each (table, variety) membership, are computed once per oracle.
@@ -49,16 +49,16 @@ class LatticeMalcev:
                 for rho in sl.all_congruences(t).partitions]
         return self._lattices[t]
 
-    def membership(self, t, expr):
-        if isinstance(expr, sl.Named):
-            key = (t, expr.variety.name)
+    def membership(self, t, names):
+        if len(names) == 1:
+            key = (t, names[0])
             if key not in self._members:
-                self._members[key] = sl.variety_membership(t, expr.variety)
+                self._members[key] = sl.variety_membership(t, sl.CATALOG[names[0]])
             return self._members[key], None
         for rho, q, subs in self._lattice(t):
-            if not self.membership(q, expr.right)[0]:
+            if not self.membership(q, names[1:])[0]:
                 continue
-            if all(sub is not None and self.membership(sub, expr.left)[0]
+            if all(sub is not None and self.membership(sub, names[:1])[0]
                    for sub in subs):
                 return True, rho
         return False, None

@@ -102,7 +102,7 @@ def test_is_distributive_lattice_requires_idempotency():
 # Malcev products
 
 def test_malcev_named_is_plain_membership(dl2):
-    assert sl.malcev_membership(dl2, sl.Named(sl.CATALOG["D"]))[0]
+    assert sl.malcev_membership(dl2, sl.malcev_product("D")) == (True, None)
 
 
 def test_malcev_dl2_in_lz_dot_of_d(dl2):
@@ -123,25 +123,28 @@ def test_malcev_trivial_algebra(order1):
     assert sl.malcev_membership(order1, sl.malcev_product("RB", "LZ_plus", "D"))[0]
 
 
-def test_malcev_left_factor_must_be_named():
-    with pytest.raises(sl.PreconditionError):
-        sl.Malcev(sl.malcev_product("LZ_dot", "D"), sl.Named(sl.CATALOG["D"]))
+def test_classes_refuse_unknown_names_and_empty_products(dl2):
+    # a class is a tuple of catalog names, checked wherever one is taken
+    for names in ((), ("Nope",), ("LZ_dot", "Nope"), ("Nope", "D")):
+        with pytest.raises(sl.PreconditionError):
+            sl.malcev_product(*names)
+        with pytest.raises(sl.PreconditionError):
+            sl.malcev_membership(dl2, names)
+        with pytest.raises(sl.PreconditionError):
+            sl.EnumConfig(order=2, filter=names)
+    with pytest.raises(sl.PreconditionError):  # a name, not a class
+        sl.EnumConfig(order=2, filter="D")
+    assert sl.malcev_product("LZ_dot", "D") == ("LZ_dot", "D")
 
 
-def test_malcev_refuses_non_catalog_factors(dl2):
-    # a product is decided by name through the catalog, so a factor that is
-    # not the catalog variety of its name is refused, on either side
-    lz_dot, d = sl.CATALOG["LZ_dot"], sl.Named(sl.CATALOG["D"])
-    impostor = sl.VarietySpec("LZ_dot", (sl.parse_identity("xy = y"),))
-    ad_hoc = sl.VarietySpec("ad-hoc", lz_dot.identities)
-    for expr in (sl.Malcev(sl.Named(impostor), d), sl.Malcev(sl.Named(ad_hoc), d),
-                 sl.Malcev(sl.Named(lz_dot), sl.Named(impostor)),
-                 sl.Malcev(sl.Named(lz_dot), sl.Malcev(sl.Named(ad_hoc), d))):
-        with pytest.raises(sl.PreconditionError, match="not the catalog variety"):
-            sl.malcev_membership(dl2, expr)
-    # an equal copy of a catalog entry is accepted
-    copy = sl.VarietySpec("LZ_dot", (sl.parse_identity("xy = x"),))
-    assert sl.malcev_membership(dl2, sl.Malcev(sl.Named(copy), d))[0]
+def test_single_name_membership_is_the_variety(iso_small):
+    # the product of no factors has the single block range(n), so one name
+    # is plain membership
+    assert len(iso_small) == 92
+    for t in iso_small:
+        a = sl.Analysis(t)
+        for name in sl.CATALOG:
+            assert a.member(name) == sl.in_variety(t, name), (name, t)
 
 
 def test_malcev_requires_idempotent_semiring():
@@ -267,7 +270,7 @@ def test_spined_product_fiber_counting(dl2):
 
 def test_spined_product_of_mirrored_l_dot_member():
     # an L-dot member with a 2-block eta, spined with its opposite
-    cfg = sl.EnumConfig(order=3, up_to_iso=True, filter=sl.CATALOG["L_dot"])
+    cfg = sl.EnumConfig(order=3, up_to_iso=True, filter=("L_dot",))
     s1 = next(t for t in sl.enumerate_idempotent_semirings(cfg)
               if sl.eta(t).num_blocks() == 2)
     s2 = sl.SemiringTable.from_rows(

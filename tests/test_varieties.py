@@ -195,7 +195,7 @@ def test_shared_analysis_computes_each_relation_once(monkeypatch, dl2, golden3):
         assert cli._verify_one((t.order, 0, t, suite)) == []
         # one _green per reduct; sigma once on t (LEMMA_4_2's quotient has
         # an Analysis of its own); 8 idempotency checks of t, one per Malcev
-        # call, while Analysis.malcev checked
+        # call, while the Analysis checked
         assert calls["_green"] == 2 and sum(x is t for x in sigma_of) == 1, calls
         assert sum(x is t for x in checked) == 1, checked
         assert calls["eta"] <= 1 and calls["parse_term"] == 0, calls
@@ -217,8 +217,8 @@ def test_sweep_tests_each_congruence_and_builds_each_product_once(monkeypatch, i
             return fn(*args, **kwargs)
         return wrapper
 
-    for module, name in ((congruences, "is_congruence"), (varieties, "is_congruence"),
-                         (varieties, "malcev_product")):
+    for module, name in ((congruences, "is_congruence"), (structure, "is_congruence"),
+                         (varieties, "is_congruence"), (varieties, "malcev_product")):
         monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
     monkeypatch.setattr(Partition, "blocks", counting("blocks", Partition.blocks))
     monkeypatch.setattr(relations.BinRelation, "is_equivalence",
@@ -230,15 +230,15 @@ def test_sweep_tests_each_congruence_and_builds_each_product_once(monkeypatch, i
     # product; 783 while LEMMA_4_2 built one per D-dot quotient
     assert calls["is_congruence"] == 1153, calls
     assert calls["malcev_product"] == 0, calls
-    # 11 546 and 1 504 while Analysis.malcev took the blocks of rho on every
+    # 11 546 and 1 504 while the Malcev test took the blocks of rho on every
     # call and THM_2_5 tested a transitive sigma for an equivalence; 5 701
     # while COR_JOIN built three quotients
     assert calls["blocks"] == 5224 and calls["is_equivalence"] == 0, calls
     a = sl.Analysis(iso4[-1])
-    a.malcev("RB", "LZ_plus", "D")
+    a.member("RB", "LZ_plus", "D")
     calls.clear()
-    a.malcev("RB", "LZ_plus", "D")
-    a.malcev("LZ_plus", "D")
+    a.member("RB", "LZ_plus", "D")
+    a.member("LZ_plus", "D")
     assert calls["blocks"] == 0, calls
 
 
