@@ -15,7 +15,6 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import multiprocessing
 import os
 import sys
 import time
@@ -131,6 +130,8 @@ def _sweep(cfgs: List[EnumConfig], workers: int, check, arg) -> Tuple[int, List[
 
     offsets: Dict[int, int] = Counter()  # order -> its tables so far
     out: List[Dict] = []
+    if workers > 1:  # imported here, which keeps it off the start-up path
+        import multiprocessing
     with multiprocessing.Pool(workers) if workers > 1 else nullcontext() as pool:
         for n, count, nodes, items in (pool.imap if pool else map)(_band_job, jobs()):
             charge(n, nodes)

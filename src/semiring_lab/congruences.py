@@ -62,12 +62,10 @@ def sigma(t: SemiringTable) -> BinRelation:
     Reflexive and symmetric by construction; transitivity is NOT
     guaranteed (and genuinely fails on some idempotent semirings).
     """
-    def absorbed(a: int, b: int) -> bool:
-        aba = t.mul[t.mul[a][b]][a]
-        return t.add[t.add[aba][a]][aba] == aba
-
-    return BinRelation.from_predicate(
-        t.order, lambda a, b: absorbed(a, b) and absorbed(b, a))
+    r, add, mul = range(t.order), t.add, t.mul
+    # ok[a][b]: aba = aba+a+aba, evaluated once per ordered pair
+    ok = [[add[add[x][a]][x] == x for x in (mul[ab][a] for ab in mul[a])] for a in r]
+    return BinRelation(t.order, ((a, b) for a in r for b in r if ok[a][b] and ok[b][a]))
 
 
 def sigma_star(t: SemiringTable) -> BinRelation:

@@ -163,27 +163,32 @@ class Identity:
 
 
 def _compile(ident: Identity) -> Callable:
-    """Identity.failures as nested loops over v0, v1, ... in D, each side
-    written out as A[..][..] (+) and M[..][..] (.) lookups.  The source is
-    built from the term trees alone."""
-    def code(term: Term) -> str:
-        if isinstance(term, Var):
-            return "v%d" % term.index
-        return "%s[%s][%s]" % ("A" if isinstance(term, Add) else "M",
-                               code(term.left), code(term.right))
-
+    """Identity.failures as nested loops over v0, v1, ... in D, computing
+    each distinct compound subterm once, as A[..][..] (+) or M[..][..] (.),
+    in the loop of its last variable; built from the term trees alone."""
     k = ident.nvars
     names = "".join("v%d, " % d for d in range(k))
-    inner = ["l, r = %s, %s" % (code(ident.lhs), code(ident.rhs)), "if l != r:",
-             " yield (%s), l, r" % names]
     # Python nests at most 20 blocks; past that, one (slower) product loop
     loops = (["for v%d in D:" % d for d in range(k)] if k <= 20
              else ["for %sin product(D, repeat=%d):" % (names, k)])
-    src = (["def failures(A, M, D):"]
-           + [" " * (d + 1) + loop for d, loop in enumerate(loops)]
-           + [" " * (len(loops) + 1) + line for line in inner])
+    body = [[loop] for loop in loops]  # each loop, then its lines one level in
+    local: Dict[Term, str] = {}  # compound subterm -> the variable holding it
+
+    def code(term: Term) -> str:
+        if isinstance(term, Var):
+            return "v%d" % term.index
+        if term not in local:
+            left, right = code(term.left), code(term.right)
+            local[term] = "t%d" % len(local)
+            body[min(term_max_var(term), len(loops) - 1)].append(" %s = %s[%s][%s]" % (
+                local[term], "A" if isinstance(term, Add) else "M", left, right))
+        return local[term]
+
+    l, r = code(ident.lhs), code(ident.rhs)
+    body[-1] += [" if %s != %s:" % (l, r), "  yield (%s), %s, %s" % (names, l, r)]
     scope = {"product": itertools.product}
-    exec("\n".join(src), scope)
+    exec("def failures(A, M, D):\n" + "\n".join(
+        " " * (d + 1) + line for d, lines in enumerate(body) for line in lines), scope)
     return scope["failures"]
 
 

@@ -58,10 +58,11 @@ def eta_equals_relation(t: SemiringTable, which: str) -> bool:
 class Analysis:
     """What the theorem catalog asks of one instance t, each computed at
     most once and dropped with this object: Green's relations of both
-    reducts, the quasi-orders, sigma, eta (the closure of sigma, as in
+    reducts, the quasi-orders (read by analyze; the theorems test two
+    inclusions in one pass), sigma, eta (the closure of sigma, as in
     congruences.eta), the membership of each class asked about, and the
-    least congruence rho(E) of each right factor E of a Malcev product,
-    kept as its blocks.
+    blocks of the least congruence rho(E) of each right factor E of a
+    Malcev product.
 
     t must be an idempotent semiring.  Only idempotency is checked, once,
     here; the rest is the caller's to validate."""
@@ -74,11 +75,10 @@ class Analysis:
     quasi_orders = cached_property(lambda self: quasi_orders(self.t))
     sigma = cached_property(lambda self: sigma(self.t))
     eta = cached_property(lambda self: congruence_closure(self.t, self.sigma))
-    # sigma is reflexive and symmetric by construction, so it is an
-    # equivalence exactly when it is transitive
     sigma_transitive = cached_property(lambda self: self.sigma.is_transitive())
-    sigma_is_eta = cached_property(lambda self: self.sigma_transitive and (
-        Partition.from_pairs(self.t.order, self.sigma.pairs) == self.eta))
+    # sigma lies in eta, its closure, so they are equal iff equally large
+    sigma_is_eta = cached_property(lambda self: len(self.sigma.pairs) == sum(
+        len(block) ** 2 for block in self._rho_blocks(("D",))))
 
     def __init__(self, t: SemiringTable):
         _require_idempotent(t, "Analysis")
@@ -86,12 +86,22 @@ class Analysis:
         self._members: Dict[Tuple[str, ...], bool] = {}
         self._rho: Dict[Tuple[str, ...], Tuple[Tuple[int, ...], ...]] = {}
 
+    @cached_property
+    def le_mul_in_le_add(self) -> Tuple[bool, bool]:
+        """Whether <=l. and <=r. lie inside <=+ (see quasi_orders): a = ba,
+        resp. a = ab, may hold for no pair (a, b) outside <=+."""
+        r, add, mul = range(self.t.order), self.t.add, self.t.mul
+        outside = [(a, b) for a in r for b in r if add[a][b] != b or add[b][a] != b]
+        return (all(mul[b][a] != a for a, b in outside),
+                all(mul[a][b] != a for a, b in outside))
+
     def member(self, *names: str) -> bool:
         """Membership in the right-nested Malcev product of the named catalog
         varieties, one name being the variety itself: no identity instance
         of the first inside a block of rho of the rest (the proof is at
         malcev_membership)."""
         if names not in self._members:
+            malcev_product(*names)
             self._members[names] = next(_instances(
                 self.t, CATALOG[names[0]], self._rho_blocks(names[1:])), None) is None
         return self._members[names]
@@ -272,14 +282,13 @@ def _thm_lemma_3_2(a: Analysis) -> TheoremReport:
 
 def _thm_3_3(a: Analysis) -> TheoremReport:
     l_mul, r_mul, d_add = a.green["L_dot"], a.green["R_dot"], a.green["D_plus"]
-    _, _, le_l_mul, _, le_add, _ = a.quasi_orders
     return _equivalence("THM_3_3", [
         ("eta_equals_L_dot", a.eta == l_mul),
         ("Dplus_in_Ldot_and_bi1",
          d_add.refines(l_mul) and a.member("LQBi")),
         ("N_and_Rdot_Dplus_Ldot",
          a.member("N") and r_mul.refines(d_add) and d_add.refines(l_mul)),
-        ("le_l_mul_in_le_add", le_l_mul.is_subset_of(le_add)),
+        ("le_l_mul_in_le_add", a.le_mul_in_le_add[0]),
         ("identity_L_dot", a.member("L_dot")),
         ("identity_L_dot_factored", a.holds("x = x(y+x+y)")),
     ])
@@ -287,14 +296,13 @@ def _thm_3_3(a: Analysis) -> TheoremReport:
 
 def _thm_3_4(a: Analysis) -> TheoremReport:
     l_mul, r_mul, d_add = a.green["L_dot"], a.green["R_dot"], a.green["D_plus"]
-    _, _, _, le_r_mul, le_add, _ = a.quasi_orders
     return _equivalence("THM_3_4", [
         ("eta_equals_R_dot", a.eta == r_mul),
         ("Dplus_in_Rdot_and_bi2",
          d_add.refines(r_mul) and a.member("RQBi")),
         ("N_and_Ldot_Dplus_Rdot",
          a.member("N") and l_mul.refines(d_add) and d_add.refines(r_mul)),
-        ("le_r_mul_in_le_add", le_r_mul.is_subset_of(le_add)),
+        ("le_r_mul_in_le_add", a.le_mul_in_le_add[1]),
         ("identity_R_dot", a.member("R_dot")),
         ("identity_R_dot_factored", a.holds("x = (y+x+y)x")),
     ])
@@ -339,9 +347,12 @@ def _thm_lnb(a: Analysis) -> TheoremReport:
 
 
 def _thm_lemma_4_2(a: Analysis) -> TheoremReport:
-    d_mul = a.green["D_dot"]
-    clause = (is_congruence(a.t, d_mul)
-              and Analysis(_quotient(a.t, d_mul)[0]).member("LZ_plus", "D"))
+    # D. lies in eta (in the semilattice S/eta, aba = a and bab = b give [a] = [b]),
+    # so rho(D) of S/D. is eta/D.: S/D. is in LZ_plus o D iff a eta b gives a+b D. a
+    d_mul, add = a.green["D_dot"], a.t.add
+    clause = is_congruence(a.t, d_mul) and all(
+        d_mul.related(add[x][y], x)
+        for block in a._rho_blocks(("D",)) for x in block for y in block)
     return _equivalence("LEMMA_4_2", [
         ("in_LN", a.member("LN")),
         ("Ddot_congruence_and_quotient_in_LZplus_malcev_D", clause),

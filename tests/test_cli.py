@@ -1,6 +1,7 @@
 import gc
 import hashlib
 import json
+import multiprocessing
 import os
 import resource
 import subprocess
@@ -370,7 +371,7 @@ def test_nan_budget_is_rejected(capsys, monkeypatch, where):
 def test_verify_rejects_worker_count_out_of_range(capsys, monkeypatch, workers):
     def refuse(*args, **kwargs):
         raise AssertionError("nothing may run before --workers is checked")
-    monkeypatch.setattr(cli.multiprocessing, "Pool", refuse)
+    monkeypatch.setattr(multiprocessing, "Pool", refuse)
     monkeypatch.setattr(cli, "enumerate_idempotent_semirings", refuse)
     code, _, err = run(capsys, "verify", "--max-order", "1", "--workers", workers)
     assert code == 3

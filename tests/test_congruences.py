@@ -1,4 +1,5 @@
 import itertools
+import random
 from collections import deque
 
 import pytest
@@ -10,7 +11,7 @@ from semiring_lab.congruences import principal_congruence
 from semiring_lab.core import _instances
 from semiring_lab.relations import BinRelation, Partition
 
-from conftest import set_partitions
+from conftest import relabel_seeded, set_partitions
 
 
 class UnionFind:
@@ -184,6 +185,20 @@ def test_sigma_star_is_transitive_closure(small_semirings, iso4):
         assert sl.sigma_star(t) == sl.sigma(t).transitive_closure()
 
 
+def test_sigma_matches_the_two_sided_absorption_predicate(iso_upto4):
+    # oracle for sigma's table, which evaluates each absorption once per
+    # ordered pair: the predicate that tests both absorptions of each pair
+    def absorbed(t, a, b):
+        aba = t.mul[t.mul[a][b]][a]
+        return t.add[t.add[aba][a]][aba] == aba
+
+    rng = random.Random(1507)
+    for t in iso_upto4:
+        for s in (t, relabel_seeded(t, rng)):
+            assert sl.sigma(s) == BinRelation.from_predicate(
+                s.order, lambda a, b: absorbed(s, a, b) and absorbed(s, b, a))
+
+
 # ---------------------------------------------------------------------------
 # least distributive lattice congruence
 
@@ -204,6 +219,15 @@ def test_d_plus_refines_eta(small_semirings):
     for t in small_semirings:
         _, _, d_add = sl.green_add(t)
         assert d_add.refines(sl.eta(t))
+
+
+def test_d_dot_refines_eta(iso_upto4):
+    # LEMMA_4_2 reads rho(D) of S/D. as eta/D. on this ground: in the
+    # semilattice S/eta, aba = a and bab = b give [a] = [a][b] = [b]
+    rng = random.Random(4242)
+    for t in iso_upto4:
+        for s in (t, relabel_seeded(t, rng)):
+            assert sl.green_mult(s)[2].refines(sl.eta(s)), s
 
 
 def test_quotient_by_eta_is_distributive_lattice(iso_upto4):

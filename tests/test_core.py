@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import semiring_lab as sl
+from semiring_lab import core
 from semiring_lab.core import _AXIOMS, Add, Mul, Var, _instances
 from semiring_lab.varieties import THEOREM_IDENTITIES
 
@@ -187,6 +188,25 @@ def test_compiled_identities_match_eval_term(iso_small):
                          for _, u, v in failures_by_eval_term(s, ident, block)]
                 assert list(_instances(s, sl.VarietySpec("one", (ident,)),
                                        classes)) == pairs
+
+
+def test_compiled_source_computes_each_subterm_once(monkeypatch):
+    # xyzx occurs twice and xy three times; each distinct compound subterm
+    # is looked up once, in the loop of its last variable
+    def compounds(term):
+        if isinstance(term, Var):
+            return set()
+        return {term} | compounds(term.left) | compounds(term.right)
+
+    sources = []
+    monkeypatch.setattr(core, "exec", lambda src, scope: (
+        sources.append(src), exec(src, scope)), raising=False)
+    ident = THEOREM_IDENTITIES["xyzx = xyzx+xyxzx+xyzx"]
+    core._compile(ident)
+    src, = sources
+    assert len(compounds(ident.lhs) | compounds(ident.rhs)) == 8
+    assert src.count("A[") + src.count("M[") == 8, src
+    assert src.count("M[v0][v1]") == 1 and src.index("M[v0][v1]") < src.index("for v2")
 
 
 @pytest.mark.parametrize("k", [20, 21])

@@ -43,6 +43,20 @@ def test_analysis_refuses_a_non_idempotent_table():
         sl.Analysis(t)
 
 
+def test_membership_refuses_unknown_names_and_empty_products(monkeypatch, golden3):
+    a = sl.Analysis(golden3)
+    for names in ((), ("nope",), ("LZ_plus", "nope")):
+        with pytest.raises(sl.PreconditionError):
+            a.member(*names)
+    # the names are checked on a cache miss only: a hit is one lookup
+    member = a.member("LZ_plus", "D")
+
+    def refuse(*names):
+        raise AssertionError("a cached membership checked its names again")
+    monkeypatch.setattr(varieties, "malcev_product", refuse)
+    assert a.member("LZ_plus", "D") == member
+
+
 def test_eta_equals_relation_examples(golden3, dl2):
     assert sl.eta_equals_relation(dl2, "D_dot")  # both are equality
     assert not sl.eta_equals_relation(golden3, "D_dot")
@@ -150,6 +164,52 @@ def _theorem_reports_digest(ts):
     return digest.hexdigest()
 
 
+def _with_relabellings(classes, seed):
+    """Each class, then one seeded relabelling of it."""
+    rng = random.Random(seed)
+    for t in classes:
+        yield t
+        yield relabel_seeded(t, rng)
+
+
+def test_lemma_4_2_clause_matches_the_quotient_route(iso_upto4):
+    # oracle for the clause read off the blocks of eta: build S/D. and ask
+    # an Analysis of its own whether it lies in LZ_plus o D
+    seen = set()
+    for t in _with_relabellings(iso_upto4, 4201):
+        d_mul = sl.green_mult(t)[2]
+        clause = sl.is_congruence(t, d_mul) and sl.Analysis(
+            structure._quotient(t, d_mul)[0]).member("LZ_plus", "D")
+        conditions = dict(sl.verify_theorem(t, "LEMMA_4_2").conditions)
+        assert conditions["Ddot_congruence_and_quotient_in_LZplus_malcev_D"] == clause
+        seen.add(clause)
+    assert seen == {False, True}
+
+
+def test_quasi_order_inclusions_match_the_relations(iso_upto4):
+    # oracle for THM_3_3's and THM_3_4's one pass over the tables: the
+    # inclusions of the quasi-orders built as relations
+    seen = set()
+    for t in _with_relabellings(iso_upto4, 3334):
+        _, _, le_l_mul, le_r_mul, le_add, _ = sl.quasi_orders(t)
+        inclusions = (le_l_mul.is_subset_of(le_add), le_r_mul.is_subset_of(le_add))
+        assert sl.Analysis(t).le_mul_in_le_add == inclusions
+        seen.add(inclusions)
+    assert len(seen) == 4
+
+
+def test_sigma_is_eta_matches_the_partition_comparison(iso_upto4):
+    # oracle for comparing sizes: sigma is an equivalence whose partition
+    # is eta
+    seen = set()
+    for t in _with_relabellings(iso_upto4, 2525):
+        a = sl.Analysis(t)
+        assert a.sigma_is_eta == (a.sigma_transitive and Partition.from_pairs(
+            t.order, a.sigma.pairs) == a.eta)
+        seen.add(a.sigma_is_eta)
+    assert seen == {False, True}
+
+
 def test_theorem_reports_are_frozen(iso4):
     assert len(iso4) == 835
     assert _theorem_reports_digest(iso4) == THEOREM_REPORTS_SHA256
@@ -193,10 +253,10 @@ def test_shared_analysis_computes_each_relation_once(monkeypatch, dl2, golden3):
         checked.clear()
         del sigma_of[:]
         assert cli._verify_one((t.order, 0, t, suite)) == []
-        # one _green per reduct; sigma once on t (LEMMA_4_2's quotient has
-        # an Analysis of its own); 8 idempotency checks of t, one per Malcev
-        # call, while the Analysis checked
-        assert calls["_green"] == 2 and sum(x is t for x in sigma_of) == 1, calls
+        # one _green per reduct; sigma once, on t (twice while LEMMA_4_2's
+        # quotient had an Analysis of its own); 8 idempotency checks of t,
+        # one per Malcev call, while the Analysis checked
+        assert calls["_green"] == 2 and sigma_of == [t], calls
         assert sum(x is t for x in checked) == 1, checked
         assert calls["eta"] <= 1 and calls["parse_term"] == 0, calls
         calls.clear()
@@ -227,13 +287,15 @@ def test_sweep_tests_each_congruence_and_builds_each_product_once(monkeypatch, i
     for t in iso4:
         assert cli._verify_one((4, 0, t, suite)) == []
     # 2 413 and 9 133 while quotient re-tested and every call built a
-    # product; 783 while LEMMA_4_2 built one per D-dot quotient
+    # product; 783 while LEMMA_4_2 built one per D-dot quotient, none while
+    # a membership first asked left its names unchecked: each class asked
+    # about is now checked once per instance
     assert calls["is_congruence"] == 1153, calls
-    assert calls["malcev_product"] == 0, calls
+    assert calls["malcev_product"] == 15333, calls
     # 11 546 and 1 504 while the Malcev test took the blocks of rho on every
     # call and THM_2_5 tested a transitive sigma for an equivalence; 5 701
-    # while COR_JOIN built three quotients
-    assert calls["blocks"] == 5224 and calls["is_equivalence"] == 0, calls
+    # while COR_JOIN built three quotients, 5 224 while LEMMA_4_2 built one
+    assert calls["blocks"] == 3658 and calls["is_equivalence"] == 0, calls
     a = sl.Analysis(iso4[-1])
     a.member("RB", "LZ_plus", "D")
     calls.clear()
