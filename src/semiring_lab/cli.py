@@ -13,7 +13,6 @@ only; the JSON ``timing`` field stays null unless --timing is passed.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import os
 import sys
@@ -29,8 +28,8 @@ from .congruences import least_dl_congruence, sigma_star
 from .enumeration import (DEFAULT_NODE_BUDGET, DEFAULT_SECS_BUDGET, EnumConfig,
                           _Budget, bands, completions,
                           enumerate_idempotent_semirings)
-from .varieties import (THEOREMS, Analysis, malcev_product, spined_decompose,
-                        verify_theorem)
+from .varieties import (THEOREMS, Analysis, BandFacts, _consistent, malcev_product,
+                        spined_decompose)
 
 SCHEMA_VERSION = 1
 
@@ -44,6 +43,7 @@ MAX_WORKERS = 64
 
 
 def _digest(data: str) -> str:
+    import hashlib  # here, which keeps it off the start-up path
     return "sha256:" + hashlib.sha256(data.encode()).hexdigest()
 
 
@@ -92,14 +92,15 @@ def _configs(args) -> List[EnumConfig]:
 
 
 def _band_job(job) -> Tuple[int, int, int, List[Dict]]:
-    """check((order, index in the band, table, arg)) on each table completing
-    one band; returns the order, the table count, the nodes spent, the items."""
+    """check((order, index in the band, table, arg), band) on each table
+    completing one band, band being the BandFacts they share; returns the
+    order, the table count, the nodes spent, the items."""
     check, arg, n, add, auts, nodes, deadline = job
     budget = _Budget(nodes, deadline - time.monotonic())
     names = tuple("e%d" % i for i in range(n))
-    count, items = 0, []
+    count, items, band = 0, [], BandFacts(add)
     for count, mul in enumerate(completions(add, auts, budget), 1):
-        items += check((n, count - 1, SemiringTable(n, names, add, mul), arg))
+        items += check((n, count - 1, SemiringTable(n, names, add, mul), arg), band)
     return n, count, nodes - budget.nodes_left, items
 
 
@@ -193,18 +194,22 @@ def cmd_analyze(args, started: float) -> int:
 # ---------------------------------------------------------------------------
 # verify
 
-def _verify_one(job: Tuple[int, int, SemiringTable, Tuple[str, ...]]) -> List[Dict]:
+def _verify_one(job: Tuple[int, int, SemiringTable, Tuple[str, ...]],
+                band: Optional[BandFacts] = None) -> List[Dict]:
+    """A failure for each theorem of the suite that t contradicts; the
+    suite is checked against THEOREMS once, by cmd_verify."""
     n, index, t, suite = job
-    analysis = Analysis(t)
+    a = Analysis(t, band)
     failures = []
     for tid in suite:
-        r = verify_theorem(analysis, tid)
-        if not r.consistent:
+        kind, conditions_of = THEOREMS[tid]
+        conditions = conditions_of(a)
+        if not _consistent(kind, conditions):
             failures.append({
                 "order": n,
                 "index": index,
                 "theorem": tid,
-                "conditions": {label: val for label, val in r.conditions},
+                "conditions": dict(conditions),
                 "semiring": format_semiring_text(t),
             })
     return failures
@@ -309,9 +314,9 @@ def cmd_decompose(args, started: float) -> int:
 # ---------------------------------------------------------------------------
 # explore-sigma
 
-def _sigma_row(job: Tuple[int, int, SemiringTable, None]) -> List[Dict]:
+def _sigma_row(job: Tuple[int, int, SemiringTable, None], band: BandFacts) -> List[Dict]:
     n, index, t, _ = job
-    a = Analysis(t)
+    a = Analysis(t, band)
     return [{"order": n, "index": index, "sigma_transitive": a.sigma_transitive,
              "in_N": a.member("N"), "sigma_is_eta": a.sigma_is_eta}]
 

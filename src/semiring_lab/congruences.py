@@ -15,28 +15,24 @@ from typing import Iterable, Tuple, Union
 
 from .core import (CATALOG, PreconditionError, ResourceBoundError, SemiringTable,
                    _instances, _require_idempotent)
-from .relations import BinRelation, Partition, _merge_blocks
+from .relations import BinRelation, Partition, _compatible, _merge_blocks, _transpose
 
 DEFAULT_ORDER_BOUND = 8
 
 
+def _translations(t: SemiringTable) -> Tuple[Tuple[Tuple[int, ...], ...], ...]:
+    """The translation tables of t: + and . by rows and by columns, so that
+    row a of each lists a+c, c+a, ac and ca over c."""
+    return t.add, _transpose(t.add), t.mul, _transpose(t.mul)
+
+
 def is_congruence(t: SemiringTable, p: Partition) -> bool:
-    """Compatibility of p with both operations, by single-sided substitution."""
+    """Compatibility of p with both operations: a p b gives a+c p b+c,
+    c+a p c+b, ac p bc and ca p cb for every c (relations._compatible)."""
     if p.order != t.order:
         raise PreconditionError("partition order %d != semiring order %d"
                                 % (p.order, t.order))
-    n = t.order
-    blocks = p.blocks()
-    for block in blocks:
-        a = block[0]
-        for b in block[1:]:
-            for c in range(n):
-                if not (p.related(t.add[a][c], t.add[b][c])
-                        and p.related(t.add[c][a], t.add[c][b])
-                        and p.related(t.mul[a][c], t.mul[b][c])
-                        and p.related(t.mul[c][a], t.mul[c][b])):
-                    return False
-    return True
+    return _compatible(p.labels, _translations(t))
 
 
 def congruence_closure(t: SemiringTable,
@@ -45,15 +41,14 @@ def congruence_closure(t: SemiringTable,
     """Least congruence of t containing the seed relation.
 
     relations._merge_blocks, the block merge of Partition.from_pairs, given
-    the four translation tables: merging a and b adds (a+c, b+c),
+    the four _translations: merging a and b adds (a+c, b+c),
     (c+a, c+b), (ac, bc), (ca, cb) for every c, read off the rows and
     columns of + and .  Closing the merging pairs suffices: each
     translation maps a chain of them joining x and y to one joining its
     images.
     """
     pairs = seed.pairs if isinstance(seed, BinRelation) else seed
-    return _merge_blocks(t.order, pairs, (t.add, tuple(zip(*t.add)),
-                                          t.mul, tuple(zip(*t.mul))))
+    return _merge_blocks(t.order, pairs, _translations(t))
 
 
 def sigma(t: SemiringTable) -> BinRelation:

@@ -15,6 +15,10 @@ from typing import Callable, FrozenSet, Iterable, List, Sequence, Tuple
 from .core import PreconditionError, SemiringTable
 
 
+def _transpose(rows: Sequence[Sequence[int]]) -> Tuple[Tuple[int, ...], ...]:
+    return tuple(zip(*rows))
+
+
 def _merge_blocks(order: int, pairs: Iterable[Tuple[int, int]],
                   lines: Sequence[Sequence[Sequence[int]]] = ()) -> "Partition":
     """The partition generated by pairs, closed under the translations
@@ -38,6 +42,19 @@ def _merge_blocks(order: int, pairs: Iterable[Tuple[int, int]],
         for rows in lines:
             work += zip(rows[a], rows[b])
     return Partition(label)
+
+
+def _compatible(labels: Sequence[int], lines: Sequence[Sequence[Sequence[int]]]) -> bool:
+    """Whether the partition with these block labels is closed under the
+    translations given as lines (see _merge_blocks): row a and row b of
+    each carry the same labels whenever a and b share a block."""
+    for rows in lines:
+        seen: dict = {}
+        for a, row in zip(labels, rows):
+            images = [labels[v] for v in row]
+            if seen.setdefault(a, images) != images:
+                return False
+    return True
 
 
 class Partition:

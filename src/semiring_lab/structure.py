@@ -16,7 +16,7 @@ from .congruences import is_congruence
 from .core import (CATALOG, PreconditionError, SemiringTable, _instances,
                    _relabel_rows, _require_idempotent, validate_semiring,
                    variety_membership)
-from .relations import Partition
+from .relations import Partition, _compatible
 
 
 # ---------------------------------------------------------------------------
@@ -169,11 +169,12 @@ def _spined_obstruction(a: "Analysis") -> str:  # noqa: F821 (varieties.Analysis
     if a.green["D_dot"] != a.eta:
         return "D-dot differs from the least d.l. congruence"
     for p, name in ((l_dot, "L-dot"), (r_dot, "R-dot")):
-        if not is_congruence(t, p):
+        if not _compatible(p.labels, a.lines):
             return "%s is not a congruence" % name
     for p, name, variety in ((l_dot, "L-dot", "R_dot"), (r_dot, "R-dot", "L_dot")):
-        if not all(p.related(u, v)
-                   for u, v in _instances(t, CATALOG[variety], [range(t.order)])):
+        lab = p.labels
+        if any(lab[u] != lab[v]
+               for u, v in _instances(t, CATALOG[variety], [range(t.order)])):
             return "S/%s is not in %s" % (name, variety)
     return ""
 

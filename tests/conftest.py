@@ -157,6 +157,21 @@ def is_isomorphic_by_search(s: SemiringTable, t: SemiringTable
     return None
 
 
+def is_congruence_by_substitution(t: SemiringTable, p) -> bool:
+    """Compatibility of p with both operations, by single-sided
+    substitution through Partition.related (oracle for is_congruence)."""
+    for block in p.blocks():
+        a = block[0]
+        for b in block[1:]:
+            for c in range(t.order):
+                if not (p.related(t.add[a][c], t.add[b][c])
+                        and p.related(t.add[c][a], t.add[c][b])
+                        and p.related(t.mul[a][c], t.mul[b][c])
+                        and p.related(t.mul[c][a], t.mul[c][b])):
+                    return False
+    return True
+
+
 # ---------------------------------------------------------------------------
 # Reference evaluators that sl.satisfies_identity and sl.validate_semiring
 # are compared against

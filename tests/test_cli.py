@@ -178,14 +178,13 @@ def test_verify_worker_determinism(capsys):
 
 def _fails_on_some_tables(a):
     # a stand-in theorem that is contradicted on about one table in five
-    consistent = sum(map(sum, a.t.mul)) % 5 != 1
-    return varieties.TheoremReport("THM_2_5", "implication",
-                                   (("stand_in", consistent),), consistent)
+    return [("stand_in", sum(map(sum, a.t.mul)) % 5 != 1)]
 
 
 def test_verify_failures_keep_stream_order_for_any_worker_count(capsys, monkeypatch):
     # patched before the pool is made, so its forked workers see it too
-    monkeypatch.setitem(varieties.THEOREMS, "THM_2_5", _fails_on_some_tables)
+    monkeypatch.setitem(varieties.THEOREMS, "THM_2_5",
+                        ("implication", _fails_on_some_tables))
     outs = []
     for workers in ("1", "2"):
         code, out, _ = run(capsys, "verify", "--suite", "THM_2_5", "--max-order",
@@ -200,7 +199,7 @@ def test_verify_failures_keep_stream_order_for_any_worker_count(capsys, monkeypa
     positions = [(f["order"], f["index"]) for f in failures]
     assert positions == sorted(set(positions))  # orders, then indices, rise
     expected = [(n, i) for n, ts in by_order.items() for i, t in enumerate(ts)
-                if not _fails_on_some_tables(varieties.Analysis(t)).consistent]
+                if not _fails_on_some_tables(varieties.Analysis(t))[0][1]]
     assert positions == expected
     for f in failures:  # each index counts the tables of its order
         assert f["semiring"] == semiring_lab.format_semiring_text(
@@ -230,6 +229,14 @@ def test_verify_node_budget_is_per_order(capsys, workers):
         sys.setswitchinterval(interval)
     assert code == 4 and out == ""
     assert "node budget exhausted" in err and "Traceback" not in err
+
+
+def test_pooled_verify_leaves_no_live_child(capsys):
+    # the pool's workers are ended and joined before cli.main returns
+    code, _, _ = run(capsys, "verify", "--max-order", "3", "--iso",
+                     "--workers", "2")
+    assert code == 0
+    assert multiprocessing.active_children() == []
 
 
 def test_serial_verify_holds_no_instance_list(capsys):

@@ -1,6 +1,9 @@
 """The package's modules import one another only downwards, at module level."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import semiring_lab
@@ -44,3 +47,13 @@ def test_modules_import_downwards_at_module_level():
             assert target in LAYERS and LAYERS.index(target) < rank, (
                 "%s imports %s against the layer order" % (where, target))
     assert seen >= len(LAYERS)
+
+
+def test_cli_import_loads_neither_hashlib_nor_multiprocessing():
+    # both are imported where they are used, off the start-up path
+    probe = ("import sys; before = set(sys.modules); import semiring_lab.cli; "
+             "print(sorted({'hashlib', 'multiprocessing'} & (set(sys.modules) - before)))")
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                         capture_output=True, text=True, timeout=60).stdout
+    assert out.strip() == "[]"

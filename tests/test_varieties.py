@@ -4,16 +4,18 @@ import gc
 import hashlib
 import pickle
 import random
+import time
 import tracemalloc
 
 import pytest
 
 import semiring_lab as sl
 from semiring_lab import cli, congruences, core, relations, structure, varieties
+from semiring_lab.enumeration import _Budget
 from semiring_lab.relations import Partition
 from semiring_lab.varieties import THEOREMS, green_relation
 
-from conftest import relabel_seeded
+from conftest import is_congruence_by_substitution, relabel_seeded, set_partitions
 
 
 def test_membership_examples(golden3, dl2):
@@ -210,6 +212,116 @@ def test_sigma_is_eta_matches_the_partition_comparison(iso_upto4):
     assert seen == {False, True}
 
 
+def _sharing_bands(tables):
+    """Each table with one BandFacts per distinct + table, shared by every
+    table over it."""
+    shared = {}
+    for t in tables:
+        yield t, shared.setdefault(t.add, varieties.BandFacts(t.add))
+
+
+def test_shared_band_facts_give_the_reports_of_an_analysis_of_its_own(iso_upto4):
+    # oracle for the facts a band job shares: an Analysis that computes
+    # its own, as verify_theorem(t, ...) makes
+    for t, band in _sharing_bands(_with_relabellings(iso_upto4, 1616)):
+        a = sl.Analysis(t, band)
+        assert ([sl.verify_theorem(a, tid) for tid in sorted(THEOREMS)]
+                == [sl.verify_theorem(t, tid) for tid in sorted(THEOREMS)])
+        assert a.green["D_plus"] is band.green["D_plus"]
+        assert a.lines[1] is band.transposed
+    last = iso_upto4[-1]
+    other = next(t for t in iso_upto4 if t.order == last.order and t.add != last.add)
+    with pytest.raises(sl.PreconditionError):
+        sl.Analysis(last, varieties.BandFacts(other.add))
+
+
+# the right factors whose rho the theorems and the decomposition ask about
+RIGHT_FACTORS = (("D",), ("R_plus", "D"), ("LZ_plus", "D"), ("RZ_plus", "D"),
+                 ("LZ_dot", "D"), ("RZ_dot", "D"))
+
+
+def test_shared_table_closures_match_congruence_closure(iso_upto4):
+    # oracle for the closures over the Analysis's translation tables
+    for t, band in _sharing_bands(_with_relabellings(iso_upto4, 7070)):
+        a = sl.Analysis(t, band)
+        assert a.eta == sl.congruence_closure(t, a.sigma) == sl.eta(t)
+        for names in RIGHT_FACTORS:
+            seed = core._instances(t, sl.CATALOG[names[0]], a._rho_blocks(names[1:]))
+            assert (Partition.from_blocks(t.order, a._rho_blocks(names))
+                    == sl.congruence_closure(t, seed)), names
+
+
+def test_label_congruence_test_matches_substitution(iso_upto4):
+    # oracle for is_congruence and the congruence tests over an Analysis's
+    # shared translation tables, which compare block labels: single-sided
+    # substitution through Partition.related, on the six Green partitions,
+    # and up to order 3 on every partition
+    seen = set()
+    for t, band in _sharing_bands(_with_relabellings(iso_upto4, 6262)):
+        a = sl.Analysis(t, band)
+        parts = list(a.green.values())
+        if t.order <= 3:
+            parts += map(Partition, set_partitions(t.order))
+        for p in parts:
+            expected = is_congruence_by_substitution(t, p)
+            assert relations._compatible(p.labels, a.lines) == expected, p
+            assert sl.is_congruence(t, p) == expected, p
+            seen.add(expected)
+    assert seen == {False, True}
+
+
+def test_holds_matches_satisfies_identity(iso_upto4):
+    # oracle for the compiled identities Analysis.holds and BandFacts read
+    seen = set()
+    identities = dict(varieties.THEOREM_IDENTITIES)
+    for t, band in _sharing_bands(_with_relabellings(iso_upto4, 8080)):
+        a = sl.Analysis(t, band)
+        for text, ident in identities.items():
+            assert a.holds(text) == sl.satisfies_identity(t, ident)[0], text
+            seen.add(a.holds(text))
+        assert band.regular == sl.satisfies_identity(t, varieties._REGULAR)[0]
+        seen.add(band.regular)
+    assert seen == {False, True}
+
+
+def test_a_band_job_reads_each_additive_fact_once(monkeypatch, iso4):
+    # Green's relations of +, the transposed + table and the additive
+    # regularity identity, once per band job, however many tables it
+    # completes; Green's relations of . once per table
+    calls = collections.Counter()
+    job_add = []
+
+    def counting(name, fn):
+        def wrapper(table, *args):
+            calls[name, table is job_add[0]] += 1
+            return fn(table, *args)
+        return wrapper
+
+    for name, fn in (("_green", relations._green), ("_transpose", relations._transpose)):
+        for module in (relations, congruences, structure, varieties, cli):
+            if vars(module).get(name) is fn:
+                monkeypatch.setattr(module, name, counting(name, fn))
+    regular = varieties._REGULAR
+    monkeypatch.setitem(vars(regular), "failures",
+                        counting("regular", regular.failures))
+    suite = tuple(sorted(THEOREMS))
+    tables, shared = 0, 0
+    for add, auts in sl.enumeration.bands(4, True, _Budget(10 ** 6, 60.0)):
+        calls.clear()
+        job_add[:] = [add]
+        job = (cli._verify_one, suite, 4, add, auts, 10 ** 6, time.monotonic() + 60)
+        _, count, _, failures = cli._band_job(job)
+        assert failures == []
+        in_bi = any(sl.in_variety(sl.SemiringTable.from_rows(add, mul), "Bi")
+                    for mul in sl.enumeration.completions(add, auts, _Budget(10 ** 6, 60.0)))
+        assert calls["_green", True] == calls["_transpose", True] == 1, calls
+        assert calls["regular", True] == in_bi, calls
+        assert calls["_green", False] == count, calls
+        tables += count
+        shared += in_bi and count > 1
+    assert tables == len(iso4) and shared > 0
+
+
 def test_theorem_reports_are_frozen(iso4):
     assert len(iso4) == 835
     assert _theorem_reports_digest(iso4) == THEOREM_REPORTS_SHA256
@@ -277,8 +389,10 @@ def test_sweep_tests_each_congruence_and_builds_each_product_once(monkeypatch, i
             return fn(*args, **kwargs)
         return wrapper
 
-    for module, name in ((congruences, "is_congruence"), (structure, "is_congruence"),
-                         (varieties, "is_congruence"), (varieties, "malcev_product")):
+    # each congruence test, by is_congruence or over an Analysis's shared
+    # tables, is one relations._compatible
+    for module, name in ((congruences, "_compatible"), (structure, "_compatible"),
+                         (varieties, "_compatible"), (varieties, "malcev_product")):
         monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
     monkeypatch.setattr(Partition, "blocks", counting("blocks", Partition.blocks))
     monkeypatch.setattr(relations.BinRelation, "is_equivalence",
@@ -289,13 +403,15 @@ def test_sweep_tests_each_congruence_and_builds_each_product_once(monkeypatch, i
     # 2 413 and 9 133 while quotient re-tested and every call built a
     # product; 783 while LEMMA_4_2 built one per D-dot quotient, none while
     # a membership first asked left its names unchecked: each class asked
-    # about is now checked once per instance
-    assert calls["is_congruence"] == 1153, calls
-    assert calls["malcev_product"] == 15333, calls
+    # about is now checked once per instance; 15 333 while verify also
+    # computed THM_4_3's two observations, which it does not report
+    assert calls["_compatible"] == 1153, calls
+    assert calls["malcev_product"] == 13663, calls
     # 11 546 and 1 504 while the Malcev test took the blocks of rho on every
     # call and THM_2_5 tested a transitive sigma for an equivalence; 5 701
-    # while COR_JOIN built three quotients, 5 224 while LEMMA_4_2 built one
-    assert calls["blocks"] == 3658 and calls["is_equivalence"] == 0, calls
+    # while COR_JOIN built three quotients, 5 224 while LEMMA_4_2 built one,
+    # 3 658 while each congruence test took its partition's blocks
+    assert calls["blocks"] == 2505 and calls["is_equivalence"] == 0, calls
     a = sl.Analysis(iso4[-1])
     a.member("RB", "LZ_plus", "D")
     calls.clear()
