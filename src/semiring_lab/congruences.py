@@ -10,8 +10,7 @@ treats any disagreement as an implementation bug.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Tuple, Union
+from typing import Iterable, NamedTuple, Tuple, Union
 
 from .core import (CATALOG, PreconditionError, ResourceBoundError, SemiringTable,
                    _instances, _require_idempotent)
@@ -70,19 +69,18 @@ def sigma_star(t: SemiringTable) -> BinRelation:
     transitive closure of sigma, a proved theorem (tests/
     test_congruences.py::test_sigma_star_is_transitive_closure).
     """
-    n = t.order
+    n, add, mul = t.order, t.add, t.mul
 
     def absorbed_via(a: int, b: int, x: int) -> bool:
-        w = t.prod_of((a, x, b, x, a))
-        return t.add[t.add[w][a]][w] == w
+        w = mul[mul[mul[mul[a][x]][b]][x]][a]  # axbxa
+        return add[add[w][a]][w] == w
 
     return BinRelation.from_predicate(
         n, lambda a, b: any(absorbed_via(a, b, x) and absorbed_via(b, a, x)
                             for x in range(n)))
 
 
-@dataclass(frozen=True)
-class CongruenceSet:
+class CongruenceSet(NamedTuple):
     """All congruences of one semiring, canonically sorted, with a flag per
     congruence telling whether its quotient is a distributive lattice."""
 

@@ -9,9 +9,8 @@ assumed about a table until ``validate_semiring`` has been run on it.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Dict, Iterator, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, Iterator, NamedTuple, Optional, Sequence, Tuple, Union
 
 
 class SemiringFormatError(ValueError):
@@ -46,8 +45,7 @@ def _relabel_rows(rows: Sequence[Sequence[int]], perm: Sequence[int]
     return tuple([tuple([perm[rows[a][b]] for b in inv]) for a in inv])
 
 
-@dataclass(frozen=True)
-class SemiringTable:
+class SemiringTable(NamedTuple):
     """A finite algebra (S, +, .) of order n given by two n x n tables.
 
     ``add[i][j]`` and ``mul[i][j]`` are element indices.  No axioms are
@@ -66,10 +64,7 @@ class SemiringTable:
         n = len(add_rows)
         if n == 0:
             raise SemiringFormatError("empty table")
-        if names is None:
-            names = tuple("e%d" % i for i in range(n))
-        else:
-            names = tuple(names)
+        names = tuple("e%d" % i for i in range(n)) if names is None else tuple(names)
         if len(names) != n or len(set(names)) != n:
             raise SemiringFormatError("need %d distinct element names" % n)
         for rows, label in ((add_rows, "add"), (mul_rows, "mul")):
@@ -82,18 +77,8 @@ class SemiringTable:
                     if not (isinstance(v, int) and 0 <= v < n):
                         raise SemiringFormatError(
                             "%s table entry %r out of range [0, %d)" % (label, v, n))
-        return SemiringTable(
-            order=n,
-            names=names,
-            add=tuple(tuple(row) for row in add_rows),
-            mul=tuple(tuple(row) for row in mul_rows),
-        )
-
-    def prod_of(self, elems: Sequence[int]) -> int:
-        acc = elems[0]
-        for e in elems[1:]:
-            acc = self.mul[acc][e]
-        return acc
+        return SemiringTable(n, names, tuple(map(tuple, add_rows)),
+                             tuple(map(tuple, mul_rows)))
 
     def relabel(self, perm: Sequence[int]) -> "SemiringTable":
         """Apply the bijection i -> perm[i] to the carrier."""
@@ -109,24 +94,27 @@ class SemiringTable:
 # ---------------------------------------------------------------------------
 # Terms and identities
 
-@dataclass(frozen=True)
-class Var:
+class Var(NamedTuple):
     index: int
 
 
-@dataclass(frozen=True)
-class Add:
+class Add(NamedTuple):
     left: "Term"
     right: "Term"
 
 
-@dataclass(frozen=True)
-class Mul:
+class Mul(NamedTuple):
     left: "Term"
     right: "Term"
 
 
 Term = Union[Var, Add, Mul]
+# as plain tuples Add(l, r) and Mul(l, r) are equal, and _compile would read
+# one for the other: a compound term equals only terms of its own operation
+for _op in (Add, Mul):
+    _op.__eq__ = lambda self, other: type(other) is type(self) and tuple.__eq__(self, other)
+    _op.__ne__ = lambda self, other: not self == other
+    _op.__hash__ = lambda self: hash((type(self).__name__, *self))
 
 
 def term_max_var(term: Term) -> int:
@@ -135,31 +123,41 @@ def term_max_var(term: Term) -> int:
     return max(term_max_var(term.left), term_max_var(term.right))
 
 
-@dataclass(frozen=True)
-class Identity:
-    """An ordered pair of terms; satisfied when both sides agree everywhere."""
+class _Checked:
+    """Base of a NamedTuple record whose __new__ checks its fields: _make
+    (which _replace calls), pickle and copy (by __reduce__) call the class,
+    so every copy is checked, and only the fields are pickled."""
 
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))
+    __reduce__ = lambda self: (type(self), tuple(self))
+
+
+class _IdentityFields(NamedTuple):
     lhs: Term
     rhs: Term
     nvars: int
 
-    def __post_init__(self):
+
+class Identity(_Checked, _IdentityFields):
+    """An ordered pair of terms; satisfied when both sides agree everywhere."""
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         need = max(term_max_var(self.lhs), term_max_var(self.rhs)) + 1
         if self.nvars < need:
             raise PreconditionError("identity declares %d variables, uses %d"
                                     % (self.nvars, need))
+        return self
 
     @cached_property
     def failures(self) -> Callable:
         """A generator function (add, mul, domain) yielding (assignment,
         lhs value, rhs value) for each assignment of values from domain
         on which the sides differ, in lexicographic order; compiled from
-        the terms on first use."""
+        the terms on first use, and kept out of the pickled state, as a
+        function made by exec does not pickle."""
         return _compile(self)
-
-    def __getstate__(self):
-        # functions made by exec do not pickle; a copy compiles on first use
-        return {k: v for k, v in self.__dict__.items() if k != "failures"}
 
 
 def _compile(ident: Identity) -> Callable:
@@ -282,8 +280,7 @@ def satisfies_identity(t: SemiringTable, ident: Identity
 # ---------------------------------------------------------------------------
 # Axiom validation
 
-@dataclass(frozen=True)
-class ValidationReport:
+class ValidationReport(NamedTuple):
     """Outcome of the exhaustive axiom check for one table pair."""
 
     is_semiring: bool
@@ -326,8 +323,7 @@ def _require_idempotent(t: SemiringTable, what: str) -> None:
 # ---------------------------------------------------------------------------
 # The variety catalog
 
-@dataclass(frozen=True)
-class VarietySpec:
+class VarietySpec(NamedTuple):
     """A named variety given by its defining identities, read within the
     class of idempotent semirings (the semiring axioms are presupposed)."""
 

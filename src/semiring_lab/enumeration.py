@@ -28,13 +28,12 @@ from __future__ import annotations
 
 import itertools
 import time
-from dataclasses import dataclass
-from typing import Callable, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from .congruences import DEFAULT_ORDER_BOUND
 from .core import (BudgetExceededError, PreconditionError, ResourceBoundError,
-                   SemiringTable)
-from .varieties import Analysis, malcev_product
+                   SemiringTable, _Checked)
+from .varieties import Analysis, BandFacts, malcev_product
 
 DEFAULT_NODE_BUDGET = 10 ** 7
 DEFAULT_SECS_BUDGET = 1800.0
@@ -56,8 +55,7 @@ class _Budget:
             raise BudgetExceededError("wall-clock budget exhausted")
 
 
-@dataclass(frozen=True)
-class EnumConfig:
+class _EnumFields(NamedTuple):
     order: int
     up_to_iso: bool = False
     # a class, as the catalog names malcev_product takes; None keeps all
@@ -65,7 +63,12 @@ class EnumConfig:
     budget_nodes: int = DEFAULT_NODE_BUDGET
     budget_secs: float = DEFAULT_SECS_BUDGET
 
-    def __post_init__(self):
+
+class EnumConfig(_Checked, _EnumFields):
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.order < 1:
             raise PreconditionError("order must be >= 1")
         # checked before anything of size n! or n^2 is built
@@ -78,6 +81,7 @@ class EnumConfig:
             if not isinstance(self.filter, tuple):
                 raise PreconditionError("filter must be a tuple of catalog names")
             malcev_product(*self.filter)
+        return self
 
 
 # a table being filled (None = undetermined), a full one, and the
@@ -337,9 +341,10 @@ def enumerate_idempotent_semirings(cfg: EnumConfig) -> Iterator[SemiringTable]:
     n, names = cfg.order, tuple("e%d" % i for i in range(cfg.order))
     budget = _Budget(cfg.budget_nodes, cfg.budget_secs)
     for add, auts in bands(n, cfg.up_to_iso, budget):
+        band = BandFacts(add) if cfg.filter else None  # shared by the band's tables
         for mul in completions(add, auts, budget):
             t = SemiringTable(n, names, add, mul)  # entries in range(n) already
-            if cfg.filter is None or Analysis(t).member(*cfg.filter):
+            if band is None or Analysis(t, band).member(*cfg.filter):
                 yield t
 
 

@@ -9,8 +9,7 @@ decomposition from them.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from typing import NamedTuple, Optional, Sequence, Tuple
 
 from .congruences import is_congruence
 from .core import (CATALOG, PreconditionError, SemiringTable, _instances,
@@ -135,8 +134,7 @@ def spined_product(s1: SemiringTable, s2: SemiringTable, d: SemiringTable,
     return prod, tuple(elems)
 
 
-@dataclass(frozen=True)
-class SpinedDecomposition:
+class SpinedDecomposition(NamedTuple):
     """S embedded in the fiber product of S/L. and S/R. over S/D.."""
 
     s1: SemiringTable          # S / L-dot, lies in R-dot

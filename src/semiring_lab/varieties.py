@@ -156,14 +156,15 @@ class Analysis:
         return self._rho[names]
 
 
-def malcev_membership(t: SemiringTable, names: Tuple[str, ...]
+def malcev_membership(t: Union[SemiringTable, Analysis], names: Tuple[str, ...]
                       ) -> Tuple[bool, Optional[Partition]]:
-    """Membership of an idempotent semiring t in the right-nested Malcev
-    product of the named catalog varieties, with the least witness
+    """Membership of an idempotent semiring t, given as a table or as an
+    Analysis shared by the products decided on it, in the right-nested
+    Malcev product of the named catalog varieties, with the least witness
     congruence (None for a single name, which is plain membership).
 
     The names are checked as malcev_product checks them, and the product
-    is decided by Analysis(t).member.  t lies in V o E iff V's identities
+    is decided by Analysis.member.  t lies in V o E iff V's identities
     hold inside every class of rho(E), the least congruence of t with
     quotient in E; rho(E) is then returned as the witness, and every
     witness contains it.  rho(W) for a variety W is the congruence closure
@@ -183,12 +184,12 @@ def malcev_membership(t: SemiringTable, names: Tuple[str, ...]
     rho(E)/theta0 witnesses t/theta0 in V o E, so theta0 is rho(V o E).
     """
     names = malcev_product(*names)
-    a = Analysis(t)
+    a = t if isinstance(t, Analysis) else Analysis(t)
     if not a.member(*names):
         return False, None
     if len(names) == 1:
         return True, None
-    return True, Partition.from_blocks(t.order, a._rho_blocks(names[1:]))
+    return True, Partition.from_blocks(a.t.order, a._rho_blocks(names[1:]))
 
 
 def spined_decompose(t: SemiringTable) -> SpinedDecomposition:

@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 
 import pytest
@@ -207,6 +209,84 @@ def test_compiled_source_computes_each_subterm_once(monkeypatch):
     assert len(compounds(ident.lhs) | compounds(ident.rhs)) == 8
     assert src.count("A[") + src.count("M[") == 8, src
     assert src.count("M[v0][v1]") == 1 and src.index("M[v0][v1]") < src.index("for v2")
+
+
+def test_sum_and_product_terms_stay_apart():
+    # as plain tuples Add(l, r) and Mul(l, r) would be equal
+    x, y = Var(0), Var(1)
+    assert Add(x, y) != Mul(x, y) and not Add(x, y) == Mul(x, y)
+    assert Add(x, Mul(x, y)) != Add(x, Add(x, y))
+    assert Add(x, Mul(x, y)) == Add(x, Mul(x, y))
+    assert hash(Mul(x, Add(x, y))) == hash(Mul(Var(0), Add(Var(0), Var(1))))
+    keys = {Add(x, y): "+", Mul(x, y): "."}
+    assert len(keys) == 2 and keys[Add(x, y)] == "+" and keys[Mul(x, y)] == "."
+
+
+# sides of one shape that differ only in + against .; were the two terms
+# equal, _compile's subterm cache would read one for the other
+_SWAPPED = ("x+y = xy", "xy = x+y", "x+yz = x(y+z)", "(x+y)z = xy+z",
+            "x+y+xy = xy+x+y", "xyx = x+y+x", "x(y+z)x = x+yz+x")
+
+
+def test_identities_differing_only_in_the_operation_match_eval_term(golden3, iso_small):
+    idents = [sl.parse_identity(text) for text in _SWAPPED]
+    failing = 0
+    for t in [golden3] + iso_small:
+        for ident in idents:
+            ref = list(failures_by_eval_term(t, ident, range(t.order)))
+            assert list(ident.failures(t.add, t.mul, range(t.order))) == ref
+            assert sl.satisfies_identity(t, ident) == (
+                (False, ref[0][0]) if ref else (True, None))
+            failing += bool(ref)
+    assert not sl.satisfies_identity(golden3, idents[0])[0] and failing > len(iso_small)
+
+
+def _refusal(make):
+    with pytest.raises(sl.PreconditionError) as info:
+        make()
+    return type(info.value), str(info.value)
+
+
+def test_identity_refuses_undeclared_variables_on_every_construction():
+    # the constructor, positional or by keyword, _make, _replace, and the
+    # round trips through pickle and copy of an unchecked tuple
+    valid = sl.parse_identity("xy = yx")
+    for lhs, rhs, nvars in ((Var(1), Var(0), 1), (Add(Var(0), Var(2)), Var(0), 2),
+                            (Var(0), Mul(Var(0), Var(1)), 0)):
+        fields = dict(lhs=lhs, rhs=rhs, nvars=nvars)
+        forged = tuple.__new__(sl.Identity, (lhs, rhs, nvars))
+        makers = [lambda: sl.Identity(lhs, rhs, nvars), lambda: sl.Identity(**fields),
+                  lambda: sl.Identity._make((lhs, rhs, nvars)),
+                  lambda: valid._replace(**fields),
+                  lambda: pickle.loads(pickle.dumps(valid))._replace(**fields),
+                  lambda: copy.deepcopy(forged), lambda: copy.copy(forged)]
+        makers += [lambda p=p: pickle.loads(pickle.dumps(forged, p))
+                   for p in range(pickle.HIGHEST_PROTOCOL + 1)]
+        refusals = {_refusal(make) for make in makers}
+        assert len(refusals) == 1, refusals
+
+
+def test_records_refuse_assignment_to_fields(golden3, dl2):
+    t = golden3
+    records = [(t, "order"), (Var(0), "index"), (Add(Var(0), Var(0)), "left"),
+               (Mul(Var(0), Var(0)), "right"), (sl.parse_identity("x = x"), "lhs"),
+               (sl.validate_semiring(t), "violations"), (sl.CATALOG["D"], "name"),
+               (sl.all_congruences(t), "dl_flags"), (sl.spined_decompose(dl2), "s1"),
+               (sl.EnumConfig(order=2), "order")]
+    for record, field in records:
+        with pytest.raises(AttributeError):
+            setattr(record, field, getattr(record, field))
+        assert pickle.loads(pickle.dumps(record)) == copy.deepcopy(record) == record
+
+
+def test_compiled_failures_stay_out_of_the_pickled_state(golden3):
+    ident = sl.parse_identity("x+yz = x(y+z)")
+    sl.satisfies_identity(golden3, ident)
+    assert "failures" in vars(ident)
+    copies = [pickle.loads(pickle.dumps(ident, p)) for p in range(pickle.HIGHEST_PROTOCOL + 1)]
+    for again in copies + [copy.deepcopy(ident), copy.copy(ident)]:
+        assert again == ident and "failures" not in vars(again)
+        assert sl.satisfies_identity(golden3, again) == sl.satisfies_identity(golden3, ident)
 
 
 @pytest.mark.parametrize("k", [20, 21])

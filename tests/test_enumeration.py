@@ -1,6 +1,8 @@
+import copy
 import functools
 import itertools
 import math
+import pickle
 
 import pytest
 from hypothesis import given, settings
@@ -8,6 +10,7 @@ from hypothesis import strategies as st
 
 import semiring_lab as sl
 from semiring_lab.core import _relabel_rows
+from semiring_lab import enumeration, varieties
 from semiring_lab.enumeration import (DEFAULT_NODE_BUDGET, _assoc_ok, _Budget, _complete,
                                       _distributive_domain, _forced, bands,
                                       completions)
@@ -535,6 +538,70 @@ def test_filter_by_malcev_expression():
     assert members
     for t in members:
         assert sl.in_variety(t, "L_dot")  # Malcev characterization
+
+
+def test_filter_shares_each_bands_facts(monkeypatch):
+    # one BandFacts per band, so + is transposed once per band and . once
+    # per table; without a filter no BandFacts is made and nothing transposed
+    adds, transposed, made = [], [], []
+    bands_of, transpose, facts = enumeration.bands, varieties._transpose, varieties.BandFacts
+
+    def recording_bands(*args):
+        for add, auts in bands_of(*args):
+            adds.append(add)
+            yield add, auts
+
+    monkeypatch.setattr(enumeration, "bands", recording_bands)
+    monkeypatch.setattr(varieties, "_transpose",
+                        lambda table: (transposed.append(table), transpose(table))[1])
+    monkeypatch.setattr(enumeration, "BandFacts",
+                        lambda add: (made.append(add), facts(add))[1])
+    assert len(list(sl.enumerate_idempotent_semirings(sl.EnumConfig(
+        order=4, up_to_iso=True, filter=("LZ_dot", "D"))))) == 73
+    of_add = sum(any(table is add for add in adds) for table in transposed)
+    assert (len(adds), len(made), of_add, len(transposed) - of_add) == (46, 46, 46, 835)
+    del adds[:], transposed[:], made[:]
+    assert sum(1 for _ in sl.enumerate_idempotent_semirings(
+        sl.EnumConfig(order=4, up_to_iso=True))) == 835
+    assert (len(adds), made, transposed) == (46, [], [])
+
+
+_BAD_CONFIGS = [(sl.PreconditionError, dict(order=0)),
+                (sl.PreconditionError, dict(order=-3)),
+                (sl.ResourceBoundError, dict(order=9)),
+                (sl.PreconditionError, dict(budget_nodes=0)),
+                (sl.PreconditionError, dict(budget_nodes=-1)),
+                (sl.PreconditionError, dict(budget_secs=0.0)),
+                (sl.PreconditionError, dict(budget_secs=float("nan"))),
+                (sl.PreconditionError, dict(filter="D")),
+                (sl.PreconditionError, dict(filter=["D"])),
+                (sl.PreconditionError, dict(filter=())),
+                (sl.PreconditionError, dict(filter=("Nope",))),
+                (sl.PreconditionError, dict(filter=("LZ_dot", "Nope")))]
+
+
+@pytest.mark.parametrize("error, change", _BAD_CONFIGS)
+def test_config_refuses_the_same_inputs_on_every_construction(error, change):
+    # the constructor, positional or by keyword, _make, _replace, and the
+    # round trips through pickle and copy of an unchecked tuple
+    valid = sl.EnumConfig(order=3, up_to_iso=True, filter=("D",))
+    fields = valid._asdict()
+    fields.update(change)
+    forged = tuple.__new__(sl.EnumConfig, tuple(fields.values()))
+    makers = [lambda: sl.EnumConfig(*fields.values()), lambda: sl.EnumConfig(**fields),
+              lambda: sl.EnumConfig._make(fields.values()),
+              lambda: valid._replace(**change),
+              lambda: pickle.loads(pickle.dumps(valid))._replace(**change),
+              lambda: copy.deepcopy(valid)._replace(**change),
+              lambda: copy.deepcopy(forged), lambda: copy.copy(forged)]
+    makers += [lambda p=p: pickle.loads(pickle.dumps(forged, p))
+               for p in range(pickle.HIGHEST_PROTOCOL + 1)]
+    refusals = set()
+    for make in makers:
+        with pytest.raises(error) as info:
+            make()
+        refusals.add((type(info.value), str(info.value)))
+    assert len(refusals) == 1, refusals
 
 
 def test_config_validation():

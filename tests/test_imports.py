@@ -49,11 +49,28 @@ def test_modules_import_downwards_at_module_level():
     assert seen >= len(LAYERS)
 
 
-def test_cli_import_loads_neither_hashlib_nor_multiprocessing():
-    # both are imported where they are used, off the start-up path
+def _loaded_by_cli_import(modules):
+    """Which of modules a fresh interpreter loads to import semiring_lab.cli."""
     probe = ("import sys; before = set(sys.modules); import semiring_lab.cli; "
-             "print(sorted({'hashlib', 'multiprocessing'} & (set(sys.modules) - before)))")
+             "print(sorted(%r & (set(sys.modules) - before)))" % set(modules))
     env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
     out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
                          capture_output=True, text=True, timeout=60).stdout
-    assert out.strip() == "[]"
+    return out.strip()
+
+
+def test_cli_import_loads_neither_hashlib_nor_multiprocessing():
+    # both are imported where they are used, off the start-up path
+    assert _loaded_by_cli_import({"hashlib", "multiprocessing"}) == "[]"
+
+
+def test_cli_import_loads_neither_dataclasses_nor_inspect():
+    # the records are NamedTuples; dataclasses would load inspect, and
+    # together they were about half the import time of the CLI
+    assert _loaded_by_cli_import({"hashlib", "multiprocessing", "dataclasses",
+                                  "inspect"}) == "[]"
+    for path in PACKAGE.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            names = ([node.module or ""] if isinstance(node, ast.ImportFrom) else
+                     [a.name for a in node.names] if isinstance(node, ast.Import) else [])
+            assert "dataclasses" not in names, "%s:%d" % (path.name, node.lineno)

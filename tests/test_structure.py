@@ -4,6 +4,7 @@ import random
 import pytest
 
 import semiring_lab as sl
+from semiring_lab import varieties
 from semiring_lab.relations import Partition
 from semiring_lab.structure import _spined_obstruction
 
@@ -116,6 +117,23 @@ def test_malcev_golden3_not_in_lz_dot_of_d(golden3):
     # (the single class is not a left-zero multiplicative band: cb = b)
     ok, witness = sl.malcev_membership(golden3, sl.malcev_product("LZ_dot", "D"))
     assert not ok and witness is None
+
+
+def test_malcev_products_on_one_analysis_share_sigma(monkeypatch, iso4):
+    # six products decided on one Analysis compute sigma (and eta) once,
+    # and agree with deciding each on the table afresh
+    products = [sl.malcev_product(*names) for names in (
+        ("LZ_dot", "D"), ("RZ_dot", "D"), ("R_plus", "D"), ("LZ_plus", "D"),
+        ("RB", "LZ_plus", "D"), ("RB", "RZ_plus", "D"))]
+    t = iso4[500]
+    fresh = [sl.malcev_membership(t, names) for names in products]
+    assert any(member for member, _ in fresh) and not all(member for member, _ in fresh)
+    calls = []
+    sigma = varieties.sigma
+    monkeypatch.setattr(varieties, "sigma", lambda s: (calls.append(s), sigma(s))[1])
+    a = sl.Analysis(t)
+    assert [sl.malcev_membership(a, names) for names in products] == fresh
+    assert len(calls) == 1
 
 
 def test_malcev_trivial_algebra(order1):
