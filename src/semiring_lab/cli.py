@@ -18,7 +18,6 @@ import os
 import sys
 import time
 from collections import Counter
-from contextlib import nullcontext
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .core import (CATALOG, BudgetExceededError, InternalConsistencyError,
@@ -26,8 +25,7 @@ from .core import (CATALOG, BudgetExceededError, InternalConsistencyError,
                    format_semiring_text, parse_semiring_text, validate_semiring)
 from .congruences import least_dl_congruence, sigma_star
 from .enumeration import (DEFAULT_NODE_BUDGET, DEFAULT_SECS_BUDGET, EnumConfig,
-                          _Budget, bands, completions,
-                          enumerate_idempotent_semirings)
+                          enumerate_idempotent_semirings, sweep)
 from .varieties import (THEOREMS, Analysis, BandFacts, _consistent, malcev_product,
                         spined_decompose)
 
@@ -91,60 +89,6 @@ def _configs(args) -> List[EnumConfig]:
                        budget_secs=args.budget_secs) for n in range(1, args.max_order + 1)]
 
 
-def _band_job(job) -> Tuple[int, int, int, List[Dict]]:
-    """check((order, index in the band, table, arg), band) on each table
-    completing one band, band being the BandFacts they share; returns the
-    order, the table count, the nodes spent, the items."""
-    check, arg, n, add, auts, nodes, deadline = job
-    budget = _Budget(nodes, deadline - time.monotonic())
-    names = tuple("e%d" % i for i in range(n))
-    count, items, band = 0, [], BandFacts(add)
-    for count, mul in enumerate(completions(add, auts, budget), 1):
-        items += check((n, count - 1, SemiringTable(n, names, add, mul), arg), band)
-    return n, count, nodes - budget.nodes_left, items
-
-
-def _sweep(cfgs: List[EnumConfig], workers: int, check, arg) -> Tuple[int, List[Dict]]:
-    """The instance count and check's items over the configured orders, in
-    stream order for any worker count, each index counting its order's
-    tables.  This process searches the bands; each is one _band_job, run
-    here or, with more workers, through an ordered Pool.imap, whose thread
-    runs jobs().  An order's node budget covers its band search and all its
-    . searches: a job gets the nodes left at dispatch, never fewer than it
-    may spend (each count has one writing thread; stale reads overstate the
-    nodes left), and is charged as its result arrives, so
-    BudgetExceededError is raised exactly when the serial enumeration does."""
-    spent: Dict[int, list] = {}  # order -> [its band search's budget, its jobs' nodes]
-
-    def jobs():
-        for cfg in cfgs:
-            budget = _Budget(cfg.budget_nodes, cfg.budget_secs)
-            spent[cfg.order] = tally = [budget, 0]
-            for add, auts in bands(cfg.order, cfg.up_to_iso, budget):
-                yield (check, arg, cfg.order, add, auts,
-                       budget.nodes_left - tally[1], budget.deadline)
-
-    def charge(n: int, nodes: int) -> None:
-        spent[n][1] += nodes
-        if spent[n][1] > spent[n][0].nodes_left:
-            raise BudgetExceededError("node budget exhausted")
-
-    offsets: Dict[int, int] = Counter()  # order -> its tables so far
-    out: List[Dict] = []
-    if workers > 1:  # imported here, which keeps it off the start-up path
-        import multiprocessing
-    with multiprocessing.Pool(workers) if workers > 1 else nullcontext() as pool:
-        for n, count, nodes, items in (pool.imap if pool else map)(_band_job, jobs()):
-            charge(n, nodes)
-            for item in items:
-                item["index"] += offsets[n]
-            offsets[n] += count
-            out += items
-    for n in spent:  # the band searches have ended: charge their last nodes
-        charge(n, 0)
-    return sum(offsets.values()), out
-
-
 # ---------------------------------------------------------------------------
 # analyze
 
@@ -194,24 +138,18 @@ def cmd_analyze(args, started: float) -> int:
 # ---------------------------------------------------------------------------
 # verify
 
-def _verify_one(job: Tuple[int, int, SemiringTable, Tuple[str, ...]],
+def _verify_one(t: SemiringTable, suite: Tuple[str, ...],
                 band: Optional[BandFacts] = None) -> List[Dict]:
     """A failure for each theorem of the suite that t contradicts; the
     suite is checked against THEOREMS once, by cmd_verify."""
-    n, index, t, suite = job
     a = Analysis(t, band)
     failures = []
     for tid in suite:
         kind, conditions_of = THEOREMS[tid]
         conditions = conditions_of(a)
         if not _consistent(kind, conditions):
-            failures.append({
-                "order": n,
-                "index": index,
-                "theorem": tid,
-                "conditions": dict(conditions),
-                "semiring": format_semiring_text(t),
-            })
+            failures.append({"theorem": tid, "conditions": dict(conditions),
+                             "semiring": format_semiring_text(t)})
     return failures
 
 
@@ -225,7 +163,10 @@ def cmd_verify(args, started: float) -> int:
     else:
         raise PreconditionError("unknown suite %r; known: all, %s"
                                 % (args.suite, ", ".join(sorted(THEOREMS))))
-    instances, failures = _sweep(_configs(args), args.workers, _verify_one, suite)
+    instances, failures = 0, []
+    for instances, (n, index, found) in enumerate(
+            sweep(_configs(args), args.workers, _verify_one, suite), 1):
+        failures += [dict(f, order=n, index=index) for f in found]
     results = {
         "suite": list(suite),
         "max_order": args.max_order,
@@ -264,22 +205,19 @@ def cmd_enumerate(args, started: float) -> int:
     # records are written as they arrive (on exit 4, a prefix of the
     # stream), files at width 4, renamed at the end if the count is wider
     count = 0
-    try:
+    if args.out:
+        os.makedirs(args.out, exist_ok=True)
+    for count, t in enumerate(stream, 1):
+        rec = format_semiring_text(t)
         if args.out:
-            os.makedirs(args.out, exist_ok=True)
-        for count, t in enumerate(stream, 1):
-            rec = format_semiring_text(t)
-            if args.out:
-                with open(_record_path(args.out, 4, count - 1), "w") as fh:
-                    fh.write(rec)
-            else:
-                sys.stdout.write(rec if count == 1 else "%%\n" + rec)
-        width = len(str(count))
-        if args.out and width > 4:
-            for i in range(count):
-                os.rename(_record_path(args.out, 4, i), _record_path(args.out, width, i))
-    except OSError as exc:
-        raise SemiringFormatError("cannot write output: %s" % exc) from exc
+            with open(_record_path(args.out, 4, count - 1), "w") as fh:
+                fh.write(rec)
+        else:
+            sys.stdout.write(rec if count == 1 else "%%\n" + rec)
+    width = len(str(count))
+    if args.out and width > 4:
+        for i in range(count):
+            os.rename(_record_path(args.out, 4, i), _record_path(args.out, width, i))
     if args.out:
         print("enumerate: wrote %d files to %s" % (count, args.out), file=sys.stderr)
     else:
@@ -314,15 +252,16 @@ def cmd_decompose(args, started: float) -> int:
 # ---------------------------------------------------------------------------
 # explore-sigma
 
-def _sigma_row(job: Tuple[int, int, SemiringTable, None], band: BandFacts) -> List[Dict]:
-    n, index, t, _ = job
+def _sigma_row(t: SemiringTable, _, band: BandFacts) -> List[Dict]:
     a = Analysis(t, band)
-    return [{"order": n, "index": index, "sigma_transitive": a.sigma_transitive,
-             "in_N": a.member("N"), "sigma_is_eta": a.sigma_is_eta}]
+    return [{"sigma_transitive": a.sigma_transitive, "in_N": a.member("N"),
+             "sigma_is_eta": a.sigma_is_eta}]
 
 
 def cmd_explore_sigma(args, started: float) -> int:
-    instances, rows = _sweep(_configs(args), 1, _sigma_row, None)
+    rows = [dict(row, order=n, index=index)  # one row per table
+            for n, index, (row,) in sweep(_configs(args), 1, _sigma_row, None)]
+    instances = len(rows)
     keys = ("sigma_transitive", "in_N", "sigma_is_eta")
     cross = Counter(tuple(row[k] for k in keys) for row in rows)
     cross_table = [dict(zip(keys, k), count=v) for k, v in sorted(cross.items())]
@@ -410,8 +349,16 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     started = time.monotonic()
     try:
-        args = _build_parser().parse_args(argv)
-        return args.func(args, started)
+        try:
+            args = _build_parser().parse_args(argv)
+            return args.func(args, started)
+        finally:  # a reader that has gone shows here, not at exit
+            sys.stdout.flush()
+    except OSError as exc:  # _read_input maps its own: this is the output
+        if isinstance(exc, BrokenPipeError):  # so exit's flush writes nowhere
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print("parse error: cannot write output: %s" % exc, file=sys.stderr)
+        return EXIT_PARSE
     except SemiringFormatError as exc:
         print("parse error: %s" % exc, file=sys.stderr)
         return EXIT_PARSE

@@ -28,7 +28,8 @@ from __future__ import annotations
 
 import itertools
 import time
-from typing import Callable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
+from contextlib import nullcontext
+from typing import Callable, Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from .congruences import DEFAULT_ORDER_BOUND
 from .core import (BudgetExceededError, PreconditionError, ResourceBoundError,
@@ -334,18 +335,70 @@ def enumerate_idempotent_semirings(cfg: EnumConfig) -> Iterator[SemiringTable]:
     in the same ascending order, and every test after them sees the same
     tables.
 
-    Exceeding the budget raises BudgetExceededError mid-stream; consumers
-    must treat a truncated stream as failure, never as a complete
-    enumeration.
+    The stream runs through sweep, so it yields a band's tables once the
+    band is complete.  Exceeding the budget raises BudgetExceededError
+    after the last complete band; consumers must treat a truncated stream
+    as failure, never as a complete enumeration.
     """
-    n, names = cfg.order, tuple("e%d" % i for i in range(cfg.order))
-    budget = _Budget(cfg.budget_nodes, cfg.budget_secs)
-    for add, auts in bands(n, cfg.up_to_iso, budget):
-        band = BandFacts(add) if cfg.filter else None  # shared by the band's tables
-        for mul in completions(add, auts, budget):
-            t = SemiringTable(n, names, add, mul)  # entries in range(n) already
-            if band is None or Analysis(t, band).member(*cfg.filter):
-                yield t
+    for _, _, kept in sweep([cfg], 1, _kept if cfg.filter else None, cfg.filter):
+        yield from kept
+
+
+def _kept(t: SemiringTable, names: Tuple[str, ...], band: BandFacts) -> List[SemiringTable]:
+    return [t] if Analysis(t, band).member(*names) else []
+
+
+def _band_job(job) -> Tuple[int, int, List[list]]:
+    """For each table completing one band, check(t, arg, band), band being
+    the BandFacts they share, or [t] with no check; returns the order, the
+    nodes spent and that list."""
+    check, arg, n, add, auts, nodes, deadline = job
+    budget = _Budget(nodes, deadline - time.monotonic())
+    names = tuple("e%d" % i for i in range(n))
+    band = check and BandFacts(add)
+    tables = (SemiringTable(n, names, add, mul)  # entries in range(n) already
+              for mul in completions(add, auts, budget))
+    found = [check(t, arg, band) for t in tables] if check else [[t] for t in tables]
+    return n, nodes - budget.nodes_left, found
+
+
+def sweep(cfgs: List[EnumConfig], workers: int, check: Optional[Callable],
+          arg) -> Iterator[Tuple[int, int, list]]:
+    """(order, index, items) for each table of the configured orders, items
+    as _band_job gives them, in stream order for any worker count, each
+    index counting its order's tables.  This process searches the bands;
+    each is one _band_job, run here or, with more workers, through an
+    ordered Pool.imap, whose thread runs jobs().  An order's node budget
+    covers its band search and all its . searches: a job gets the nodes
+    left at dispatch, never fewer than it may spend (each count has one
+    writing thread; stale reads overstate the nodes left), and is charged
+    as its result arrives, so BudgetExceededError is raised exactly when a
+    search that spent one budget on every node would raise it."""
+    spent: Dict[int, list] = {}  # order -> [its band search's budget, its jobs' nodes]
+
+    def jobs():
+        for cfg in cfgs:
+            budget = _Budget(cfg.budget_nodes, cfg.budget_secs)
+            spent[cfg.order] = tally = [budget, 0]
+            for add, auts in bands(cfg.order, cfg.up_to_iso, budget):
+                yield (check, arg, cfg.order, add, auts,
+                       budget.nodes_left - tally[1], budget.deadline)
+
+    def charge(n: int, nodes: int) -> None:
+        spent[n][1] += nodes
+        if spent[n][1] > spent[n][0].nodes_left:
+            raise BudgetExceededError("node budget exhausted")
+
+    index = {cfg.order: itertools.count() for cfg in cfgs}  # over each order's tables
+    if workers > 1:  # imported here, which keeps it off the start-up path
+        import multiprocessing
+    with multiprocessing.Pool(workers) if workers > 1 else nullcontext() as pool:
+        for n, nodes, found in (pool.imap if pool else map)(_band_job, jobs()):
+            charge(n, nodes)
+            for items in found:
+                yield n, next(index[n]), items
+    for n in spent:  # the band searches have ended: charge their last nodes
+        charge(n, 0)
 
 
 def all_idempotent_semirings(order: int, up_to_iso: bool = False,

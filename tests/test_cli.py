@@ -3,6 +3,7 @@ import hashlib
 import json
 import multiprocessing
 import os
+import random
 import resource
 import subprocess
 import sys
@@ -17,7 +18,7 @@ from semiring_lab import cli, congruences, varieties
 from semiring_lab.cli import main
 from semiring_lab.enumeration import _Budget, bands, completions
 
-from conftest import GOLDEN3_TEXT
+from conftest import GOLDEN3_TEXT, relabel_seeded
 
 
 @pytest.fixture()
@@ -263,6 +264,30 @@ def test_verify_order5_with_two_workers_is_frozen(capsys):
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == (
         "45fefa69ef6853dd9e29350f31e88a10fa130d69cc15e0e11cedba5a1fc5bf2f")
+
+
+@pytest.mark.slow
+def test_verify_order6_is_frozen(capsys):
+    # about 45 s on two cores; digest frozen from one worker while verify
+    # and the library stream each had a search loop of their own
+    code, out, _ = run(capsys, "verify", "--max-order", "6", "--iso",
+                       "--workers", "2")
+    assert code == 0 and json.loads(out)["results"]["instances"] == 130033
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "a452d9491f51608f8f51dfe7bfd61146d3dd473cc6b071f5d3a42135ac489c43")
+
+
+@pytest.mark.slow
+def test_enumerate_order6_iso_is_frozen(capsys):
+    # about 35 s; digest frozen while the library stream had a search loop
+    # of its own
+    code, out, _ = run(capsys, "enumerate", "-n", "6", "--iso")
+    assert code == 0 and out.count("%%\n") + 1 == 119699
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "bb76bf9c7976e3cba3d0c0b527800a1bbac72a3ec3cb8abbfcd8bd94fca85bee")
+    del out
+    code, out, _ = run(capsys, "enumerate", "-n", "6", "--iso", "--count-only")
+    assert code == 0 and out == "119699\n"
 
 
 def test_enumerate_count_only(capsys):
@@ -511,6 +536,36 @@ def test_analyze_reports_up_to_order4_are_frozen(capsys, tmp_path, iso_upto4):
         "5e889502bde0f6bdd16197301dab703349a74bde4345d74ef2b6ee00d9ddc245")
 
 
+def _partition_sizes(blocks):
+    return sorted(map(len, blocks))
+
+
+def _invariants(results):
+    """The parts of an analyze report that no relabelling may change."""
+    validation = results["validation"]
+    return (validation["is_semiring"], validation["is_idempotent_semiring"],
+            results["varieties"], results["eta_methods_agree"],
+            results["sigma"]["transitive"],
+            [_partition_sizes(results[reduct][k])
+             for reduct in ("green_mult", "green_add") for k in "LRD"],
+            {m: _partition_sizes(p) for m, p in results["eta"].items()})
+
+
+def test_analyze_invariants_survive_a_relabelling(capsys, tmp_path, iso_small):
+    # metamorphic: each class of order <= 3 and one seeded relabelling of it
+    rng, path, moved = random.Random(1818), tmp_path / "t.txt", 0
+    for t in iso_small:
+        reports = []
+        for s in (t, relabel_seeded(t, rng)):
+            path.write_text(semiring_lab.format_semiring_text(s))
+            code, out, _ = run(capsys, "analyze", str(path))
+            assert code == 0
+            reports.append(_invariants(json.loads(out)["results"]))
+        assert reports[0] == reports[1], semiring_lab.format_semiring_text(t)
+        moved += (s.add, s.mul) != (t.add, t.mul)
+    assert len(iso_small) == 92 and moved > 40
+
+
 def test_analyze_computes_sigma_and_sigma_star_once(capsys, monkeypatch, tmp_path,
                                                    iso_small):
     # one Analysis serves the report; sigma_star's partition is the
@@ -542,3 +597,28 @@ def test_timing_flag_controls_json_field(capsys):
     _, out, _ = run(capsys, "--timing", "verify", "--suite", "THM_2_5",
                     "--max-order", "1")
     assert json.loads(out)["timing"] is not None
+
+
+@pytest.mark.parametrize("argv", [
+    ("verify", "--max-order", "2"),
+    ("explore-sigma", "--max-order", "2"),
+    ("enumerate", "-n", "2", "--count-only"),
+    ("enumerate", "-n", "3"),
+    ("analyze", "{golden3}"),
+    ("decompose", "{dl2}"),
+])
+def test_closed_stdout_exits_2_without_a_traceback(tmp_path, dl2, argv):
+    # the reader has gone before the first write, as under `| head -0`
+    files = {"golden3": GOLDEN3_TEXT, "dl2": semiring_lab.format_semiring_text(dl2)}
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    argv = [arg.format(**{name: str(tmp_path / name) for name in files}) for arg in argv]
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(semiring_lab.__file__)))
+    proc = subprocess.Popen([sys.executable, "-m", "semiring_lab.cli", *argv], env=env,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=60)
+    err = err.decode()
+    assert proc.returncode == 2, err
+    assert "parse error: cannot write output: " in err
+    assert "Traceback" not in err and "Exception ignored" not in err

@@ -1,6 +1,7 @@
 """The package's modules import one another only downwards, at module level."""
 
 import ast
+import collections
 import os
 import subprocess
 import sys
@@ -74,3 +75,19 @@ def test_cli_import_loads_neither_dataclasses_nor_inspect():
             names = ([node.module or ""] if isinstance(node, ast.ImportFrom) else
                      [a.name for a in node.names] if isinstance(node, ast.Import) else [])
             assert "dataclasses" not in names, "%s:%d" % (path.name, node.lineno)
+
+
+def test_one_search_driver():
+    # enumeration.sweep is the one driver: no other module runs the band or
+    # . search or keeps a budget, and the . search has one call site
+    sites = collections.Counter()
+    for path in PACKAGE.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = getattr(func, "id", getattr(func, "attr", None))
+                if name in ("bands", "completions", "_Budget"):
+                    sites[path.stem, name] += 1
+    assert {stem for stem, _ in sites} == {"enumeration"}, sites
+    assert sites["enumeration", "completions"] == 1, sites
+    assert sites["enumeration", "bands"] >= 1
