@@ -11,25 +11,24 @@ catalog varieties, given as the tuple of their names (malcev_product);
 varieties.Analysis.member decides it, one name being plain membership.
 Apart from the three eta routes, each question has one implementation,
 and the modules import only downwards: core, relations, congruences,
-structure, varieties, enumeration, cli.
+varieties, enumeration, cli.
 """
 
 from .core import (CATALOG, BudgetExceededError, Identity,
                    InternalConsistencyError, PreconditionError,
                    ResourceBoundError, SemiringFormatError, SemiringTable, Term,
-                   ValidationReport, VarietySpec, eval_term,
-                   format_semiring_text, in_variety, parse_identity,
-                   parse_semiring_text, parse_term, satisfies_identity,
-                   validate_semiring, variety_membership)
+                   ValidationReport, VarietySpec, canonical_form, eval_term,
+                   format_semiring_text, in_variety, is_distributive_lattice,
+                   is_isomorphic, parse_identity, parse_semiring_text,
+                   parse_term, satisfies_identity, validate_semiring,
+                   variety_membership)
 from .relations import BinRelation, Partition, green_add, green_mult, quasi_orders
 from .congruences import (CongruenceSet, all_congruences, congruence_closure,
-                          eta, is_congruence, least_dl_congruence, sigma,
-                          sigma_star)
-from .structure import (SpinedDecomposition, canonical_form,
-                        is_distributive_lattice, is_isomorphic, quotient,
-                        reconstruct, spined_product)
-from .varieties import (Analysis, TheoremReport, THEOREMS, eta_equals_relation,
-                        malcev_membership, malcev_product, spined_decompose,
+                          eta, is_congruence, least_dl_congruence, quotient,
+                          sigma, sigma_star)
+from .varieties import (Analysis, SpinedDecomposition, TheoremReport, THEOREMS,
+                        eta_equals_relation, malcev_membership, malcev_product,
+                        reconstruct, spined_decompose, spined_product,
                         verify_theorem)
 from .enumeration import (EnumConfig, all_idempotent_semirings,
                           enumerate_idempotent_semirings)

@@ -45,15 +45,14 @@ def _digest(data: str) -> str:
     return "sha256:" + hashlib.sha256(data.encode()).hexdigest()
 
 
-def _report(command: str, input_digest: str, results, failures: List,
-            timing: Optional[float]) -> Dict:
+def _report(command: str, input_digest: str, results, failures: List) -> Dict:
     return {
         "schema": SCHEMA_VERSION,
         "command": command,
         "input_digest": input_digest,
         "results": results,
         "failures": failures,
-        "timing": timing,
+        "timing": None,  # _emit sets it under --timing
     }
 
 
@@ -104,7 +103,7 @@ def cmd_analyze(args, started: float) -> int:
     }
     if not report.is_idempotent_semiring:
         out = _report("analyze", _digest(text), {"validation": validation},
-                      [{"reason": "not an idempotent semiring"}], None)
+                      [{"reason": "not an idempotent semiring"}])
         _emit(out, "analyze: FAILED validation", started, args.timing)
         return EXIT_PRECONDITION
 
@@ -131,7 +130,7 @@ def cmd_analyze(args, started: float) -> int:
         "varieties": {name: a.member(name) for name in sorted(CATALOG)},
     }
     failures = [] if agree else [{"reason": "eta methods disagree"}]
-    out = _report("analyze", _digest(text), results, failures, None)
+    out = _report("analyze", _digest(text), results, failures)
     return _emit(out, "analyze: ok, order %d" % t.order, started, args.timing)
 
 
@@ -176,7 +175,7 @@ def cmd_verify(args, started: float) -> int:
         "inconsistencies": len(failures),
     }
     params = "suite=%s max_order=%d iso=%s" % (args.suite, args.max_order, args.iso)
-    out = _report("verify", _digest(params), results, failures, None)
+    out = _report("verify", _digest(params), results, failures)
     code = _emit(out, "verify: %d instances, %d checks, %d inconsistencies"
                  % (instances, results["checks"], len(failures)),
                  started, args.timing)
@@ -243,7 +242,7 @@ def cmd_decompose(args, started: float) -> int:
         "phi2": list(decomp.phi2),
         "theta": [list(pair) for pair in decomp.theta],
     }
-    out = _report("decompose", _digest(text), results, [], None)
+    out = _report("decompose", _digest(text), results, [])
     return _emit(out, "decompose: |S1|=%d |S2|=%d |D|=%d"
                  % (decomp.s1.order, decomp.s2.order, decomp.d.order),
                  started, args.timing)
@@ -273,7 +272,7 @@ def cmd_explore_sigma(args, started: float) -> int:
         "cross_table": cross_table,
     }
     params = "max_order=%d iso=%s" % (args.max_order, args.iso)
-    out = _report("explore-sigma", _digest(params), results, [], None)
+    out = _report("explore-sigma", _digest(params), results, [])
     return _emit(out, "explore-sigma: %d instances, %d cross-table cells"
                  % (instances, len(cross_table)), started, args.timing)
 

@@ -1,4 +1,4 @@
-"""Congruences and the least distributive lattice congruence.
+"""Congruences, quotients and the least distributive lattice congruence.
 
 Three independent routes to the least distributive lattice congruence are
 implemented: the meet over all congruences with distributive-lattice
@@ -32,6 +32,33 @@ def is_congruence(t: SemiringTable, p: Partition) -> bool:
         raise PreconditionError("partition order %d != semiring order %d"
                                 % (p.order, t.order))
     return _compatible(p.labels, _translations(t))
+
+
+def quotient(t: SemiringTable, p: Partition
+             ) -> Tuple[SemiringTable, Tuple[int, ...]]:
+    """Quotient semiring and the projection map element -> block index.
+
+    Block representatives are the least element of each block.  Only the
+    congruence is checked: it makes the tables independent of the
+    representatives, and a homomorphic image of a semiring satisfies its
+    identities (Burris & Sankappanavar), so the quotient is not re-validated
+    (tests/test_structure.py::test_quotients_validate).
+    """
+    if not is_congruence(t, p):
+        raise PreconditionError("partition is not a congruence")
+    return _quotient(t, p)
+
+
+def _quotient(t: SemiringTable, p: Partition) -> Tuple[SemiringTable, Tuple[int, ...]]:
+    """quotient for a partition already known to be a congruence."""
+    blocks = p.blocks()
+    k = len(blocks)
+    reps = [block[0] for block in blocks]
+    lab = p.labels
+    add = [[lab[t.add[reps[i]][reps[j]]] for j in range(k)] for i in range(k)]
+    mul = [[lab[t.mul[reps[i]][reps[j]]] for j in range(k)] for i in range(k)]
+    names = tuple("|".join(t.names[x] for x in block) for block in blocks)
+    return SemiringTable.from_rows(add, mul, names), tuple(lab)
 
 
 def congruence_closure(t: SemiringTable,
@@ -109,7 +136,7 @@ def all_congruences(t: SemiringTable) -> CongruenceSet:
     t/theta is a distributive lattice, that is when both sides of every
     instance of D's identities on t are theta-related: the projection onto
     t/theta is a surjective homomorphism, and t/theta is idempotent as t
-    is (the argument of structure._spined_obstruction).
+    is (the argument of varieties._spined_obstruction).
     """
     n = t.order
     if n > DEFAULT_ORDER_BOUND:

@@ -1,5 +1,5 @@
-"""Finite idempotent semirings as Cayley tables, plus terms, identities and
-the catalog of varieties they define.
+"""Finite idempotent semirings as Cayley tables and their isomorphism, plus
+terms, identities and the catalog of varieties they define.
 
 Elements are 0-based indices; the ``names`` field is display-only.  Tables
 are immutable after construction and validation is explicit: nothing is
@@ -37,6 +37,11 @@ class InternalConsistencyError(AssertionError):
     """
 
 
+def _default_names(n: int) -> Tuple[str, ...]:
+    """The element names of a table given none: e0, e1, ..."""
+    return tuple("e%d" % i for i in range(n))
+
+
 def _relabel_rows(rows: Sequence[Sequence[int]], perm: Sequence[int]
                   ) -> Tuple[Tuple[int, ...], ...]:
     """The table `rows` under the bijection i -> perm[i]: cell (a, b) of
@@ -64,9 +69,13 @@ class SemiringTable(NamedTuple):
         n = len(add_rows)
         if n == 0:
             raise SemiringFormatError("empty table")
-        names = tuple("e%d" % i for i in range(n)) if names is None else tuple(names)
+        names = _default_names(n) if names is None else tuple(names)
         if len(names) != n or len(set(names)) != n:
             raise SemiringFormatError("need %d distinct element names" % n)
+        for name in names:  # as the text format splits its lines into names
+            if not isinstance(name, str) or name.split() != [name]:
+                raise SemiringFormatError("element name %r is not a non-empty "
+                                          "string without whitespace" % (name,))
         for rows, label in ((add_rows, "add"), (mul_rows, "mul")):
             if len(rows) != n:
                 raise SemiringFormatError("%s table is not %d x %d" % (label, n, n))
@@ -89,6 +98,42 @@ class SemiringTable(NamedTuple):
 
     def __repr__(self) -> str:
         return "SemiringTable(order=%d, names=%r)" % (self.order, list(self.names))
+
+
+def _canonical_labelling(t: SemiringTable
+                         ) -> Tuple[Tuple[Tuple[int, ...], ...], Tuple[int, ...]]:
+    """The least relabelling of t, as its + rows then its . rows, which
+    isomorphic tables and only they share, and the first bijection
+    i -> perm[i] attaining it."""
+    best = None
+    for perm in itertools.permutations(range(t.order)):
+        key = _relabel_rows(t.add, perm) + _relabel_rows(t.mul, perm)
+        if best is None or key < best[0]:
+            best = key, perm
+    return best
+
+
+def canonical_form(t: SemiringTable) -> SemiringTable:
+    """Lexicographically least relabeling of t, with default names.
+
+    Two semirings are isomorphic iff their canonical forms are equal.
+    """
+    key, n = _canonical_labelling(t)[0], t.order
+    return SemiringTable.from_rows(key[:n], key[n:])
+
+
+def is_isomorphic(s: SemiringTable, t: SemiringTable
+                  ) -> Optional[Tuple[int, ...]]:
+    """A bijection i -> perm[i] preserving both operations, or None:
+    s's canonical labelling followed by the inverse of t's, which is
+    deterministic and the identity when the two tables are equal."""
+    if s.order != t.order:
+        return None
+    (s_key, s_perm), (t_key, t_perm) = _canonical_labelling(s), _canonical_labelling(t)
+    if s_key != t_key:
+        return None
+    t_inv = sorted(range(t.order), key=t_perm.__getitem__)
+    return tuple(t_inv[c] for c in s_perm)
 
 
 # ---------------------------------------------------------------------------
@@ -373,6 +418,18 @@ def in_variety(t: SemiringTable, name: str) -> bool:
     return variety_membership(t, CATALOG[name])
 
 
+def is_distributive_lattice(t: SemiringTable) -> bool:
+    """Membership of an idempotent semiring in the variety D: both
+    operations commutative plus absorption x+xy = x.
+
+    The dual absorption x(x+y) = xx+xy = x+xy = x then follows from
+    distributivity and xx = x, hence the idempotency guard (tests/
+    test_structure.py::test_distributive_lattices_absorb_dually).
+    """
+    _require_idempotent(t, "distributive lattice recognition")
+    return variety_membership(t, CATALOG["D"])
+
+
 def _instances(t: SemiringTable, spec: VarietySpec,
                blocks: Sequence[Sequence[int]]) -> Iterator[Tuple[int, int]]:
     """Every pair (u(a), v(a)) with u(a) != v(a), for an identity u = v of
@@ -407,7 +464,7 @@ def parse_semiring_text(text: str) -> SemiringTable:
         names = body[0]
         body = body[1:]
     elif len(body) == 2 * n:
-        names = ["e%d" % i for i in range(n)]
+        names = _default_names(n)
     else:
         raise SemiringFormatError(
             "expected %d or %d content lines after the order, got %d"

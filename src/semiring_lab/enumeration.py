@@ -33,7 +33,7 @@ from typing import Callable, Dict, Iterator, List, NamedTuple, Optional, Sequenc
 
 from .congruences import DEFAULT_ORDER_BOUND
 from .core import (BudgetExceededError, PreconditionError, ResourceBoundError,
-                   SemiringTable, _Checked)
+                   SemiringTable, _Checked, _default_names)
 from .varieties import Analysis, BandFacts, malcev_product
 
 DEFAULT_NODE_BUDGET = 10 ** 7
@@ -354,7 +354,7 @@ def _band_job(job) -> Tuple[int, int, List[list]]:
     nodes spent and that list."""
     check, arg, n, add, auts, nodes, deadline = job
     budget = _Budget(nodes, deadline - time.monotonic())
-    names = tuple("e%d" % i for i in range(n))
+    names = _default_names(n)
     band = check and BandFacts(add)
     tables = (SemiringTable(n, names, add, mul)  # entries in range(n) already
               for mul in completions(add, auts, budget))

@@ -1,5 +1,5 @@
-"""Malcev-product membership, spined decomposition, and per-instance
-theorem checks.
+"""Malcev-product membership, spined products and decomposition, and
+per-instance theorem checks.
 
 A class is the tuple of catalog names of a right-nested Malcev product
 V1 o (V2 o (... o Vk)), one name being the variety itself (the catalog is
@@ -17,12 +17,11 @@ from __future__ import annotations
 from functools import cached_property
 from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
-from .congruences import eta, sigma
+from .congruences import _quotient, eta, sigma
 from .core import (CATALOG, Identity, InternalConsistencyError, PreconditionError,
                    SemiringTable, _instances, _require_idempotent, parse_identity,
-                   satisfies_identity)
+                   satisfies_identity, validate_semiring)
 from .relations import Partition, _compatible, _green, _merge_blocks, _transpose, quasi_orders
-from .structure import SpinedDecomposition, _quotient, _spined_obstruction
 
 
 def malcev_product(*names: str) -> Tuple[str, ...]:
@@ -192,6 +191,84 @@ def malcev_membership(t: Union[SemiringTable, Analysis], names: Tuple[str, ...]
     return True, Partition.from_blocks(a.t.order, a._rho_blocks(names[1:]))
 
 
+def spined_product(s1: SemiringTable, s2: SemiringTable, d: SemiringTable,
+                   phi1: Sequence[int], phi2: Sequence[int]
+                   ) -> Tuple[SemiringTable, Tuple[Tuple[int, int], ...]]:
+    """Fiber product of s1 and s2 over the spine d.
+
+    s1 and s2 must be idempotent semirings, and phi1 and phi2 surjective
+    homomorphisms onto d (all verified).
+    Returns the product table and its carrier as (s1-index, s2-index)
+    pairs in lexicographic order.
+    """
+    for s, phi, label in ((s1, phi1, "phi1"), (s2, phi2, "phi2")):
+        if len(phi) != s.order or any(not 0 <= v < d.order for v in phi):
+            raise PreconditionError("%s is not a map onto d's carrier" % label)
+        if set(phi) != set(range(d.order)):
+            raise PreconditionError("%s is not surjective" % label)
+        for a in range(s.order):
+            for b in range(s.order):
+                if (phi[s.add[a][b]] != d.add[phi[a]][phi[b]]
+                        or phi[s.mul[a][b]] != d.mul[phi[a]][phi[b]]):
+                    raise PreconditionError("%s is not a homomorphism" % label)
+    elems = [(i, j) for i in range(s1.order) for j in range(s2.order)
+             if phi1[i] == phi2[j]]
+    index = {e: k for k, e in enumerate(elems)}
+    add = [[index[(s1.add[a1][b1], s2.add[a2][b2])] for (b1, b2) in elems]
+           for (a1, a2) in elems]
+    mul = [[index[(s1.mul[a1][b1], s2.mul[a2][b2])] for (b1, b2) in elems]
+           for (a1, a2) in elems]
+    names = ["(%s,%s)" % (s1.names[i], s2.names[j]) for i, j in elems]
+    prod = SemiringTable.from_rows(add, mul, names)
+    # a subdirect product of s1 and s2: it fails exactly when one of them does
+    if not validate_semiring(prod).is_idempotent_semiring:
+        raise PreconditionError("s1 or s2 is not an idempotent semiring")
+    return prod, tuple(elems)
+
+
+class SpinedDecomposition(NamedTuple):
+    """S embedded in the fiber product of S/L. and S/R. over S/D.."""
+
+    s1: SemiringTable          # S / L-dot, lies in R-dot
+    s2: SemiringTable          # S / R-dot, lies in L-dot
+    d: SemiringTable           # S / D-dot, a distributive lattice
+    phi1: Tuple[int, ...]      # S1 -> D
+    phi2: Tuple[int, ...]      # S2 -> D
+    theta: Tuple[Tuple[int, int], ...]  # a -> (L-class, R-class)
+
+
+def _spined_obstruction(a: Analysis) -> str:
+    """Why the table t of the Analysis a does not decompose as the spined
+    product of S/L. and S/R. over S/D., or "" when it does.
+
+    Only the paper's content is tested: D. = eta, L. and R. are
+    congruences, S/L. is in R_dot and S/R. in L_dot.  The last two are
+    decided without building the quotients: the projection onto S/L. is a
+    surjective homomorphism, so S/L. satisfies x = yx+x+yx iff both sides
+    are L.-related at every assignment in S, and likewise for S/R. (tests/
+    test_structure.py::test_spined_round_trip_small checks the quotient
+    tables).  The rest holds by construction: eta is a congruence with
+    S/eta in D (tests/test_congruences.py::
+    test_quotient_by_eta_is_distributive_lattice); D = L o R in any
+    semigroup (Howie, Fundamentals of Semigroup Theory, ch. 2) and bands
+    are H-trivial, so theta is a bijection onto the fiber product (tests/
+    test_structure.py::test_green_d_is_l_then_r_and_h_is_trivial).
+    """
+    t, l_dot, r_dot = a.t, a.green["L_dot"], a.green["R_dot"]
+    # the cheapest refutation first, before any congruence test
+    if a.green["D_dot"] != a.eta:
+        return "D-dot differs from the least d.l. congruence"
+    for p, name in ((l_dot, "L-dot"), (r_dot, "R-dot")):
+        if not _compatible(p.labels, a.lines):
+            return "%s is not a congruence" % name
+    for p, name, variety in ((l_dot, "L-dot", "R_dot"), (r_dot, "R-dot", "L_dot")):
+        lab = p.labels
+        if any(lab[u] != lab[v]
+               for u, v in _instances(t, CATALOG[variety], [range(t.order)])):
+            return "S/%s is not in %s" % (name, variety)
+    return ""
+
+
 def spined_decompose(t: SemiringTable) -> SpinedDecomposition:
     """Decompose a member of D_dot as a spined product of S/L. and S/R..
 
@@ -221,6 +298,13 @@ def spined_decompose(t: SemiringTable) -> SpinedDecomposition:
         phi2[proj2[x]] = projd[x]
     return SpinedDecomposition(s1, s2, d, tuple(phi1), tuple(phi2),
                                tuple(zip(proj1, proj2)))
+
+
+def reconstruct(decomp: SpinedDecomposition
+                ) -> Tuple[SemiringTable, Tuple[Tuple[int, int], ...]]:
+    """Rebuild the spined product a decomposition embeds into."""
+    return spined_product(decomp.s1, decomp.s2, decomp.d,
+                          decomp.phi1, decomp.phi2)
 
 
 # The identities the theorems test beyond the catalog's, parsed once.

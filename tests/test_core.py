@@ -335,6 +335,15 @@ def test_text_round_trip_random_names(t):
     assert sl.parse_semiring_text(sl.format_semiring_text(t)) == t
 
 
+@pytest.mark.parametrize("names", [["a b", "c"], ["", "c"], ["x\n", "y"], [" a", "b"],
+                                   [0, 1]])
+def test_names_the_text_format_cannot_carry_are_refused(names):
+    # each once made a table that format_semiring_text could not print, or
+    # printed to a file that parse_semiring_text refused or altered
+    with pytest.raises(sl.SemiringFormatError):
+        sl.SemiringTable.from_rows([[0, 1], [1, 1]], [[0, 0], [0, 1]], names)
+
+
 def test_parse_without_names_line():
     t = sl.parse_semiring_text("2\ne0 e1\ne1 e1\n\ne0 e0\ne0 e1\n")
     assert t.order == 2

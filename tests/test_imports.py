@@ -1,16 +1,17 @@
-"""The package's modules import one another only downwards, at module level."""
+"""The package's modules import one another only downwards, at module level,
+annotate with no class of a higher layer, and export a frozen set of names."""
 
 import ast
 import collections
 import os
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import semiring_lab
 
-LAYERS = ("core", "relations", "congruences", "structure", "varieties",
-          "enumeration", "cli")
+LAYERS = ("core", "relations", "congruences", "varieties", "enumeration", "cli")
 PACKAGE = Path(semiring_lab.__file__).parent
 
 
@@ -48,6 +49,72 @@ def test_modules_import_downwards_at_module_level():
             assert target in LAYERS and LAYERS.index(target) < rank, (
                 "%s imports %s against the layer order" % (where, target))
     assert seen >= len(LAYERS)
+
+
+def _annotation_names(node):
+    """The names an annotation refers to, reading string annotations too."""
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            yield sub.id
+        elif isinstance(sub, ast.Attribute):
+            yield sub.attr
+        elif isinstance(sub, ast.Constant) and isinstance(sub.value, str):
+            yield from _annotation_names(ast.parse(sub.value, mode="eval"))
+
+
+def _annotations(tree):
+    """(line, annotation) for every argument, return and variable annotation."""
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            args = node.args
+            for arg in (args.posonlyargs + args.args + args.kwonlyargs
+                        + [a for a in (args.vararg, args.kwarg) if a]):
+                if arg.annotation is not None:
+                    yield arg.lineno, arg.annotation
+            if node.returns is not None:
+                yield node.lineno, node.returns
+        elif isinstance(node, ast.AnnAssign):
+            yield node.lineno, node.annotation
+
+
+def test_annotations_name_no_class_of_a_higher_layer():
+    trees = {m: ast.parse((PACKAGE / (m + ".py")).read_text()) for m in LAYERS}
+    home = {node.name: m for m, tree in trees.items()
+            for node in ast.walk(tree) if isinstance(node, ast.ClassDef)}
+    seen = 0
+    for module, tree in trees.items():
+        for line, annotation in _annotations(tree):
+            seen += 1
+            for name in _annotation_names(annotation):
+                owner = home.get(name, module)
+                assert LAYERS.index(owner) <= LAYERS.index(module), (
+                    "%s.py:%d names %s.%s" % (module, line, owner, name))
+    assert seen > 100
+
+
+# the parent of every move, frozen: a move must neither drop nor rename one
+PUBLIC_NAMES = (
+    "Analysis", "BinRelation", "BudgetExceededError", "CATALOG",
+    "CongruenceSet", "EnumConfig", "Identity", "InternalConsistencyError",
+    "Partition", "PreconditionError", "ResourceBoundError",
+    "SemiringFormatError", "SemiringTable", "SpinedDecomposition", "THEOREMS",
+    "Term", "TheoremReport", "ValidationReport", "VarietySpec",
+    "all_congruences", "all_idempotent_semirings", "canonical_form",
+    "congruence_closure", "enumerate_idempotent_semirings", "eta",
+    "eta_equals_relation", "eval_term", "format_semiring_text", "green_add",
+    "green_mult", "in_variety", "is_congruence", "is_distributive_lattice",
+    "is_isomorphic", "least_dl_congruence", "malcev_membership",
+    "malcev_product", "parse_identity", "parse_semiring_text", "parse_term",
+    "quasi_orders", "quotient", "reconstruct", "satisfies_identity", "sigma",
+    "sigma_star", "spined_decompose", "spined_product", "validate_semiring",
+    "variety_membership", "verify_theorem")
+
+
+def test_public_names_are_frozen():
+    public = {name for name, value in vars(semiring_lab).items()
+              if not name.startswith("_") and not isinstance(value, types.ModuleType)}
+    assert len(PUBLIC_NAMES) == 51
+    assert public == set(PUBLIC_NAMES)
 
 
 def _loaded_by_cli_import(modules):

@@ -6,7 +6,7 @@ import pytest
 import semiring_lab as sl
 from semiring_lab import varieties
 from semiring_lab.relations import Partition
-from semiring_lab.structure import _spined_obstruction
+from semiring_lab.varieties import _spined_obstruction
 
 from conftest import is_isomorphic_by_search, preserves_operations, relabel_seeded
 

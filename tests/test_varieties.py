@@ -10,7 +10,7 @@ import tracemalloc
 import pytest
 
 import semiring_lab as sl
-from semiring_lab import cli, congruences, core, relations, structure, varieties
+from semiring_lab import cli, congruences, core, relations, varieties
 from semiring_lab.enumeration import _Budget
 from semiring_lab.relations import Partition
 from semiring_lab.varieties import THEOREMS, green_relation
@@ -181,7 +181,7 @@ def test_lemma_4_2_clause_matches_the_quotient_route(iso_upto4):
     for t in _with_relabellings(iso_upto4, 4201):
         d_mul = sl.green_mult(t)[2]
         clause = sl.is_congruence(t, d_mul) and sl.Analysis(
-            structure._quotient(t, d_mul)[0]).member("LZ_plus", "D")
+            congruences._quotient(t, d_mul)[0]).member("LZ_plus", "D")
         conditions = dict(sl.verify_theorem(t, "LEMMA_4_2").conditions)
         assert conditions["Ddot_congruence_and_quotient_in_LZplus_malcev_D"] == clause
         seen.add(clause)
@@ -298,7 +298,7 @@ def test_a_band_job_reads_each_additive_fact_once(monkeypatch, iso4):
         return wrapper
 
     for name, fn in (("_green", relations._green), ("_transpose", relations._transpose)):
-        for module in (relations, congruences, structure, varieties, cli):
+        for module in (relations, congruences, varieties, cli):
             if vars(module).get(name) is fn:
                 monkeypatch.setattr(module, name, counting(name, fn))
     regular = varieties._REGULAR
@@ -351,13 +351,13 @@ def test_shared_analysis_computes_each_relation_once(monkeypatch, dl2, golden3):
     for name, fn in (("_green", relations._green),
                      ("eta", congruences.eta), ("sigma", congruences.sigma),
                      ("parse_term", core.parse_term), ("compile", core._compile)):
-        for module in (core, relations, congruences, structure, varieties, cli):
+        for module in (core, relations, congruences, varieties, cli):
             for attr, value in list(vars(module).items()):
                 if value is fn:
                     monkeypatch.setattr(module, attr, counting(name, fn))
     checked = []
-    require = structure._require_idempotent
-    for module in (structure, varieties):
+    require = core._require_idempotent
+    for module in (core, varieties):
         monkeypatch.setattr(module, "_require_idempotent",
                             lambda t, what: checked.append(t) or require(t, what))
     suite = tuple(sorted(THEOREMS))
@@ -392,8 +392,8 @@ def test_sweep_tests_each_congruence_and_builds_each_product_once(monkeypatch, i
 
     # each congruence test, by is_congruence or over an Analysis's shared
     # tables, is one relations._compatible
-    for module, name in ((congruences, "_compatible"), (structure, "_compatible"),
-                         (varieties, "_compatible"), (varieties, "malcev_product")):
+    for module, name in ((congruences, "_compatible"), (varieties, "_compatible"),
+                         (varieties, "malcev_product")):
         monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
     monkeypatch.setattr(Partition, "blocks", counting("blocks", Partition.blocks))
     monkeypatch.setattr(relations.BinRelation, "is_equivalence",
