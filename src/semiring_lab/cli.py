@@ -18,16 +18,16 @@ import os
 import sys
 import time
 from collections import Counter
+from functools import partial
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .core import (CATALOG, BudgetExceededError, InternalConsistencyError,
-                   PreconditionError, SemiringFormatError, SemiringTable,
-                   format_semiring_text, parse_semiring_text, validate_semiring)
+                   PreconditionError, SemiringFormatError, format_semiring_text,
+                   parse_semiring_text, validate_semiring)
 from .congruences import least_dl_congruence, sigma_star
 from .enumeration import (DEFAULT_NODE_BUDGET, DEFAULT_SECS_BUDGET, EnumConfig,
                           enumerate_idempotent_semirings, sweep)
-from .varieties import (THEOREMS, Analysis, BandFacts, _consistent, malcev_product,
-                        spined_decompose)
+from .varieties import THEOREMS, Analysis, judge, malcev_product, spined_decompose
 
 SCHEMA_VERSION = 1
 
@@ -137,18 +137,14 @@ def cmd_analyze(args, started: float) -> int:
 # ---------------------------------------------------------------------------
 # verify
 
-def _verify_one(t: SemiringTable, suite: Tuple[str, ...],
-                band: Optional[BandFacts] = None) -> List[Dict]:
-    """A failure for each theorem of the suite that t contradicts; the
-    suite is checked against THEOREMS once, by cmd_verify."""
-    a = Analysis(t, band)
+def _verify_one(suite: Tuple[str, ...], a: Analysis) -> List[Dict]:
+    """A failure for each theorem of the suite that a's table contradicts."""
     failures = []
     for tid in suite:
-        kind, conditions_of = THEOREMS[tid]
-        conditions = conditions_of(a)
-        if not _consistent(kind, conditions):
+        _, conditions, consistent = judge(a, tid)
+        if not consistent:
             failures.append({"theorem": tid, "conditions": dict(conditions),
-                             "semiring": format_semiring_text(t)})
+                             "semiring": format_semiring_text(a.t)})
     return failures
 
 
@@ -164,7 +160,7 @@ def cmd_verify(args, started: float) -> int:
                                 % (args.suite, ", ".join(sorted(THEOREMS))))
     instances, failures = 0, []
     for instances, (n, index, found) in enumerate(
-            sweep(_configs(args), args.workers, _verify_one, suite), 1):
+            sweep(_configs(args), args.workers, partial(_verify_one, suite)), 1):
         failures += [dict(f, order=n, index=index) for f in found]
     results = {
         "suite": list(suite),
@@ -251,15 +247,14 @@ def cmd_decompose(args, started: float) -> int:
 # ---------------------------------------------------------------------------
 # explore-sigma
 
-def _sigma_row(t: SemiringTable, _, band: BandFacts) -> List[Dict]:
-    a = Analysis(t, band)
+def _sigma_row(a: Analysis) -> List[Dict]:
     return [{"sigma_transitive": a.sigma_transitive, "in_N": a.member("N"),
              "sigma_is_eta": a.sigma_is_eta}]
 
 
 def cmd_explore_sigma(args, started: float) -> int:
     rows = [dict(row, order=n, index=index)  # one row per table
-            for n, index, (row,) in sweep(_configs(args), 1, _sigma_row, None)]
+            for n, index, (row,) in sweep(_configs(args), 1, _sigma_row)]
     instances = len(rows)
     keys = ("sigma_transitive", "in_N", "sigma_is_eta")
     cross = Counter(tuple(row[k] for k in keys) for row in rows)

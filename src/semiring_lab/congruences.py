@@ -13,7 +13,7 @@ from __future__ import annotations
 from typing import Iterable, NamedTuple, Tuple, Union
 
 from .core import (CATALOG, PreconditionError, ResourceBoundError, SemiringTable,
-                   _instances, _require_idempotent)
+                   _relates, _require_idempotent)
 from .relations import BinRelation, Partition, _compatible, _merge_blocks, _transpose
 
 DEFAULT_ORDER_BOUND = 8
@@ -133,10 +133,7 @@ def all_congruences(t: SemiringTable) -> CongruenceSet:
 
     Joins of congruences are taken as partition joins: the equivalence
     join of two congruences is again a congruence.  theta is flagged when
-    t/theta is a distributive lattice, that is when both sides of every
-    instance of D's identities on t are theta-related: the projection onto
-    t/theta is a surjective homomorphism, and t/theta is idempotent as t
-    is (the argument of varieties._spined_obstruction).
+    t/theta, idempotent as t is, lies in D (read by core._relates).
     """
     n = t.order
     if n > DEFAULT_ORDER_BOUND:
@@ -157,8 +154,7 @@ def all_congruences(t: SemiringTable) -> CongruenceSet:
                     fresh.append(j)
         frontier = fresh
     parts = tuple(sorted(found, key=lambda p: p.labels))
-    d_pairs = list(_instances(t, CATALOG["D"], [range(n)]))
-    flags = tuple(all(p.related(u, v) for u, v in d_pairs) for p in parts)
+    flags = tuple(_relates(t, p.labels, CATALOG["D"], (range(n),)) for p in parts)
     return CongruenceSet(parts, flags)
 
 

@@ -411,7 +411,7 @@ CATALOG: Dict[str, VarietySpec] = {spec.name: spec for spec in [
 
 def variety_membership(t: SemiringTable, v: VarietySpec) -> bool:
     """Conjunction of exhaustive identity checks over v's identities."""
-    return all(satisfies_identity(t, ident)[0] for ident in v.identities)
+    return _relates(t, range(t.order), v, (range(t.order),))
 
 
 def in_variety(t: SemiringTable, name: str) -> bool:
@@ -438,6 +438,21 @@ def _instances(t: SemiringTable, spec: VarietySpec,
         for block in blocks:
             for _, u, v in ident.failures(t.add, t.mul, block):
                 yield u, v
+
+
+def _relates(t: SemiringTable, labels: Sequence[int], spec: VarietySpec,
+             blocks: Sequence[Sequence[int]]) -> bool:
+    """Whether the partition with these labels relates both sides of every
+    instance of spec assigned inside one of blocks; for a congruence theta
+    inside a congruence rho with these blocks, whether each class of
+    rho/theta lies in spec: the projection onto t/theta is a surjective
+    homomorphism, so an assignment in a class of rho/theta lifts to one in
+    a block of rho, where each term's value projects onto its value.  So
+    the carrier as the one block decides t/theta, and range(n) rho's blocks."""
+    for u, v in _instances(t, spec, blocks):
+        if labels[u] != labels[v]:
+            return False
+    return True
 
 
 # ---------------------------------------------------------------------------

@@ -29,6 +29,7 @@ from __future__ import annotations
 import itertools
 import time
 from contextlib import nullcontext
+from functools import partial
 from typing import Callable, Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from .congruences import DEFAULT_ORDER_BOUND
@@ -340,33 +341,34 @@ def enumerate_idempotent_semirings(cfg: EnumConfig) -> Iterator[SemiringTable]:
     after the last complete band; consumers must treat a truncated stream
     as failure, never as a complete enumeration.
     """
-    for _, _, kept in sweep([cfg], 1, _kept if cfg.filter else None, cfg.filter):
+    for _, _, kept in sweep([cfg], 1, cfg.filter and partial(_kept, cfg.filter)):
         yield from kept
 
 
-def _kept(t: SemiringTable, names: Tuple[str, ...], band: BandFacts) -> List[SemiringTable]:
-    return [t] if Analysis(t, band).member(*names) else []
+def _kept(names: Tuple[str, ...], a: Analysis) -> List[SemiringTable]:
+    return [a.t] if a.member(*names) else []
 
 
 def _band_job(job) -> Tuple[int, int, List[list]]:
-    """For each table completing one band, check(t, arg, band), band being
-    the BandFacts they share, or [t] with no check; returns the order, the
-    nodes spent and that list."""
-    check, arg, n, add, auts, nodes, deadline = job
+    """For each table completing one band, check(a), a being the table's
+    Analysis over the BandFacts they share, or [t] with no check; returns
+    the order, the nodes spent and that list."""
+    check, n, add, auts, nodes, deadline = job
     budget = _Budget(nodes, deadline - time.monotonic())
     names = _default_names(n)
     band = check and BandFacts(add)
     tables = (SemiringTable(n, names, add, mul)  # entries in range(n) already
               for mul in completions(add, auts, budget))
-    found = [check(t, arg, band) for t in tables] if check else [[t] for t in tables]
+    found = [check(Analysis(t, band)) for t in tables] if check else [[t] for t in tables]
     return n, nodes - budget.nodes_left, found
 
 
-def sweep(cfgs: List[EnumConfig], workers: int, check: Optional[Callable],
-          arg) -> Iterator[Tuple[int, int, list]]:
+def sweep(cfgs: List[EnumConfig], workers: int, check: Optional[Callable[[Analysis], list]]
+          ) -> Iterator[Tuple[int, int, list]]:
     """(order, index, items) for each table of the configured orders, items
     as _band_job gives them, in stream order for any worker count, each
-    index counting its order's tables.  This process searches the bands;
+    index counting its order's tables (a check that needs data binds it in
+    a functools.partial, which pickles).  This process searches the bands;
     each is one _band_job, run here or, with more workers, through an
     ordered Pool.imap, whose thread runs jobs().  An order's node budget
     covers its band search and all its . searches: a job gets the nodes
@@ -381,7 +383,7 @@ def sweep(cfgs: List[EnumConfig], workers: int, check: Optional[Callable],
             budget = _Budget(cfg.budget_nodes, cfg.budget_secs)
             spent[cfg.order] = tally = [budget, 0]
             for add, auts in bands(cfg.order, cfg.up_to_iso, budget):
-                yield (check, arg, cfg.order, add, auts,
+                yield (check, cfg.order, add, auts,
                        budget.nodes_left - tally[1], budget.deadline)
 
     def charge(n: int, nodes: int) -> None:

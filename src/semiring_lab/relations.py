@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from typing import Callable, FrozenSet, Iterable, List, Sequence, Tuple
 
-from .core import PreconditionError, SemiringTable
+from .core import _AXIOMS, PreconditionError, SemiringTable, satisfies_identity
 
 
 def _transpose(rows: Sequence[Sequence[int]]) -> Tuple[Tuple[int, ...], ...]:
@@ -272,22 +272,21 @@ def _green(table: Tuple[Tuple[int, ...], ...], n: int
     return Partition(cols), Partition(rows), Partition(ideals)
 
 
-def _require_band(table: Tuple[Tuple[int, ...], ...], n: int, reduct: str) -> None:
-    r = range(n)
-    if any(table[a][a] != a or table[table[a][b]][c] != table[a][table[b][c]]
-           for a in r for b in r for c in r):
+def _require_band(t: SemiringTable, op: str, reduct: str) -> None:
+    if not all(satisfies_identity(t, axiom)[0] for name, axiom in _AXIOMS
+               if name.startswith(op + "_")):
         raise PreconditionError("Green's relations: the %s reduct is not a band" % reduct)
 
 
 def green_mult(t: SemiringTable) -> Tuple[Partition, Partition, Partition]:
     """Green's relations on the multiplicative reduct: (L., R., D.)."""
-    _require_band(t.mul, t.order, "multiplicative")
+    _require_band(t, "mul", "multiplicative")
     return _green(t.mul, t.order)
 
 
 def green_add(t: SemiringTable) -> Tuple[Partition, Partition, Partition]:
     """Green's relations on the additive reduct: (L+, R+, D+)."""
-    _require_band(t.add, t.order, "additive")
+    _require_band(t, "add", "additive")
     return _green(t.add, t.order)
 
 

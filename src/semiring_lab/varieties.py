@@ -19,8 +19,8 @@ from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple, 
 
 from .congruences import _quotient, eta, sigma
 from .core import (CATALOG, Identity, InternalConsistencyError, PreconditionError,
-                   SemiringTable, _instances, _require_idempotent, parse_identity,
-                   satisfies_identity, validate_semiring)
+                   SemiringTable, _instances, _relates, _require_idempotent,
+                   parse_identity, satisfies_identity, validate_semiring)
 from .relations import Partition, _compatible, _green, _merge_blocks, _transpose, quasi_orders
 
 
@@ -126,14 +126,13 @@ class Analysis:
 
     def member(self, *names: str) -> bool:
         """Membership in the right-nested Malcev product of the named catalog
-        varieties, one name being the variety itself: no identity instance
-        of the first inside a block of rho of the rest (the proof is at
-        malcev_membership)."""
+        varieties, one name being the variety itself: each block of rho of
+        the rest lies in the first (the proof is at malcev_membership)."""
         found = self._members.get(names)
         if found is None:
             malcev_product(*names)
-            found = self._members[names] = next(_instances(
-                self.t, CATALOG[names[0]], self._rho_blocks(names[1:])), None) is None
+            found = self._members[names] = _relates(
+                self.t, range(self.t.order), CATALOG[names[0]], self._rho_blocks(names[1:]))
         return found
 
     def holds(self, text: str) -> bool:
@@ -243,12 +242,10 @@ def _spined_obstruction(a: Analysis) -> str:
 
     Only the paper's content is tested: D. = eta, L. and R. are
     congruences, S/L. is in R_dot and S/R. in L_dot.  The last two are
-    decided without building the quotients: the projection onto S/L. is a
-    surjective homomorphism, so S/L. satisfies x = yx+x+yx iff both sides
-    are L.-related at every assignment in S, and likewise for S/R. (tests/
-    test_structure.py::test_spined_round_trip_small checks the quotient
-    tables).  The rest holds by construction: eta is a congruence with
-    S/eta in D (tests/test_congruences.py::
+    read off the congruences by core._relates, without building the
+    quotients (tests/test_structure.py::test_spined_round_trip_small checks
+    the quotient tables).  The rest holds by construction: eta is a
+    congruence with S/eta in D (tests/test_congruences.py::
     test_quotient_by_eta_is_distributive_lattice); D = L o R in any
     semigroup (Howie, Fundamentals of Semigroup Theory, ch. 2) and bands
     are H-trivial, so theta is a bijection onto the fiber product (tests/
@@ -262,9 +259,7 @@ def _spined_obstruction(a: Analysis) -> str:
         if not _compatible(p.labels, a.lines):
             return "%s is not a congruence" % name
     for p, name, variety in ((l_dot, "L-dot", "R_dot"), (r_dot, "R-dot", "L_dot")):
-        lab = p.labels
-        if any(lab[u] != lab[v]
-               for u, v in _instances(t, CATALOG[variety], [range(t.order)])):
+        if not _relates(t, p.labels, CATALOG[variety], (range(t.order),)):
             return "S/%s is not in %s" % (name, variety)
     return ""
 
@@ -332,26 +327,16 @@ class TheoremReport(NamedTuple):
     observations: Tuple[Tuple[str, bool], ...] = ()
 
 
-Conditions = List[Tuple[str, bool]]
-
-
-def _consistent(kind: str, conditions: Conditions) -> bool:
-    values = {v for _, v in conditions}
-    return values == {True} if kind == "implication" else len(values) == 1
-
-
 def _lemma_4_2_clause(a: Analysis) -> bool:
     # D. lies in eta (in the semilattice S/eta, aba = a and bab = b give [a] = [b]),
-    # so rho(D) of S/D. is eta/D.: S/D. is in LZ_plus o D iff a eta b gives a+b D. a
-    d_mul, add = a.green["D_dot"], a.t.add
-    lab = d_mul.labels
-    return _compatible(lab, a.lines) and all(
-        lab[add[x][y]] == lab[x]
-        for block in a._rho_blocks(("D",)) for x in block for y in block)
+    # so rho(D) of S/D. is eta/D.: S/D. is in LZ_plus o D iff its classes lie in LZ_plus
+    lab = a.green["D_dot"].labels
+    return _compatible(lab, a.lines) and _relates(
+        a.t, lab, CATALOG["LZ_plus"], a._rho_blocks(("D",)))
 
 
 # Each theorem's kind and its conditions on an Analysis.
-THEOREMS: Dict[str, Tuple[str, Callable[[Analysis], Conditions]]] = {
+THEOREMS: Dict[str, Tuple[str, Callable[[Analysis], List[Tuple[str, bool]]]]] = {
     "LEMMA_1_1": ("equivalence", lambda a: [
         ("eta_equals_D_plus", a.eta == a.green["D_plus"]),
         ("band_semiring_identities", a.member("Bi")),
@@ -467,15 +452,22 @@ OBSERVATIONS: Dict[str, Callable[[Analysis], Tuple[Tuple[str, bool], ...]]] = {
     )}
 
 
-def verify_theorem(t: Union[SemiringTable, Analysis], theorem_id: str
-                   ) -> TheoremReport:
-    """Evaluate every condition of the named theorem on one instance, given
-    as a table or as an Analysis shared by the theorems checked on it."""
+def judge(a: Analysis, theorem_id: str) -> Tuple[str, Tuple[Tuple[str, bool], ...], bool]:
+    """The named theorem's kind, its conditions on a's table, and whether
+    they agree (an equivalence) or all hold (an implication)."""
     if theorem_id not in THEOREMS:
         raise PreconditionError("unknown theorem id %r" % theorem_id)
-    a = t if isinstance(t, Analysis) else Analysis(t)
     kind, conditions_of = THEOREMS[theorem_id]
     conditions = tuple(conditions_of(a))
+    values = {v for _, v in conditions}
+    consistent = values == {True} if kind == "implication" else len(values) == 1
+    return kind, conditions, consistent
+
+
+def verify_theorem(t: Union[SemiringTable, Analysis], theorem_id: str
+                   ) -> TheoremReport:
+    """judge's verdict on one instance, given as a table or as an Analysis
+    shared by the theorems checked on it, with the theorem's observations."""
+    a = t if isinstance(t, Analysis) else Analysis(t)
     observed = OBSERVATIONS.get(theorem_id)
-    return TheoremReport(theorem_id, kind, conditions, _consistent(kind, conditions),
-                         observed(a) if observed else ())
+    return TheoremReport(theorem_id, *judge(a, theorem_id), observed(a) if observed else ())

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 import semiring_lab as sl
 from semiring_lab.congruences import principal_congruence
-from semiring_lab.core import _instances
+from semiring_lab.core import _instances, _relates
 from semiring_lab.relations import BinRelation, Partition
 
 from conftest import relabel_seeded, set_partitions
@@ -282,6 +282,33 @@ def test_all_congruences_against_partition_filter(small_semirings, iso4):
 def test_all_congruences_flags(dl2):
     cs = sl.all_congruences(dl2)
     assert all(cs.dl_flags)  # both quotients of a lattice are lattices
+
+
+def _holds_by_evaluation(t, spec):
+    return all(sl.eval_term(t, ident.lhs, w) == sl.eval_term(t, ident.rhs, w)
+               for ident in spec.identities
+               for w in itertools.product(range(t.order), repeat=ident.nvars))
+
+
+def test_relates_decides_each_quotient_in_each_variety(iso_small):
+    # oracle for core._relates over the carrier: the quotient built, its
+    # membership decided by variety_membership and by term evaluation, for
+    # every congruence of the 92 classes up to order 3 and every catalog
+    # variety; the dl flags of all_congruences are the case V = D
+    assert len(iso_small) == 92
+    seen = set()
+    for t in iso_small:
+        cs = sl.all_congruences(t)
+        for theta, flag in zip(cs.partitions, cs.dl_flags):
+            q = sl.quotient(t, theta)[0]
+            for name, spec in sl.CATALOG.items():
+                member = sl.variety_membership(q, spec)
+                assert member == _holds_by_evaluation(q, spec), (t, theta, name)
+                assert _relates(t, theta.labels, spec, (range(t.order),)) == member, (
+                    t, theta, name)
+                seen.add(member)
+            assert flag == sl.variety_membership(q, sl.CATALOG["D"]), (t, theta)
+    assert seen == {False, True}
 
 
 def test_principal_congruences_are_least(small_semirings):

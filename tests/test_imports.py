@@ -144,17 +144,53 @@ def test_cli_import_loads_neither_dataclasses_nor_inspect():
             assert "dataclasses" not in names, "%s:%d" % (path.name, node.lineno)
 
 
+def _calls():
+    """(module, enclosing definitions joined by ".", called name) for every
+    call in the package."""
+    def walk(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                yield from walk(child, scope + (child.name,))
+                continue
+            if isinstance(child, ast.Call):
+                func = child.func
+                yield ".".join(scope), getattr(func, "id", getattr(func, "attr", None))
+            yield from walk(child, scope)
+
+    for path in PACKAGE.glob("*.py"):
+        for scope, name in walk(ast.parse(path.read_text(), str(path)), ()):
+            yield path.stem, scope, name
+
+
 def test_one_search_driver():
     # enumeration.sweep is the one driver: no other module runs the band or
     # . search or keeps a budget, and the . search has one call site
-    sites = collections.Counter()
-    for path in PACKAGE.glob("*.py"):
-        for node in ast.walk(ast.parse(path.read_text(), str(path))):
-            if isinstance(node, ast.Call):
-                func = node.func
-                name = getattr(func, "id", getattr(func, "attr", None))
-                if name in ("bands", "completions", "_Budget"):
-                    sites[path.stem, name] += 1
+    sites = collections.Counter((module, name) for module, _, name in _calls()
+                                if name in ("bands", "completions", "_Budget"))
     assert {stem for stem, _ in sites} == {"enumeration"}, sites
     assert sites["enumeration", "completions"] == 1, sites
     assert sites["enumeration", "bands"] >= 1
+
+
+def test_one_per_table_path():
+    # each table reaches a sweep check as one Analysis, whose band facts
+    # only the band job shares; and whether a partition relates an
+    # identity's instances is read by core._relates alone, at the five
+    # sites that ask it, the closure of rho being the one other reader
+    sites = collections.defaultdict(set)
+    for module, scope, name in _calls():
+        sites[name].add((module, scope))
+    assert sites["BandFacts"] == {("enumeration", "_band_job"),
+                                  ("varieties", "Analysis.__init__")}, sites["BandFacts"]
+    assert sites["_instances"] == {("core", "_relates"),
+                                   ("varieties", "Analysis._rho_blocks")}, sites["_instances"]
+    assert sites["_relates"] == {
+        ("core", "variety_membership"), ("congruences", "all_congruences"),
+        ("varieties", "Analysis.member"), ("varieties", "_spined_obstruction"),
+        ("varieties", "_lemma_4_2_clause")}, sites["_relates"]
+    tree = ast.parse((PACKAGE / "cli.py").read_text())
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            args = node.args
+            assert "band" not in [a.arg for a in args.posonlyargs + args.args
+                                  + args.kwonlyargs], node.name

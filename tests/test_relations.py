@@ -94,6 +94,17 @@ def test_green_rejects_a_non_band():
         sl.green_add(sl.SemiringTable.from_rows(t.mul, add))
 
 
+def test_green_rejects_an_associative_reduct_that_is_not_idempotent():
+    # the 2-element null semigroup, xy = e0: associative, but e1e1 = e0
+    null, join = [[0, 0], [0, 0]], [[0, 1], [1, 1]]
+    t = sl.SemiringTable.from_rows(join, null)
+    with pytest.raises(sl.PreconditionError, match="multiplicative reduct"):
+        sl.green_mult(t)
+    sl.green_add(t)
+    with pytest.raises(sl.PreconditionError, match="additive reduct"):
+        sl.green_add(sl.SemiringTable.from_rows(null, join))
+
+
 def _green_by_characterization(table, n):
     """L, R, D of a band by the band characterizations, each asserted to be
     an equivalence: the oracle for relations._green's principal ideals."""
