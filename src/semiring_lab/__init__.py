@@ -1,10 +1,10 @@
 """Finite-algebra workbench for idempotent semirings.
 
 Computes Green's relations on both reducts, the least distributive
-lattice congruence (three independent routes, cross-checked), variety and
-Malcev-product membership, quotients and spined-product decompositions,
-and machine checks a catalog of theorems about these on exhaustively
-enumerated small semirings.
+lattice congruence (three routes, only one running a congruence closure,
+cross-checked), variety and Malcev-product membership, quotients and
+spined-product decompositions, and machine checks a catalog of theorems
+about these on exhaustively enumerated small semirings.
 
 A class is a right-nested Malcev product V1 o (V2 o (... o Vk)) of
 catalog varieties, given as the tuple of their names (malcev_product);

@@ -2,15 +2,16 @@
 
 Three independent routes to the least distributive lattice congruence are
 implemented: the meet over all congruences with distributive-lattice
-quotient, the congruence closure of the relation sigma, and the single
-existential-witness relation sigma_star.  They coincide on every
+quotient (every set partition that passes the definition), the congruence
+closure of the relation sigma, and sigma_star read as a partition; only
+the closure runs relations._merge_blocks.  They coincide on every
 idempotent semiring; the coincidence is a proved theorem, so the library
 treats any disagreement as an implementation bug.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, NamedTuple, Tuple, Union
+from typing import Iterable, List, NamedTuple, Tuple, Union
 
 from .core import (CATALOG, PreconditionError, ResourceBoundError, SemiringTable,
                    _relates, _require_idempotent)
@@ -42,7 +43,7 @@ def quotient(t: SemiringTable, p: Partition
     congruence is checked: it makes the tables independent of the
     representatives, and a homomorphic image of a semiring satisfies its
     identities (Burris & Sankappanavar), so the quotient is not re-validated
-    (tests/test_structure.py::test_quotients_validate).
+    (tests/test_congruences.py::test_quotients_validate).
     """
     if not is_congruence(t, p):
         raise PreconditionError("partition is not a congruence")
@@ -121,39 +122,29 @@ class CongruenceSet(NamedTuple):
         return tuple(p for p, f in zip(self.partitions, self.dl_flags) if f)
 
 
-def principal_congruence(t: SemiringTable, a: int, b: int) -> Partition:
-    return congruence_closure(t, [(a, b)])
+def _set_partitions(n: int) -> List[Tuple[int, ...]]:
+    """Every partition of range(n) as a restricted growth string of block
+    labels, in ascending order: Bell(n) of them, 4 140 at order 8."""
+    strings: List[Tuple[int, ...]] = [()]
+    for _ in range(n):
+        strings = [s + (b,) for s in strings for b in range(max(s, default=-1) + 2)]
+    return strings
 
 
 def all_congruences(t: SemiringTable) -> CongruenceSet:
-    """The full congruence lattice of an idempotent semiring, by joining
-    each congruence found with the principal ones until none is new:
-    every congruence is the join of the principal congruences of its
-    pairs.  Orders above DEFAULT_ORDER_BOUND are refused.
-
-    Joins of congruences are taken as partition joins: the equivalence
-    join of two congruences is again a congruence.  theta is flagged when
-    t/theta, idempotent as t is, lies in D (read by core._relates).
+    """The full congruence lattice of an idempotent semiring: each set
+    partition of the carrier that relations._compatible accepts, which is
+    the definition of a congruence, in ascending label order.  Orders
+    above DEFAULT_ORDER_BOUND are refused.  theta is flagged when t/theta,
+    idempotent as t is, lies in D (read by core._relates).
     """
     n = t.order
     if n > DEFAULT_ORDER_BOUND:
         raise ResourceBoundError("order %d exceeds congruence-lattice bound %d"
                                  % (n, DEFAULT_ORDER_BOUND))
     _require_idempotent(t, "the congruence lattice")
-    principal = tuple({principal_congruence(t, a, b)
-                       for a in range(n) for b in range(a + 1, n)})
-    found = {Partition.equality(n), *principal}
-    frontier = principal
-    while frontier:
-        fresh = []
-        for p in frontier:
-            for q in principal:
-                j = p.join(q)
-                if j not in found:
-                    found.add(j)
-                    fresh.append(j)
-        frontier = fresh
-    parts = tuple(sorted(found, key=lambda p: p.labels))
+    lines = _translations(t)
+    parts = tuple(Partition(s) for s in _set_partitions(n) if _compatible(s, lines))
     flags = tuple(_relates(t, p.labels, CATALOG["D"], (range(n),)) for p in parts)
     return CongruenceSet(parts, flags)
 
@@ -169,7 +160,9 @@ def least_dl_congruence(t: SemiringTable, method: str = "sigma_closure"
     sigma_closure:  congruence closure of sigma.
     sigma_star:     the partition induced by sigma_star directly, which
                     provably is an equivalence (to_partition checks it).
+    Every method needs an idempotent semiring.
     """
+    _require_idempotent(t, "the least distributive lattice congruence")
     if method == "meet_oracle":
         dl = all_congruences(t).distributive_lattice_congruences()
         # the universal congruence always qualifies, so dl is non-empty

@@ -424,7 +424,7 @@ def is_distributive_lattice(t: SemiringTable) -> bool:
 
     The dual absorption x(x+y) = xx+xy = x+xy = x then follows from
     distributivity and xx = x, hence the idempotency guard (tests/
-    test_structure.py::test_distributive_lattices_absorb_dually).
+    test_core.py::test_distributive_lattices_absorb_dually).
     """
     _require_idempotent(t, "distributive lattice recognition")
     return variety_membership(t, CATALOG["D"])

@@ -242,7 +242,8 @@ class BinRelation:
     def to_partition(self) -> Partition:
         if not self.is_equivalence():
             raise PreconditionError("relation is not an equivalence")
-        return Partition.from_pairs(self.order, self.pairs)
+        # in an equivalence the successors of a are a's block
+        return Partition(frozenset(block) for block in self._succ())
 
     def to_json(self, names: Sequence[str]) -> List[List[str]]:
         return sorted([names[a], names[b]] for a, b in self.pairs)

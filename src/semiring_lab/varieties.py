@@ -243,13 +243,13 @@ def _spined_obstruction(a: Analysis) -> str:
     Only the paper's content is tested: D. = eta, L. and R. are
     congruences, S/L. is in R_dot and S/R. in L_dot.  The last two are
     read off the congruences by core._relates, without building the
-    quotients (tests/test_structure.py::test_spined_round_trip_small checks
+    quotients (tests/test_varieties.py::test_spined_round_trip_small checks
     the quotient tables).  The rest holds by construction: eta is a
     congruence with S/eta in D (tests/test_congruences.py::
     test_quotient_by_eta_is_distributive_lattice); D = L o R in any
     semigroup (Howie, Fundamentals of Semigroup Theory, ch. 2) and bands
     are H-trivial, so theta is a bijection onto the fiber product (tests/
-    test_structure.py::test_green_d_is_l_then_r_and_h_is_trivial).
+    test_relations.py::test_green_d_is_l_then_r_and_h_is_trivial).
     """
     t, l_dot, r_dot = a.t, a.green["L_dot"], a.green["R_dot"]
     # the cheapest refutation first, before any congruence test

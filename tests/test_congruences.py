@@ -7,11 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import semiring_lab as sl
-from semiring_lab.congruences import principal_congruence
+from semiring_lab import congruences, relations
 from semiring_lab.core import _instances, _relates
 from semiring_lab.relations import BinRelation, Partition
 
-from conftest import relabel_seeded, set_partitions
+from conftest import is_congruence_by_substitution, relabel_seeded, set_partitions
 
 
 class UnionFind:
@@ -80,10 +80,36 @@ def union_find_closure(t, pairs):
 
 
 def all_congruences_by_filter(t):
-    """Bell(n) oracle: every partition, filtered by is_congruence."""
+    """Bell(n) oracle: every partition, filtered by single-sided
+    substitution (conftest.is_congruence_by_substitution)."""
     return sorted((Partition(labels) for labels in set_partitions(t.order)
-                   if sl.is_congruence(t, Partition(labels))),
+                   if is_congruence_by_substitution(t, Partition(labels))),
                   key=lambda p: p.labels)
+
+
+def all_congruences_by_principal_joins(t):
+    """The search all_congruences ran before its set-partition filter, as
+    the reference for its partitions, their order and their flags: join
+    each congruence found with the principal ones until none is new, since
+    every congruence is the join of the principal congruences of its
+    pairs."""
+    n = t.order
+    principal = tuple({sl.congruence_closure(t, [(a, b)])
+                       for a in range(n) for b in range(a + 1, n)})
+    found = {Partition.equality(n), *principal}
+    frontier = principal
+    while frontier:
+        fresh = []
+        for p in frontier:
+            for q in principal:
+                j = p.join(q)
+                if j not in found:
+                    found.add(j)
+                    fresh.append(j)
+        frontier = fresh
+    parts = tuple(sorted(found, key=lambda p: p.labels))
+    flags = tuple(_relates(t, p.labels, sl.CATALOG["D"], (range(n),)) for p in parts)
+    return sl.CongruenceSet(parts, flags)
 
 
 # ---------------------------------------------------------------------------
@@ -200,6 +226,40 @@ def test_sigma_matches_the_two_sided_absorption_predicate(iso_upto4):
 
 
 # ---------------------------------------------------------------------------
+# quotients
+
+def test_quotient_by_universal(golden3, order1):
+    q, proj = sl.quotient(golden3, Partition.universal(3))
+    assert q.order == 1
+    assert proj == (0, 0, 0)
+    assert sl.is_isomorphic(q, order1) is not None
+
+
+def test_quotient_by_equality_is_isomorphic_copy(golden3):
+    q, proj = sl.quotient(golden3, Partition.equality(3))
+    assert proj == (0, 1, 2)
+    assert sl.is_isomorphic(q, golden3) == (0, 1, 2)
+
+
+def test_quotient_requires_congruence(golden3):
+    with pytest.raises(sl.PreconditionError):
+        sl.quotient(golden3, Partition.from_blocks(3, [[0, 1], [2]]))
+
+
+def test_quotients_validate(iso_upto4):
+    # oracle for quotient, which neither re-checks that its tables are
+    # well-defined nor re-validates them
+    for t in iso_upto4:
+        for p in sl.all_congruences(t).partitions:
+            q, proj = sl.quotient(t, p)
+            assert sl.validate_semiring(q).is_idempotent_semiring
+            assert sorted(set(proj)) == list(range(q.order))
+            assert all(q.add[proj[a]][proj[b]] == proj[t.add[a][b]]
+                       and q.mul[proj[a]][proj[b]] == proj[t.mul[a][b]]
+                       for a in range(t.order) for b in range(t.order))
+
+
+# ---------------------------------------------------------------------------
 # least distributive lattice congruence
 
 def test_three_methods_on_named_instances(golden3, dl2, order1):
@@ -213,6 +273,36 @@ def test_three_methods_on_named_instances(golden3, dl2, order1):
 def test_unknown_method(golden3):
     with pytest.raises(sl.PreconditionError):
         sl.least_dl_congruence(golden3, "guesswork")
+
+
+def test_every_method_needs_an_idempotent_semiring():
+    # + constantly 0 and . constantly 1: neither operation is idempotent
+    t = sl.SemiringTable.from_rows([[0, 0], [0, 0]], [[1, 1], [1, 1]])
+    for method in congruences.LDC_METHODS:
+        with pytest.raises(sl.PreconditionError, match="needs an idempotent semiring"):
+            sl.least_dl_congruence(t, method)
+    with pytest.raises(sl.PreconditionError, match="needs an idempotent semiring"):
+        sl.eta(t)
+
+
+def test_oracle_routes_run_no_closure(monkeypatch, iso_small):
+    # the meet over the congruence lattice and sigma_star read as a
+    # partition share no code with the block merge of the closure, so each
+    # checks the sigma closure independently
+    assert len(iso_small) == 92
+    before = [(sl.eta(t), sl.all_congruences(t)) for t in iso_small]
+
+    def no_merge(*args):
+        raise AssertionError("the block merge ran")
+
+    monkeypatch.setattr(relations, "_merge_blocks", no_merge)
+    monkeypatch.setattr(congruences, "_merge_blocks", no_merge)
+    with pytest.raises(AssertionError, match="block merge"):
+        sl.eta(iso_small[-1])
+    for t, (eta, lattice) in zip(iso_small, before):
+        assert sl.all_congruences(t) == lattice, t
+        assert sl.least_dl_congruence(t, "meet_oracle") == eta, t
+        assert sl.least_dl_congruence(t, "sigma_star") == eta, t
 
 
 def test_d_plus_refines_eta(small_semirings):
@@ -279,6 +369,15 @@ def test_all_congruences_against_partition_filter(small_semirings, iso4):
         assert computed == all_congruences_by_filter(t)
 
 
+def test_all_congruences_matches_the_principal_join_search(iso_upto4, labeled_by_order):
+    rng = random.Random(2022)
+    for t in iso_upto4:
+        for s in (t, relabel_seeded(t, rng)):
+            assert sl.all_congruences(s) == all_congruences_by_principal_joins(s), s
+    for t in labeled_by_order[1] + labeled_by_order[2] + labeled_by_order[3]:
+        assert sl.all_congruences(t) == all_congruences_by_principal_joins(t), t
+
+
 def test_all_congruences_flags(dl2):
     cs = sl.all_congruences(dl2)
     assert all(cs.dl_flags)  # both quotients of a lattice are lattices
@@ -314,7 +413,7 @@ def test_relates_decides_each_quotient_in_each_variety(iso_small):
 def test_principal_congruences_are_least(small_semirings):
     for t in small_semirings[::15]:
         for a, b in itertools.combinations(range(t.order), 2):
-            p = principal_congruence(t, a, b)
+            p = sl.congruence_closure(t, [(a, b)])
             assert p.related(a, b)
             for q in sl.all_congruences(t).partitions:
                 if q.related(a, b):

@@ -1,4 +1,5 @@
 import copy
+import itertools
 import pickle
 import random
 
@@ -11,7 +12,8 @@ from semiring_lab import core
 from semiring_lab.core import _AXIOMS, Add, Mul, Var, _instances
 from semiring_lab.varieties import THEOREM_IDENTITIES
 
-from conftest import failures_by_eval_term, relabel_seeded, violations_by_loops
+from conftest import (failures_by_eval_term, is_isomorphic_by_search, preserves_operations,
+                      relabel_seeded, violations_by_loops)
 
 
 def test_golden3_validates(golden3):
@@ -357,3 +359,141 @@ def test_parse_rejects_bad_input():
         sl.parse_semiring_text("2\na b\na a\n")  # wrong line count
     with pytest.raises(sl.SemiringFormatError):
         sl.parse_semiring_text("2\na b\na q\nb b\na a\na b\n")  # unknown name
+
+
+# ---------------------------------------------------------------------------
+# distributive lattice recognition
+
+def test_is_distributive_lattice(dl2, chain3, golden3, lz2):
+    assert sl.is_distributive_lattice(dl2)
+    assert sl.is_distributive_lattice(chain3)
+    assert not sl.is_distributive_lattice(golden3)
+    assert not sl.is_distributive_lattice(lz2)
+
+
+_DUAL_ABSORPTION = sl.parse_identity("x(x+y) = x")
+
+
+def test_distributive_lattices_absorb_dually(iso_upto4):
+    # oracle for is_distributive_lattice, which trusts x(x+y) = x on
+    # idempotent input; the quotient by equality is a copy of t itself
+    lattices = 0
+    for t in iso_upto4:
+        for p in sl.all_congruences(t).distributive_lattice_congruences():
+            q, _ = sl.quotient(t, p)
+            assert sl.satisfies_identity(q, _DUAL_ABSORPTION)[0], (t, p)
+            lattices += 1
+    assert lattices > len(iso_upto4)
+
+
+# the valid semirings of order 2 whose . is not idempotent yet which satisfy
+# D's identities; dual absorption fails on each
+_NON_IDEMPOTENT_D = [
+    ([[0, 0], [0, 1]], [[1, 1], [1, 1]]),
+    ([[0, 1], [1, 0]], [[0, 0], [0, 0]]),
+    ([[0, 1], [1, 1]], [[0, 0], [0, 0]]),
+    ([[1, 0], [0, 1]], [[1, 1], [1, 1]]),
+]
+
+
+def test_is_distributive_lattice_requires_idempotency():
+    tables = [[list(r[:2]), list(r[2:])] for r in itertools.product(range(2), repeat=4)]
+    refused = []
+    for add in tables:
+        for mul in tables:
+            t = sl.SemiringTable.from_rows(add, mul)
+            if all(add[a][a] == a and mul[a][a] == a for a in range(2)):
+                continue
+            with pytest.raises(sl.PreconditionError):
+                sl.is_distributive_lattice(t)
+            if (sl.validate_semiring(t).is_semiring
+                    and sl.variety_membership(t, sl.CATALOG["D"])):
+                refused.append((add, mul))
+    assert refused == _NON_IDEMPOTENT_D
+    for add, mul in refused:
+        t = sl.SemiringTable.from_rows(add, mul)
+        assert not sl.satisfies_identity(t, _DUAL_ABSORPTION)[0]
+
+
+# ---------------------------------------------------------------------------
+# isomorphism and canonical forms
+
+def test_is_isomorphic_self(golden3):
+    assert sl.is_isomorphic(golden3, golden3) == (0, 1, 2)
+
+
+def test_is_isomorphic_cycle_relabeling(golden3):
+    perm = (1, 2, 0)
+    relabeled = golden3.relabel(perm)
+    found = sl.is_isomorphic(golden3, relabeled)
+    assert found is not None
+    # the found bijection must genuinely carry one onto the other
+    assert relabeled.relabel(_invert(found)).add == golden3.add
+
+
+def _invert(perm):
+    inv = [0] * len(perm)
+    for i, v in enumerate(perm):
+        inv[v] = i
+    return tuple(inv)
+
+
+def test_lz2_not_isomorphic_to_rz2(lz2, rz2):
+    assert sl.is_isomorphic(lz2, rz2) is None
+    assert sl.canonical_form(lz2) != sl.canonical_form(rz2)
+
+
+def test_isomorphism_is_an_equivalence(small_semirings):
+    ts = small_semirings[40:46]
+    for s in ts:
+        assert sl.is_isomorphic(s, s) is not None
+    for s in ts:
+        for t in ts:
+            forward = sl.is_isomorphic(s, t)
+            backward = sl.is_isomorphic(t, s)
+            assert (forward is None) == (backward is None)
+    for a in ts:
+        for b in ts:
+            for c in ts:
+                if sl.is_isomorphic(a, b) and sl.is_isomorphic(b, c):
+                    assert sl.is_isomorphic(a, c) is not None
+
+
+def test_is_isomorphic_agrees_with_search(iso_small):
+    rng = random.Random(3120)
+    relabelled = [relabel_seeded(t, rng) for t in iso_small]
+    found = 0
+    for s in iso_small:
+        for t in relabelled:
+            perm = sl.is_isomorphic(s, t)
+            assert (perm is None) == (is_isomorphic_by_search(s, t) is None)
+            if perm is not None:
+                assert preserves_operations(s, t, perm)
+                found += 1
+    assert found == len(iso_small)  # each class meets only its own relabelling
+
+
+def test_is_isomorphic_finds_seeded_relabellings(iso4):
+    rng = random.Random(4120)
+    for s in iso4:
+        t = relabel_seeded(s, rng)
+        perm = sl.is_isomorphic(s, t)
+        assert perm is not None and preserves_operations(s, t, perm)
+        assert sl.canonical_form(t) == s
+
+
+def test_canonical_form_constant_on_orbits(iso_small):
+    # every representative is canonical, so its whole orbit maps onto it
+    for t in iso_small:
+        forms = {sl.canonical_form(t.relabel(p))
+                 for p in itertools.permutations(range(t.order))}
+        assert forms == {t}
+
+
+def test_canonical_form_agrees_with_is_isomorphic(small_semirings):
+    # checked against the permutation search, which shares no code with it
+    ts = small_semirings[100:115]
+    for s in ts:
+        for t in ts:
+            assert (sl.canonical_form(s) == sl.canonical_form(t)) == \
+                (is_isomorphic_by_search(s, t) is not None)

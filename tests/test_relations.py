@@ -141,6 +141,16 @@ def test_d_is_closure_of_l_union_r(small_semirings, iso4):
         assert union.transitive_closure().to_partition() == d_dot
 
 
+def test_green_d_is_l_then_r_and_h_is_trivial(iso_upto4):
+    # oracle for the spined decomposition, which trusts that theta is a
+    # bijection onto the fiber product: in a band D = L o R and L meet R
+    # is equality
+    for t in iso_upto4:
+        for l, r, d in (sl.green_mult(t), sl.green_add(t)):
+            assert d.as_relation() == l.as_relation().compose(r.as_relation())
+            assert l.meet(r) == Partition.equality(t.order)
+
+
 # ---------------------------------------------------------------------------
 # quasi-orders
 

@@ -14,7 +14,7 @@ import semiring_lab as sl
 from semiring_lab import cli, congruences, core, relations, varieties
 from semiring_lab.enumeration import _Budget
 from semiring_lab.relations import Partition
-from semiring_lab.varieties import THEOREMS, green_relation
+from semiring_lab.varieties import THEOREMS, _spined_obstruction, green_relation
 
 from conftest import is_congruence_by_substitution, relabel_seeded, set_partitions
 
@@ -462,3 +462,162 @@ def test_theorem_sweep_retains_no_memory(labeled_by_order):
     finally:
         tracemalloc.stop()
     assert retained <= 64 * 1024, "%d bytes retained" % retained
+
+
+# ---------------------------------------------------------------------------
+# Malcev products
+
+def test_malcev_named_is_plain_membership(dl2):
+    assert sl.malcev_membership(dl2, sl.malcev_product("D")) == (True, None)
+
+
+def test_malcev_dl2_in_lz_dot_of_d(dl2):
+    ok, witness = sl.malcev_membership(dl2, sl.malcev_product("LZ_dot", "D"))
+    assert ok
+    assert witness == Partition.equality(2)  # singleton classes are left-zero
+
+
+def test_malcev_golden3_not_in_lz_dot_of_d(golden3):
+    # its only congruences are equality (quotient not in D) and universal
+    # (the single class is not a left-zero multiplicative band: cb = b)
+    ok, witness = sl.malcev_membership(golden3, sl.malcev_product("LZ_dot", "D"))
+    assert not ok and witness is None
+
+
+def test_malcev_products_on_one_analysis_share_sigma(monkeypatch, iso4):
+    # six products decided on one Analysis compute sigma (and eta) once,
+    # and agree with deciding each on the table afresh
+    products = [sl.malcev_product(*names) for names in (
+        ("LZ_dot", "D"), ("RZ_dot", "D"), ("R_plus", "D"), ("LZ_plus", "D"),
+        ("RB", "LZ_plus", "D"), ("RB", "RZ_plus", "D"))]
+    t = iso4[500]
+    fresh = [sl.malcev_membership(t, names) for names in products]
+    assert any(member for member, _ in fresh) and not all(member for member, _ in fresh)
+    calls = []
+    sigma = varieties.sigma
+    monkeypatch.setattr(varieties, "sigma", lambda s: (calls.append(s), sigma(s))[1])
+    a = sl.Analysis(t)
+    assert [sl.malcev_membership(a, names) for names in products] == fresh
+    assert len(calls) == 1
+
+
+def test_malcev_trivial_algebra(order1):
+    assert sl.malcev_membership(order1, sl.malcev_product("LZ_dot", "D"))[0]
+    assert sl.malcev_membership(order1, sl.malcev_product("RB", "LZ_plus", "D"))[0]
+
+
+def test_classes_refuse_unknown_names_and_empty_products(dl2):
+    # a class is a tuple of catalog names, checked wherever one is taken
+    for names in ((), ("Nope",), ("LZ_dot", "Nope"), ("Nope", "D")):
+        with pytest.raises(sl.PreconditionError):
+            sl.malcev_product(*names)
+        with pytest.raises(sl.PreconditionError):
+            sl.malcev_membership(dl2, names)
+        with pytest.raises(sl.PreconditionError):
+            sl.EnumConfig(order=2, filter=names)
+    with pytest.raises(sl.PreconditionError):  # a name, not a class
+        sl.EnumConfig(order=2, filter="D")
+    assert sl.malcev_product("LZ_dot", "D") == ("LZ_dot", "D")
+
+
+def test_single_name_membership_is_the_variety(iso_small):
+    # the product of no factors has the single block range(n), so one name
+    # is plain membership
+    assert len(iso_small) == 92
+    for t in iso_small:
+        a = sl.Analysis(t)
+        for name in sl.CATALOG:
+            assert a.member(name) == sl.in_variety(t, name), (name, t)
+
+
+def test_malcev_requires_idempotent_semiring():
+    not_idempotent = sl.SemiringTable.from_rows([[0, 1], [1, 1]], [[1, 1], [1, 1]])
+    with pytest.raises(sl.PreconditionError):
+        sl.malcev_membership(not_idempotent, sl.malcev_product("LZ_dot", "D"))
+
+
+def test_malcev_matches_identity_characterization(small_semirings):
+    # Theorem: membership in L_dot coincides with LZ_dot o D, dually R
+    lz_d = sl.malcev_product("LZ_dot", "D")
+    rz_d = sl.malcev_product("RZ_dot", "D")
+    for t in small_semirings:
+        assert sl.in_variety(t, "L_dot") == sl.malcev_membership(t, lz_d)[0]
+        assert sl.in_variety(t, "R_dot") == sl.malcev_membership(t, rz_d)[0]
+
+
+# ---------------------------------------------------------------------------
+# spined products
+
+def test_spined_product_trivial(order1):
+    prod, elems = sl.spined_product(order1, order1, order1, [0], [0])
+    assert prod.order == 1 and elems == ((0, 0),)
+
+
+def test_spined_product_over_trivial_spine(golden3, order1):
+    # with D trivial every pair is admitted: S x {e} is a copy of S
+    prod, _ = sl.spined_product(golden3, order1, order1, [0, 0, 0], [0])
+    assert sl.is_isomorphic(prod, golden3) is not None
+
+
+def test_spined_product_fiber_counting(dl2):
+    # identity maps onto the spine admit exactly the diagonal pairs
+    prod, elems = sl.spined_product(dl2, dl2, dl2, [0, 1], [0, 1])
+    assert prod.order == 2
+    assert elems == ((0, 0), (1, 1))
+    assert sl.is_isomorphic(prod, dl2) is not None
+
+
+def test_spined_product_of_mirrored_l_dot_member():
+    # an L-dot member with a 2-block eta, spined with its opposite
+    cfg = sl.EnumConfig(order=3, up_to_iso=True, filter=("L_dot",))
+    s1 = next(t for t in sl.enumerate_idempotent_semirings(cfg)
+              if sl.eta(t).num_blocks() == 2)
+    s2 = sl.SemiringTable.from_rows(
+        [[s1.add[j][i] for j in range(3)] for i in range(3)],
+        [[s1.mul[j][i] for j in range(3)] for i in range(3)])
+    assert sl.in_variety(s2, "R_dot")
+    d, proj = sl.quotient(s1, sl.eta(s1))
+    assert sl.eta(s2) == sl.eta(s1)  # the opposite has the same eta
+    prod, elems = sl.spined_product(s1, s2, d, proj, proj)
+    blocks = sl.eta(s1).blocks()
+    assert prod.order == sum(len(b) ** 2 for b in blocks)
+    assert sl.in_variety(prod, "D_dot")
+
+
+def test_spined_product_rejects_non_homomorphism(dl2, lz2, order1):
+    with pytest.raises(sl.PreconditionError):
+        sl.spined_product(dl2, dl2, dl2, [0, 0], [0, 1])  # not surjective
+    with pytest.raises(sl.PreconditionError):
+        sl.spined_product(lz2, dl2, dl2, [1, 0], [0, 1])  # not a homomorphism
+    z2 = sl.SemiringTable.from_rows([[0, 1], [1, 0]], [[0, 0], [0, 1]])
+    assert sl.validate_semiring(z2).is_semiring  # but 1+1 = 0
+    with pytest.raises(sl.PreconditionError):
+        sl.spined_product(z2, order1, order1, [0, 0], [0])  # not idempotent
+
+
+def test_spined_decompose_requires_membership(golden3):
+    with pytest.raises(sl.PreconditionError):
+        sl.spined_decompose(golden3)
+
+
+def test_spined_decompose_trivial(order1):
+    d = sl.spined_decompose(order1)
+    assert d.s1.order == d.s2.order == d.d.order == 1
+
+
+def test_spined_round_trip_small(small_semirings, iso4):
+    count = 0
+    for t in small_semirings + iso4:
+        if not sl.in_variety(t, "D_dot"):
+            assert _spined_obstruction(sl.Analysis(t))
+            continue
+        count += 1
+        decomp = sl.spined_decompose(t)
+        assert sl.in_variety(decomp.s1, "R_dot")
+        assert sl.in_variety(decomp.s2, "L_dot")
+        assert sl.is_distributive_lattice(decomp.d)
+        rebuilt, elems = sl.reconstruct(decomp)
+        assert rebuilt.order == t.order
+        assert set(decomp.theta) == set(elems)
+        assert sl.is_isomorphic(t, rebuilt) is not None
+    assert count > 0  # the suite must actually exercise members
