@@ -3,7 +3,9 @@
 JSON reports go to stdout, a short human summary to stderr.  Exit codes:
 0 success, 2 parse error (also unreadable input or unwritable output),
 3 precondition violated, 4 budget exhausted, 5 internal consistency
-failure (a verified theorem contradicted -- always an implementation bug).
+failure (any failure a report lists, as its input was validated: a
+verified theorem contradicted, or analyze's eta routes disagreeing --
+always an implementation bug).
 
 Reports are deterministic: byte-identical across runs and worker counts
 for identical inputs.  Wall-clock timing is therefore reported on stderr
@@ -24,6 +26,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from .core import (CATALOG, BudgetExceededError, InternalConsistencyError,
                    PreconditionError, SemiringFormatError, format_semiring_text,
                    parse_semiring_text, validate_semiring)
+from .relations import quasi_orders
 from .congruences import least_dl_congruence, sigma_star
 from .enumeration import (DEFAULT_NODE_BUDGET, DEFAULT_SECS_BUDGET, EnumConfig,
                           enumerate_idempotent_semirings, sweep)
@@ -63,7 +66,7 @@ def _emit(report: Dict, summary: str, started: float, show_timing: bool) -> int:
     json.dump(report, sys.stdout, indent=2, sort_keys=True)
     sys.stdout.write("\n")
     print("%s (%.2fs)" % (summary, elapsed), file=sys.stderr)
-    return EXIT_OK if not report["failures"] else EXIT_PRECONDITION
+    return EXIT_OK if not report["failures"] else EXIT_INTERNAL
 
 
 def _parse_filter(text: Optional[str]):
@@ -122,7 +125,7 @@ def cmd_analyze(args, started: float) -> int:
         "green_add": {k: g[k + "_plus"].to_json(names) for k in "LRD"},
         "quasi_orders": dict(zip(
             ("le_l_add", "le_r_add", "le_l_mul", "le_r_mul", "le_add", "le_mul"),
-            (q.to_json(names) for q in a.quasi_orders))),
+            (q.to_json(names) for q in quasi_orders(t)))),
         "sigma": {"pairs": a.sigma.to_json(names), "transitive": a.sigma_transitive},
         "sigma_star": {"pairs": sig_star.to_json(names)},
         "eta": {m: p.to_json(names) for m, p in etas.items()},
@@ -131,7 +134,8 @@ def cmd_analyze(args, started: float) -> int:
     }
     failures = [] if agree else [{"reason": "eta methods disagree"}]
     out = _report("analyze", _digest(text), results, failures)
-    return _emit(out, "analyze: ok, order %d" % t.order, started, args.timing)
+    summary = "ok" if agree else "FAILED, eta methods disagree"
+    return _emit(out, "analyze: %s, order %d" % (summary, t.order), started, args.timing)
 
 
 # ---------------------------------------------------------------------------
@@ -172,10 +176,9 @@ def cmd_verify(args, started: float) -> int:
     }
     params = "suite=%s max_order=%d iso=%s" % (args.suite, args.max_order, args.iso)
     out = _report("verify", _digest(params), results, failures)
-    code = _emit(out, "verify: %d instances, %d checks, %d inconsistencies"
+    return _emit(out, "verify: %d instances, %d checks, %d inconsistencies"
                  % (instances, results["checks"], len(failures)),
                  started, args.timing)
-    return EXIT_INTERNAL if failures else code
 
 
 # ---------------------------------------------------------------------------

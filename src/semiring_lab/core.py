@@ -484,15 +484,12 @@ def parse_semiring_text(text: str) -> SemiringTable:
         raise SemiringFormatError(
             "expected %d or %d content lines after the order, got %d"
             % (2 * n, 2 * n + 1, len(body)))
-    if len(names) != n or len(set(names)) != n:
-        raise SemiringFormatError("need %d distinct names" % n)
+    # the count, distinctness and row lengths are from_rows' to check
     index = {name: i for i, name in enumerate(names)}
 
     def decode(rows):
         out = []
         for row in rows:
-            if len(row) != n:
-                raise SemiringFormatError("table row %r is not length %d" % (row, n))
             for tok in row:
                 if tok not in index:
                     raise SemiringFormatError("unknown element name %r" % tok)

@@ -280,12 +280,13 @@ def _distributive_domain(add: Rows) -> _Domain:
 
 
 def completions(add: Rows, auts: List[Relabelling], budget: _Budget
-                ) -> Iterator[Rows]:
+                ) -> Iterator[Tuple[Rows, List[Relabelling]]]:
     """The . tables making (add, .) an idempotent semiring, depth first;
     given the non-identity automorphisms auts of add, only those that no
-    automorphism relabels smaller (proof in enumerate_idempotent_semirings)."""
-    return (mul for mul, _ in _complete(len(add), _distributive_domain(add),
-                                        _assoc_ok, auts, budget))
+    automorphism relabels smaller, each with the auts that fix it (proof
+    in enumerate_idempotent_semirings)."""
+    for mul, tied in _complete(len(add), _distributive_domain(add), _assoc_ok, auts, budget):
+        yield mul, [(p, q) for p, q, _ in tied]
 
 
 def enumerate_idempotent_semirings(cfg: EnumConfig) -> Iterator[SemiringTable]:
@@ -323,7 +324,7 @@ def enumerate_idempotent_semirings(cfg: EnumConfig) -> Iterator[SemiringTable]:
     stays larger on every completion, by the lemma with the sides swapped,
     so that p can neither prune nor fix a leaf below and is dropped for the
     whole subtree.  The p tied at a leaf, every cell determined, are the p
-    with p.T = T: Aut(B) in the band search.
+    with p.T = T: Aut(B) in the band search, Aut(B, M) in the . search.
 
     A cell tries only its domain's values, and this changes no leaf, no
     leaf's order and no Aut(B).  The determined cells at a cell are the
@@ -358,7 +359,7 @@ def _band_job(job) -> Tuple[int, int, List[list]]:
     names = _default_names(n)
     band = check and BandFacts(add)
     tables = (SemiringTable(n, names, add, mul)  # entries in range(n) already
-              for mul in completions(add, auts, budget))
+              for mul, _ in completions(add, auts, budget))
     found = [check(Analysis(t, band)) for t in tables] if check else [[t] for t in tables]
     return n, nodes - budget.nodes_left, found
 

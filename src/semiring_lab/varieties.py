@@ -17,11 +17,11 @@ from __future__ import annotations
 from functools import cached_property
 from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
-from .congruences import _quotient, eta, sigma
+from .congruences import _quotient, sigma
 from .core import (CATALOG, Identity, InternalConsistencyError, PreconditionError,
                    SemiringTable, _instances, _relates, _require_idempotent,
                    parse_identity, satisfies_identity, validate_semiring)
-from .relations import Partition, _compatible, _green, _merge_blocks, _transpose, quasi_orders
+from .relations import Partition, _compatible, _green, _merge_blocks, _transpose
 
 
 def malcev_product(*names: str) -> Tuple[str, ...]:
@@ -40,17 +40,14 @@ def malcev_product(*names: str) -> Tuple[str, ...]:
 RELATION_NAMES = ("D_plus", "L_plus", "R_plus", "D_dot", "L_dot", "R_dot")
 
 
-def green_relation(t: SemiringTable, which: str) -> Partition:
-    if which not in RELATION_NAMES:
-        raise PreconditionError("unknown relation %r; expected one of %r"
-                                % (which, RELATION_NAMES))
-    return Analysis(t).green[which]
-
-
 def eta_equals_relation(t: SemiringTable, which: str) -> bool:
     """Whether the least distributive lattice congruence equals the named
     Green's relation, compared as partitions."""
-    return eta(t) == green_relation(t, which)
+    if which not in RELATION_NAMES:
+        raise PreconditionError("unknown relation %r; expected one of %r"
+                                % (which, RELATION_NAMES))
+    a = Analysis(t)
+    return a.eta == a.green[which]
 
 
 # BAND_SEMIRING_REGULAR's conclusion, which reads + alone
@@ -79,8 +76,8 @@ class BandFacts:
 class Analysis:
     """What the theorem catalog asks of one instance t, each computed at
     most once and dropped with this object: Green's relations of both
-    reducts, the quasi-orders (read by analyze; the theorems test two
-    inclusions in one pass), sigma, eta (the closure of sigma, as in
+    reducts, whether two quasi-orders lie inside <=+ (in one pass),
+    sigma, eta (the closure of sigma, as in
     congruences.eta), the membership of each class asked about, and the
     blocks of the least congruence rho(E) of each right factor E of a
     Malcev product.  What depends on + alone is read from band, the
@@ -90,11 +87,10 @@ class Analysis:
     t must be an idempotent semiring.  Only idempotency is checked, once,
     here; the rest is the caller's to validate."""
 
-    # quasi_orders and sigma call the module-level functions of the same
-    # name; green skips green_add's and green_mult's band check
+    # sigma calls the module-level function of the same name; green skips
+    # green_add's and green_mult's band check
     green = cached_property(lambda self: {**self.band.green, **dict(zip(
         ("L_dot", "R_dot", "D_dot"), _green(self.t.mul, self.t.order)))})
-    quasi_orders = cached_property(lambda self: quasi_orders(self.t))
     sigma = cached_property(lambda self: sigma(self.t))
     # congruences._translations of t, made once: eta, each rho and the
     # congruence tests of LEMMA_4_2 and COR_JOIN read them
@@ -118,8 +114,8 @@ class Analysis:
 
     @cached_property
     def le_mul_in_le_add(self) -> Tuple[bool, bool]:
-        """Whether <=l. and <=r. lie inside <=+ (see quasi_orders): a = ba,
-        resp. a = ab, may hold for no pair (a, b) outside <=+."""
+        """Whether <=l. and <=r. lie inside <=+ (see relations.quasi_orders):
+        a = ba, resp. a = ab, may hold for no pair (a, b) outside <=+."""
         mul, outside = self.t.mul, self.band.outside
         return (all(mul[b][a] != a for a, b in outside),
                 all(mul[a][b] != a for a, b in outside))

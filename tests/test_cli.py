@@ -79,6 +79,20 @@ def test_analyze_parse_failure(capsys, tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("text, message", [
+    ("2\na a\na a\na a\n\na a\na a\n", "need 2 distinct element names"),
+    ("2\na b\na b\nb\n\na a\nb b\n", "add table is not 2 x 2"),
+])
+def test_analyze_malformed_table(capsys, tmp_path, text, message):
+    # the text format decides the order and names lines; the table's shape
+    # and the names' distinctness are from_rows' to refuse
+    path = tmp_path / "bad.txt"
+    path.write_text(text)
+    code, out, err = run(capsys, "analyze", str(path))
+    assert (code, out) == (2, "")
+    assert "parse error: " + message in err
+
+
 def test_analyze_missing_file(capsys):
     code, _, _ = run(capsys, "analyze", "/nonexistent/file.txt")
     assert code == 2
@@ -175,6 +189,20 @@ def test_verify_worker_determinism(capsys):
                            "--workers", workers)
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_ISO4_SHA256
+
+
+def test_analyze_eta_disagreement_is_an_internal_failure(capsys, monkeypatch,
+                                                         golden3_file):
+    # eta is universal on the golden example: an equality from one route
+    # is a failed self-check, exit 5, reported in full
+    monkeypatch.setattr(cli, "least_dl_congruence",
+                        lambda t, method: semiring_lab.Partition.equality(t.order))
+    code, out, err = run(capsys, "analyze", golden3_file)
+    assert code == 5
+    report = json.loads(out)
+    assert report["failures"] == [{"reason": "eta methods disagree"}]
+    assert report["results"]["eta_methods_agree"] is False
+    assert err.startswith("analyze: FAILED, eta methods disagree, order 3")
 
 
 def _fails_on_some_tables(a):
@@ -416,6 +444,15 @@ def test_enumerate_budget_exhaustion(capsys):
     assert code == 4
 
 
+def test_enumerate_wall_clock_budget_exhaustion(capsys):
+    # the clock is first sampled after 1664 nodes; the order-5 band
+    # search alone takes 6414
+    code, out, err = run(capsys, "enumerate", "-n", "5", "--iso", "--count-only",
+                         "--budget-secs", "1e-6")
+    assert (code, out) == (4, "")
+    assert "budget exhausted: wall-clock budget exhausted" in err
+
+
 def _limit_address_space():
     limit = 1536 * 2 ** 20  # 1.5 GiB
     resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
@@ -499,6 +536,26 @@ def test_decompose_reports_up_to_order4_are_frozen(capsys, tmp_path, iso_upto4):
 def test_decompose_non_member(capsys, golden3_file):
     code, _, err = run(capsys, "decompose", golden3_file)
     assert code == 3
+
+
+def test_decompose_non_idempotent(capsys, tmp_path):
+    # + is constantly a and . constantly b: aa = b
+    path = tmp_path / "notidem.txt"
+    path.write_text("2\na b\na a\na a\n\nb b\nb b\n")
+    code, out, err = run(capsys, "decompose", str(path))
+    assert (code, out) == (3, "")
+    assert "precondition violated: input is not an idempotent semiring" in err
+
+
+def test_decompose_obstruction_is_an_internal_failure(capsys, monkeypatch, tmp_path, dl2):
+    # a D_dot member always decomposes: an obstruction contradicts the proof
+    monkeypatch.setattr(varieties, "_spined_obstruction", lambda a: "stand-in")
+    path = tmp_path / "dl2.txt"
+    path.write_text(semiring_lab.format_semiring_text(dl2))
+    code, out, err = run(capsys, "decompose", str(path))
+    assert (code, out) == (5, "")
+    assert ("internal consistency failure: spined decomposition failed on a "
+            "D_dot member: stand-in") in err
 
 
 def test_explore_sigma(capsys):

@@ -440,11 +440,20 @@ def test_iso_counts(n, iso4):
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_orbit_counting_reconciles(n, iso4):
     # sum of orbit sizes n!/|Aut(t)| over the iso classes must give the
-    # labeled count
+    # labeled count; the automorphisms completions finds at each leaf are
+    # exactly the non-identity relabellings that fix its table
+    budget = _Budget(DEFAULT_NODE_BUDGET, 1800.0)
+    leaves = [(add, mul, auts) for add, band_auts in bands(n, True, budget)
+              for mul, auts in completions(add, band_auts, budget)]
+    reps = _iso_reps(n, iso4)
+    assert [(t.add, t.mul) for t in reps] == [(add, mul) for add, mul, _ in leaves]
     total = 0
-    for t in _iso_reps(n, iso4):
-        orbit = {(r.add, r.mul)
-                 for r in (t.relabel(p) for p in itertools.permutations(range(n)))}
+    for t, (_, _, auts) in zip(reps, leaves):
+        images = {p: t.relabel(p) for p in itertools.permutations(range(n))}
+        orbit = {(r.add, r.mul) for r in images.values()}
+        fixing = {p for p, r in images.items() if (r.add, r.mul) == (t.add, t.mul)}
+        assert {p for p, _ in auts} == fixing - {tuple(range(n))}
+        assert len(orbit) == math.factorial(n) // (1 + len(auts))
         total += len(orbit)
     assert total == LABELED_COUNTS[n]
 
@@ -492,25 +501,28 @@ def test_node_budget_pins_the_orderly_pruning(n, nodes, classes):
 
 
 def _iso_classes(n, budget):
-    return sum(1 for add, auts in bands(n, True, budget)
-               for _ in completions(add, auts, budget))
+    """The number of classes and, by orbit-stabilizer, of labelled tables:
+    n!/|Aut(S)| in each class, |Aut(S)| being one more than the
+    automorphisms completions finds at its leaf."""
+    sizes = [1 + len(auts) for add, band_auts in bands(n, True, budget)
+             for _, auts in completions(add, band_auts, budget)]
+    return len(sizes), sum(math.factorial(n) // size for size in sizes)
 
 
 def test_order5_iso_count():
-    # about 1 s: 6414 band and 134793 . nodes (514360 when every value
-    # was tried at every cell)
+    # about 1 s: 6414 band and 134793 . nodes; the labelled search finds
+    # the same 844129 tables in about 40 s
     budget = _Budget(141207, 1800.0)
-    assert _iso_classes(5, budget) == 9407
+    assert _iso_classes(5, budget) == (9407, 844129)
     assert budget.nodes_left == 0
 
 
 @pytest.mark.slow
 def test_order6_iso_count():
     # about 16 s; run with `pytest -m slow`.  63545 band and 2461137 .
-    # nodes, within the default budget of 10**7 (11472144 when every value
-    # was tried at every cell)
+    # nodes, within the default budget of 10**7
     budget = _Budget(2524682, 1800.0)
-    assert _iso_classes(6, budget) == 119699
+    assert _iso_classes(6, budget) == (119699, 63093228)
     assert budget.nodes_left == 0 and 2524682 < DEFAULT_NODE_BUDGET
 
 

@@ -14,7 +14,7 @@ import semiring_lab as sl
 from semiring_lab import cli, congruences, core, relations, varieties
 from semiring_lab.enumeration import _Budget
 from semiring_lab.relations import Partition
-from semiring_lab.varieties import THEOREMS, _spined_obstruction, green_relation
+from semiring_lab.varieties import THEOREMS, _spined_obstruction
 
 from conftest import is_congruence_by_substitution, relabel_seeded, set_partitions
 
@@ -33,9 +33,9 @@ def test_membership_is_identity_conjunction(dl2):
 
 
 def test_green_relation_selector(golden3):
-    assert green_relation(golden3, "D_dot") == Partition.from_blocks(3, [[0, 1], [2]])
-    with pytest.raises(sl.PreconditionError):
-        green_relation(golden3, "H_dot")
+    assert sl.Analysis(golden3).green["D_dot"] == Partition.from_blocks(3, [[0, 1], [2]])
+    with pytest.raises(sl.PreconditionError, match="unknown relation 'H_dot'"):
+        sl.eta_equals_relation(golden3, "H_dot")
 
 
 def test_analysis_refuses_a_non_idempotent_table():
@@ -315,7 +315,7 @@ def test_a_band_job_reads_each_additive_fact_once(monkeypatch, iso4):
         count, failures = len(found), sum(found, [])
         assert failures == []
         in_bi = any(sl.in_variety(sl.SemiringTable.from_rows(add, mul), "Bi")
-                    for mul in sl.enumeration.completions(add, auts, _Budget(10 ** 6, 60.0)))
+                    for mul, _ in sl.enumeration.completions(add, auts, _Budget(10 ** 6, 60.0)))
         assert calls["_green", True] == calls["_transpose", True] == 1, calls
         assert calls["regular", True] == in_bi, calls
         assert calls["_green", False] == count, calls
