@@ -277,21 +277,7 @@ def cmd_explore_sigma(args, started: float) -> int:
 
 # ---------------------------------------------------------------------------
 
-def _env_number(name: str, convert, default):
-    text = os.environ.get(name)
-    if text is None:
-        return default
-    try:
-        return convert(text)
-    except ValueError:
-        raise SemiringFormatError("environment variable %s=%r is not a valid %s"
-                                  % (name, text, convert.__name__)) from None
-
-
 def _build_parser() -> argparse.ArgumentParser:
-    env_max_order = _env_number("SEMIRING_LAB_MAX_ORDER", int, 3)
-    env_budget_secs = _env_number("SEMIRING_LAB_BUDGET_SECS", float,
-                                  DEFAULT_SECS_BUDGET)
     parser = argparse.ArgumentParser(
         prog="semiring-lab",
         description="Finite-algebra workbench for idempotent semirings.")
@@ -302,7 +288,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def common(p):
         p.add_argument("--budget-nodes", type=int, default=DEFAULT_NODE_BUDGET)
-        p.add_argument("--budget-secs", type=float, default=env_budget_secs)
+        p.add_argument("--budget-secs", type=float, default=DEFAULT_SECS_BUDGET)
 
     p = sub.add_parser("analyze", help="full report for one semiring file")
     p.add_argument("file")
@@ -311,7 +297,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="check theorem suites over all "
                                       "enumerated semirings")
     p.add_argument("--suite", default="all")
-    p.add_argument("--max-order", type=int, default=env_max_order)
+    p.add_argument("--max-order", type=int, default=3)
     p.add_argument("--iso", action="store_true",
                    help="one representative per isomorphism class")
     p.add_argument("--workers", type=int, default=1)
@@ -336,7 +322,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("explore-sigma", help="where is sigma itself already "
                                              "the least d.l. congruence?")
-    p.add_argument("--max-order", type=int, default=env_max_order)
+    p.add_argument("--max-order", type=int, default=3)
     p.add_argument("--iso", action="store_true")
     common(p)
     p.set_defaults(func=cmd_explore_sigma)

@@ -90,7 +90,11 @@ class SemiringTable(NamedTuple):
                              tuple(map(tuple, mul_rows)))
 
     def relabel(self, perm: Sequence[int]) -> "SemiringTable":
-        """Apply the bijection i -> perm[i] to the carrier."""
+        """Apply the bijection i -> perm[i] to the carrier; any other map
+        is refused."""
+        if sorted(perm) != list(range(self.order)):
+            raise PreconditionError("%r is not a permutation of range(%d)"
+                                    % (list(perm), self.order))
         inv = sorted(range(self.order), key=perm.__getitem__)
         return SemiringTable(self.order, tuple(self.names[k] for k in inv),
                              _relabel_rows(self.add, perm),

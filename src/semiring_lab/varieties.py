@@ -50,24 +50,18 @@ def eta_equals_relation(t: SemiringTable, which: str) -> bool:
     return a.eta == a.green[which]
 
 
-# BAND_SEMIRING_REGULAR's conclusion, which reads + alone
-_REGULAR = parse_identity("x+y+z+x = x+y+x+z+x")
-
-
 class BandFacts:
     """What the theorems ask of a + table alone, each computed at most once
     and shared by the Analysis of every table completing it: Green's L+,
-    R+ and D+, the transposed table, the pairs (a, b) outside <=+ (b is not
-    a+b or not b+a), and whether + satisfies _REGULAR."""
+    R+ and D+, the transposed table, and whether + satisfies
+    BAND_SEMIRING_REGULAR's conclusion, which reads + alone."""
 
     green = cached_property(lambda self: dict(zip(
         ("L_plus", "R_plus", "D_plus"), _green(self.add, len(self.add)))))
     transposed = cached_property(lambda self: _transpose(self.add))
-    outside = cached_property(lambda self: [
-        (a, b) for a, (row, col) in enumerate(zip(self.add, self.transposed))
-        for b in range(len(row)) if row[b] != b or col[b] != b])
-    regular = cached_property(lambda self: next(_REGULAR.failures(
-        self.add, None, range(len(self.add))), None) is None)
+    regular = cached_property(lambda self: next(THEOREM_IDENTITIES[
+        "x+y+z+x = x+y+x+z+x"].failures(self.add, None, range(len(self.add))),
+        None) is None)
 
     def __init__(self, add: Tuple[Tuple[int, ...], ...]):
         self.add = add
@@ -76,13 +70,14 @@ class BandFacts:
 class Analysis:
     """What the theorem catalog asks of one instance t, each computed at
     most once and dropped with this object: Green's relations of both
-    reducts, whether two quasi-orders lie inside <=+ (in one pass),
-    sigma, eta (the closure of sigma, as in
-    congruences.eta), the membership of each class asked about, and the
-    blocks of the least congruence rho(E) of each right factor E of a
-    Malcev product.  What depends on + alone is read from band, the
-    BandFacts of t.add, which a caller may share across the tables over
-    one band; without one the Analysis makes its own.
+    reducts, sigma, eta (the closure of sigma, as in congruences.eta),
+    the membership of each class asked about, and the blocks of the least
+    congruence rho(E) of each right factor E of a Malcev product.  Every
+    other identity a theorem reads, the quasi-order inclusions of THM_3_3
+    and THM_3_4 among them, is one of THEOREM_IDENTITIES, asked by holds.
+    What depends on + alone is read from band, the BandFacts of t.add,
+    which a caller may share across the tables over one band; without one
+    the Analysis makes its own.
 
     t must be an idempotent semiring.  Only idempotency is checked, once,
     here; the rest is the caller's to validate."""
@@ -111,14 +106,6 @@ class Analysis:
         self.band = band or BandFacts(t.add)
         self._members: Dict[Tuple[str, ...], bool] = {}
         self._rho: Dict[Tuple[str, ...], Tuple[Tuple[int, ...], ...]] = {}
-
-    @cached_property
-    def le_mul_in_le_add(self) -> Tuple[bool, bool]:
-        """Whether <=l. and <=r. lie inside <=+ (see relations.quasi_orders):
-        a = ba, resp. a = ab, may hold for no pair (a, b) outside <=+."""
-        mul, outside = self.t.mul, self.band.outside
-        return (all(mul[b][a] != a for a, b in outside),
-                all(mul[a][b] != a for a, b in outside))
 
     def member(self, *names: str) -> bool:
         """Membership in the right-nested Malcev product of the named catalog
@@ -302,7 +289,8 @@ def reconstruct(decomp: SpinedDecomposition
 THEOREM_IDENTITIES: Dict[str, Identity] = {text: parse_identity(text) for text in (
     "xz+xyz+xz = xz", "x = x(y+x+y)", "x = (y+x+y)x", "xyzx = xyzx+xyxzx+xyzx",
     "xyxzx = xyxzx+xyzx+xyxzx", "xz = xz+xyz", "xz = xyz+xz", "xz = xyz+xz+xyz",
-    "xyzx = xzyx+xyzx+xzyx", "xyzx = xzyx", "xz = xzy+xz+xzy")}
+    "xyzx = xzyx+xyzx+xzyx", "xyzx = xzyx", "xz = xzy+xz+xzy", "x = x+xy",
+    "x = xy+x", "x = x+yx", "x = yx+x", "x+y+z+x = x+y+x+z+x")}
 
 
 # ---------------------------------------------------------------------------
@@ -371,7 +359,10 @@ THEOREMS: Dict[str, Tuple[str, Callable[[Analysis], List[Tuple[str, bool]]]]] = 
         ("N_and_Rdot_Dplus_Ldot",
          a.member("N") and a.green["R_dot"].refines(a.green["D_plus"])
          and a.green["D_plus"].refines(a.green["L_dot"])),
-        ("le_l_mul_in_le_add", a.le_mul_in_le_add[0]),
+        # a <=l. b (a = ba) puts a in <=+ below b (b = a+b = b+a).  As b is
+        # idempotent, the a with a = ba are exactly the products by, so the
+        # inclusion says b = b+by = by+b for all b, y: two identities
+        ("le_l_mul_in_le_add", a.holds("x = x+xy") and a.holds("x = xy+x")),
         ("identity_L_dot", a.member("L_dot")),
         ("identity_L_dot_factored", a.holds("x = x(y+x+y)")),
     ]),
@@ -382,7 +373,8 @@ THEOREMS: Dict[str, Tuple[str, Callable[[Analysis], List[Tuple[str, bool]]]]] = 
         ("N_and_Ldot_Dplus_Rdot",
          a.member("N") and a.green["L_dot"].refines(a.green["D_plus"])
          and a.green["D_plus"].refines(a.green["R_dot"])),
-        ("le_r_mul_in_le_add", a.le_mul_in_le_add[1]),
+        # dually, the a with a = ab are the products yb
+        ("le_r_mul_in_le_add", a.holds("x = x+yx") and a.holds("x = yx+x")),
         ("identity_R_dot", a.member("R_dot")),
         ("identity_R_dot_factored", a.holds("x = (y+x+y)x")),
     ]),

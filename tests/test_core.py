@@ -431,6 +431,16 @@ def test_is_isomorphic_cycle_relabeling(golden3):
     assert relabeled.relabel(_invert(found)).add == golden3.add
 
 
+def test_relabel_refuses_a_map_that_is_not_a_bijection(iso_small):
+    # a repeated value, a value outside range(n) and a map too short
+    # (they made an invalid table, a table with entry 5 and an IndexError)
+    t = iso_small[16]  # all_idempotent_semirings(3, True)[5]
+    assert t.order == 3
+    for perm in ([0, 0, 1], [0, 1, 5], [0, 1]):
+        with pytest.raises(sl.PreconditionError, match="not a permutation"):
+            t.relabel(perm)
+
+
 def _invert(perm):
     inv = [0] * len(perm)
     for i, v in enumerate(perm):

@@ -15,7 +15,7 @@ from semiring_lab.enumeration import (DEFAULT_NODE_BUDGET, _assoc_ok, _Budget, _
                                       _distributive_domain, _forced, bands,
                                       completions)
 
-from conftest import naive_labeled_pairs
+from conftest import dual, naive_labeled_pairs
 
 # counts computed once with naive_labeled_count and frozen; the live
 # oracle comparison below keeps the generator honest regardless.  Order 4
@@ -530,6 +530,55 @@ def test_iso_search_completes_only_least_bands():
     # the labelled order-4 search alone needs 132868 nodes
     cfg = sl.EnumConfig(order=4, up_to_iso=True, budget_nodes=100_000)
     assert len(list(sl.enumerate_idempotent_semirings(cfg))) == 835
+
+
+def _dot_first_classes(n, budget):
+    """One (add, mul) per class of order n by the .-first route, an oracle
+    for the +-first search: each least band from bands() taken as the .
+    table, and its + tables filled by _complete under the band's
+    automorphisms.  A + value is kept when the associativity instances
+    _assoc_ok checks hold, and so do the distributivity instances that
+    look up its cell: as y+z for every x, or as xy+xz or yx+zx, found
+    through an index of the (x, y, z) per pair of products."""
+    every = (1 << n) - 1
+    found = []
+    for mul, auts in bands(n, True, budget):
+        as_left = [[[] for _ in range(n)] for _ in range(n)]  # xy+xz
+        as_right = [[[] for _ in range(n)] for _ in range(n)]  # yx+zx
+        for x, y, z in itertools.product(range(n), repeat=3):
+            as_left[mul[x][y]][mul[x][z]].append((x, y, z))
+            as_right[mul[y][x]][mul[z][x]].append((x, y, z))
+
+        def ok(add, pre, i, j):
+            v = add[i][j]
+            for x in range(n):  # x(i+j) = xi+xj and (i+j)x = ix+jx
+                left, right = add[mul[x][i]][mul[x][j]], add[mul[i][x]][mul[j][x]]
+                if left not in (None, mul[x][v]) or right not in (None, mul[v][x]):
+                    return False
+            return (_assoc_ok(add, pre, i, j)
+                    and all(add[y][z] is None or mul[x][add[y][z]] == v
+                            for x, y, z in as_left[i][j])
+                    and all(add[y][z] is None or mul[add[y][z]][x] == v
+                            for x, y, z in as_right[i][j]))
+
+        found += [(add, mul) for add, _ in _complete(
+            n, lambda tab, pre, i, j: _forced(tab, pre, i, j, every), ok, auts, budget)]
+    return found
+
+
+def test_dot_first_route_finds_the_same_classes(iso_upto4):
+    budget = _Budget(DEFAULT_NODE_BUDGET, 1800.0)
+    forms = {sl.canonical_form(sl.SemiringTable.from_rows(add, mul))
+             for n in (1, 2, 3, 4) for add, mul in _dot_first_classes(n, budget)}
+    assert forms == set(iso_upto4)
+    # the class set is closed under reversing + or . or both
+    for plus, dot in itertools.product((False, True), repeat=2):
+        assert {sl.canonical_form(dual(t, plus, dot)) for t in iso_upto4} == forms
+
+
+def test_dot_first_route_count_at_order5():
+    # about 1 s and 291897 nodes
+    assert len(_dot_first_classes(5, _Budget(DEFAULT_NODE_BUDGET, 1800.0))) == 9407
 
 
 def test_filter_by_variety():

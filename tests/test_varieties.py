@@ -190,14 +190,16 @@ def test_lemma_4_2_clause_matches_the_quotient_route(iso_upto4):
 
 
 def test_quasi_order_inclusions_match_the_relations(iso_upto4):
-    # oracle for THM_3_3's and THM_3_4's one pass over the tables: the
-    # inclusions of the quasi-orders built as relations
+    # oracle for THM_3_3's and THM_3_4's inclusion conditions, which judge
+    # reads off identities: the quasi-orders built as relations
     seen = set()
     for t in _with_relabellings(iso_upto4, 3334):
+        a = sl.Analysis(t)
+        judged = (dict(varieties.judge(a, "THM_3_3")[1])["le_l_mul_in_le_add"],
+                  dict(varieties.judge(a, "THM_3_4")[1])["le_r_mul_in_le_add"])
         _, _, le_l_mul, le_r_mul, le_add, _ = sl.quasi_orders(t)
-        inclusions = (le_l_mul.is_subset_of(le_add), le_r_mul.is_subset_of(le_add))
-        assert sl.Analysis(t).le_mul_in_le_add == inclusions
-        seen.add(inclusions)
+        assert judged == (le_l_mul.is_subset_of(le_add), le_r_mul.is_subset_of(le_add)), t
+        seen.add(judged)
     assert len(seen) == 4
 
 
@@ -271,6 +273,10 @@ def test_label_congruence_test_matches_substitution(iso_upto4):
     assert seen == {False, True}
 
 
+# BAND_SEMIRING_REGULAR's conclusion, the identity BandFacts.regular reads
+_REGULAR = "x+y+z+x = x+y+x+z+x"
+
+
 def test_holds_matches_satisfies_identity(iso_upto4):
     # oracle for the compiled identities Analysis.holds and BandFacts read
     seen = set()
@@ -280,8 +286,7 @@ def test_holds_matches_satisfies_identity(iso_upto4):
         for text, ident in identities.items():
             assert a.holds(text) == sl.satisfies_identity(t, ident)[0], text
             seen.add(a.holds(text))
-        assert band.regular == sl.satisfies_identity(t, varieties._REGULAR)[0]
-        seen.add(band.regular)
+        assert band.regular == a.holds(_REGULAR)
     assert seen == {False, True}
 
 
@@ -302,7 +307,7 @@ def test_a_band_job_reads_each_additive_fact_once(monkeypatch, iso4):
         for module in (relations, congruences, varieties, cli):
             if vars(module).get(name) is fn:
                 monkeypatch.setattr(module, name, counting(name, fn))
-    regular = varieties._REGULAR
+    regular = varieties.THEOREM_IDENTITIES[_REGULAR]
     monkeypatch.setitem(vars(regular), "failures",
                         counting("regular", regular.failures))
     suite = tuple(sorted(THEOREMS))
