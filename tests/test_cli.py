@@ -1,22 +1,24 @@
 import gc
 import hashlib
 import json
-import multiprocessing
 import os
 import random
 import resource
+import signal
 import subprocess
 import sys
+import time
 import tracemalloc
+from collections import Counter
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import semiring_lab
-from semiring_lab import cli, congruences, varieties
+from semiring_lab import cli, congruences, enumeration, varieties
 from semiring_lab.cli import main
-from semiring_lab.enumeration import _Budget, bands, completions
+from semiring_lab.enumeration import EnumConfig, _Budget, bands, completions, sweep
 
 from conftest import GOLDEN3_TEXT, relabel_seeded
 
@@ -246,26 +248,128 @@ def test_verify_node_budget_is_per_order(capsys, workers):
     assert 10 ** 6 - budget.nodes_left == 502
     argv = ["verify", "--max-order", "3", "--iso", "--suite", "THM_2_5",
             "--workers", workers, "--budget-nodes"]
-    # the parent's band search runs in the pool's task thread while the
-    # main thread charges results: switch between them as often as it can
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        code, out, _ = run(capsys, *argv, "502")
-        assert code == 0 and json.loads(out)["results"]["instances"] == 92
-        code, out, err = run(capsys, *argv, "501")
-    finally:
-        sys.setswitchinterval(interval)
+    # the parent dispatches every job and charges every result from one
+    # thread, so the count it charges against has one writer
+    code, out, _ = run(capsys, *argv, "502")
+    assert code == 0 and json.loads(out)["results"]["instances"] == 92
+    code, out, err = run(capsys, *argv, "501")
     assert code == 4 and out == ""
     assert "node budget exhausted" in err and "Traceback" not in err
+    assert_no_child()
+
+
+def assert_no_child():
+    # neither a live child nor an unreaped one: the farm reaps its workers
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def test_pooled_verify_leaves_no_live_child(capsys):
-    # the pool's workers are ended and joined before cli.main returns
     code, _, _ = run(capsys, "verify", "--max-order", "3", "--iso",
                      "--workers", "2")
     assert code == 0
-    assert multiprocessing.active_children() == []
+    assert_no_child()
+
+
+def _raises_on_some_order4_tables(a):
+    # a stand-in theorem that fails its self-check on about one order-4
+    # table in five, naming the table
+    if a.t.order == 4 and sum(map(sum, a.t.mul)) % 5 == 1:
+        raise semiring_lab.InternalConsistencyError(repr((a.t.add, a.t.mul)))
+    return [("stand_in", True)]
+
+
+def _slow_on_first_band(monkeypatch, n, secs):
+    # patched before the workers are forked, so they see it too
+    first = next(bands(n, True, _Budget(10 ** 6, 60.0)))[0]
+    band_job = enumeration._band_job
+
+    def slow_on_first(job):
+        if job[2] == first:
+            time.sleep(secs)
+        return band_job(job)
+
+    monkeypatch.setattr(enumeration, "_band_job", slow_on_first)
+
+
+def test_worker_exception_is_raised_at_its_place_in_the_stream(capsys, monkeypatch):
+    # the first order-4 band's failure arrives after later bands' failures,
+    # yet the error is the first failing table's in stream order
+    monkeypatch.setitem(varieties.THEOREMS, "THM_2_5",
+                        ("implication", _raises_on_some_order4_tables))
+    _slow_on_first_band(monkeypatch, 4, 0.3)
+    errs = []
+    for workers in ("1", "2", "3"):
+        code, out, err = run(capsys, "verify", "--suite", "THM_2_5", "--max-order",
+                             "4", "--iso", "--workers", workers)
+        assert code == 5 and out == "" and "Traceback" not in err
+        assert_no_child()
+        errs.append(err)
+    assert errs[0].startswith("internal consistency failure: (((")
+    assert errs[1] == errs[0] and errs[2] == errs[0]
+
+
+def test_a_worker_killed_from_outside_ends_verify_with_exit_5(capsys, monkeypatch):
+    band_job = enumeration._band_job
+
+    def die_on_order3(job):
+        if job[1] == 3:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return band_job(job)
+
+    monkeypatch.setattr(enumeration, "_band_job", die_on_order3)
+    code, out, err = run(capsys, "verify", "--max-order", "3", "--iso", "--workers", "2")
+    assert code == 5 and out == ""
+    assert "ended holding jobs" in err and "Traceback" not in err
+    assert_no_child()
+
+
+def test_closing_a_pooled_sweep_kills_and_reaps_its_workers(monkeypatch):
+    band_job = enumeration._band_job
+
+    def stall_after_order1(job):
+        if job[1] > 1:
+            time.sleep(60)
+        return band_job(job)
+
+    monkeypatch.setattr(enumeration, "_band_job", stall_after_order1)
+    stream = sweep([EnumConfig(n, up_to_iso=True) for n in (1, 2, 3, 4)], 2, None)
+    assert next(stream)[:2] == (1, 0)
+    started = time.monotonic()
+    stream.close()  # the workers hold stalled jobs: killed, not awaited
+    assert time.monotonic() - started < 10
+    assert_no_child()
+
+
+def test_pooled_sweep_keeps_order_and_window_behind_a_slow_job(capsys, monkeypatch):
+    # the first order-5 job sleeps while the other two workers could finish
+    # every other band; the parent still yields the stream in order and
+    # pulls at most _AHEAD * workers bands past the last result it yielded
+    cfgs = [EnumConfig(n, up_to_iso=True) for n in (1, 2, 3, 4, 5)]
+    serial = list(sweep(cfgs, 1, None))
+    search = enumeration.bands
+    pulled = Counter()
+
+    def counted(n, up_to_iso, budget):
+        for band in search(n, up_to_iso, budget):
+            pulled[n] += 1
+            yield band
+
+    _slow_on_first_band(monkeypatch, 5, 1.0)
+    monkeypatch.setattr(enumeration, "bands", counted)
+    stream, seen = [], None
+    for item in sweep(cfgs, 3, None):
+        if item[0] == 5 and seen is None:
+            seen = pulled[5]
+        stream.append(item)
+    assert stream == serial
+    assert 1 <= seen <= enumeration._AHEAD * 3 < pulled[5] == 251
+    assert_no_child()
+    _slow_on_first_band(monkeypatch, 4, 0.3)
+    code, out, _ = run(capsys, "verify", "--max-order", "4", "--iso", "--workers", "3")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_ISO4_SHA256
+    assert_no_child()
 
 
 def test_serial_verify_holds_no_instance_list(capsys):
@@ -425,11 +529,18 @@ def test_nan_budget_is_rejected(capsys):
 def test_verify_rejects_worker_count_out_of_range(capsys, monkeypatch, workers):
     def refuse(*args, **kwargs):
         raise AssertionError("nothing may run before --workers is checked")
-    monkeypatch.setattr(multiprocessing, "Pool", refuse)
+    monkeypatch.setattr(os, "fork", refuse)
     monkeypatch.setattr(cli, "enumerate_idempotent_semirings", refuse)
     code, _, err = run(capsys, "verify", "--max-order", "1", "--workers", workers)
     assert code == 3
     assert "--workers must be in 1..%d" % cli.MAX_WORKERS in err
+
+
+def test_verify_workers_need_fork(capsys, monkeypatch):
+    monkeypatch.delattr(os, "fork")
+    code, out, err = run(capsys, "verify", "--max-order", "2", "--workers", "2")
+    assert code == 3 and out == ""
+    assert "needs os.fork" in err and "Traceback" not in err
 
 
 def test_enumerate_budget_exhaustion(capsys):

@@ -128,8 +128,23 @@ def _loaded_by_cli_import(modules):
 
 
 def test_cli_import_loads_neither_hashlib_nor_multiprocessing():
-    # both are imported where they are used, off the start-up path
-    assert _loaded_by_cli_import({"hashlib", "multiprocessing"}) == "[]"
+    # hashlib and the worker farm's modules are imported where they are
+    # used, off the start-up path
+    assert _loaded_by_cli_import({"hashlib", "multiprocessing", "pickle", "select",
+                                  "signal"}) == "[]"
+
+
+def test_pooled_verify_loads_no_multiprocessing_and_starts_no_thread():
+    # the worker farm forks its workers and feeds them from the main thread
+    probe = ("import contextlib, io, sys, threading; from semiring_lab.cli import main\n"
+             "with contextlib.redirect_stdout(io.StringIO()):\n"
+             "    code = main(['verify', '--max-order', '2', '--iso', '--workers', '2'])\n"
+             "print(code, sorted(m for m in sys.modules if m.startswith('multiprocessing')),"
+             " threading.active_count())")
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                         capture_output=True, text=True, timeout=60).stdout
+    assert out.strip() == "0 [] 1"
 
 
 def test_cli_import_loads_neither_dataclasses_nor_inspect():
