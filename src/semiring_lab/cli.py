@@ -2,14 +2,15 @@
 
 JSON reports go to stdout, a short human summary to stderr.  Exit codes:
 0 success, 2 parse error (also unreadable input or unwritable output),
-3 precondition violated, 4 budget exhausted, 5 internal consistency
-failure (any failure a report lists, as its input was validated: a
-verified theorem contradicted, or analyze's eta routes disagreeing --
-always an implementation bug).
+3 precondition violated (also a worker that cannot start), 4 budget
+exhausted, 5 internal consistency failure (any failure a report lists,
+as its input was validated: a verified theorem contradicted, or
+analyze's eta routes disagreeing; or a worker that ends or cannot take
+its next job -- always an implementation bug).
 
 Reports are deterministic: byte-identical across runs and worker counts
 for identical inputs.  Wall-clock timing is therefore reported on stderr
-only; the JSON ``timing`` field stays null unless --timing is passed.
+only; the JSON ``timing`` field is always null.
 """
 
 from __future__ import annotations
@@ -55,17 +56,14 @@ def _report(command: str, input_digest: str, results, failures: List) -> Dict:
         "input_digest": input_digest,
         "results": results,
         "failures": failures,
-        "timing": None,  # _emit sets it under --timing
+        "timing": None,  # elapsed time goes to stderr only
     }
 
 
-def _emit(report: Dict, summary: str, started: float, show_timing: bool) -> int:
-    elapsed = time.monotonic() - started
-    if show_timing:
-        report["timing"] = round(elapsed, 3)
+def _emit(report: Dict, summary: str, started: float) -> int:
     json.dump(report, sys.stdout, indent=2, sort_keys=True)
     sys.stdout.write("\n")
-    print("%s (%.2fs)" % (summary, elapsed), file=sys.stderr)
+    print("%s (%.2fs)" % (summary, time.monotonic() - started), file=sys.stderr)
     return EXIT_OK if not report["failures"] else EXIT_INTERNAL
 
 
@@ -107,7 +105,7 @@ def cmd_analyze(args, started: float) -> int:
     if not report.is_idempotent_semiring:
         out = _report("analyze", _digest(text), {"validation": validation},
                       [{"reason": "not an idempotent semiring"}])
-        _emit(out, "analyze: FAILED validation", started, args.timing)
+        _emit(out, "analyze: FAILED validation", started)
         return EXIT_PRECONDITION
 
     # validated above, so green_mult's and green_add's band checks are skipped
@@ -135,7 +133,7 @@ def cmd_analyze(args, started: float) -> int:
     failures = [] if agree else [{"reason": "eta methods disagree"}]
     out = _report("analyze", _digest(text), results, failures)
     summary = "ok" if agree else "FAILED, eta methods disagree"
-    return _emit(out, "analyze: %s, order %d" % (summary, t.order), started, args.timing)
+    return _emit(out, "analyze: %s, order %d" % (summary, t.order), started)
 
 
 # ---------------------------------------------------------------------------
@@ -177,8 +175,7 @@ def cmd_verify(args, started: float) -> int:
     params = "suite=%s max_order=%d iso=%s" % (args.suite, args.max_order, args.iso)
     out = _report("verify", _digest(params), results, failures)
     return _emit(out, "verify: %d instances, %d checks, %d inconsistencies"
-                 % (instances, results["checks"], len(failures)),
-                 started, args.timing)
+                 % (instances, results["checks"], len(failures)), started)
 
 
 # ---------------------------------------------------------------------------
@@ -243,8 +240,7 @@ def cmd_decompose(args, started: float) -> int:
     }
     out = _report("decompose", _digest(text), results, [])
     return _emit(out, "decompose: |S1|=%d |S2|=%d |D|=%d"
-                 % (decomp.s1.order, decomp.s2.order, decomp.d.order),
-                 started, args.timing)
+                 % (decomp.s1.order, decomp.s2.order, decomp.d.order), started)
 
 
 # ---------------------------------------------------------------------------
@@ -272,7 +268,7 @@ def cmd_explore_sigma(args, started: float) -> int:
     params = "max_order=%d iso=%s" % (args.max_order, args.iso)
     out = _report("explore-sigma", _digest(params), results, [])
     return _emit(out, "explore-sigma: %d instances, %d cross-table cells"
-                 % (instances, len(cross_table)), started, args.timing)
+                 % (instances, len(cross_table)), started)
 
 
 # ---------------------------------------------------------------------------
@@ -281,9 +277,6 @@ def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="semiring-lab",
         description="Finite-algebra workbench for idempotent semirings.")
-    parser.add_argument("--timing", action="store_true",
-                        help="include wall-clock timing in the JSON report "
-                             "(off by default to keep reports byte-stable)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p):

@@ -57,6 +57,11 @@ class _Budget:
         if self.nodes_left % 4096 == 0 and time.monotonic() > self.deadline:
             raise BudgetExceededError("wall-clock budget exhausted")
 
+    def charge(self, nodes: int) -> None:
+        self.nodes_left -= nodes
+        if self.nodes_left < 0:
+            raise BudgetExceededError("node budget exhausted")
+
 
 class _EnumFields(NamedTuple):
     order: int
@@ -397,8 +402,9 @@ def _farm(workers: int, jobs: Iterator[tuple]) -> Iterator[Tuple[int, int, List[
     """_band_job(job) for each job, in order, from forked workers fed from
     this thread, each holding two jobs at most, none sent more than _AHEAD
     * workers ahead of the last result yielded.  A job's exception, or
-    next(jobs)'s, is raised at its place in the stream.  Every worker is
-    reaped at the end, having exited at EOF or, holding jobs, been killed."""
+    next(jobs)'s, is raised at its place in the stream; a worker that ends
+    early, as InternalConsistencyError.  Every worker is reaped at the end,
+    having exited at EOF or, holding jobs, been killed."""
     if not hasattr(os, "fork"):
         raise PreconditionError("--workers above 1 needs os.fork, which this platform lacks")
     import pickle
@@ -411,12 +417,16 @@ def _farm(workers: int, jobs: Iterator[tuple]) -> Iterator[Tuple[int, int, List[
         for _ in range(workers):
             (job_r, job_w), (res_r, res_w) = os.pipe(), os.pipe()
             ours += [job_w, res_r]
-            pid = os.fork()
-            if pid == 0:
-                _serve(job_r, res_w, ours)
+            try:
+                pid = os.fork()
+                if pid == 0:
+                    _serve(job_r, res_w, ours)
+            except OSError as exc:
+                raise PreconditionError("cannot start a worker: %s" % exc) from None
+            finally:
+                os.close(job_r)
+                os.close(res_w)
             pids.append(pid)
-            os.close(job_r)
-            os.close(res_w)
             os.set_blocking(job_w, False)  # what the pipe cannot take waits in outbox
         outbox, inbox = [bytearray() for _ in pids], [bytearray() for _ in pids]
         done: Dict[int, object] = {}  # job number -> its result or exception
@@ -447,18 +457,21 @@ def _farm(workers: int, jobs: Iterator[tuple]) -> Iterator[Tuple[int, int, List[
                 continue
             readable, writable, _ = select.select(
                 ours[1::2], [fd for fd, out in zip(ours[::2], outbox) if out], [])
-            for fd in writable:
-                out = outbox[ours.index(fd) // 2]
-                del out[:os.write(fd, out)]
-            for fd in readable:
-                w = ours.index(fd) // 2
-                buf, chunk = inbox[w], os.read(fd, 1 << 16)
-                if not chunk:
-                    raise InternalConsistencyError("worker %d ended holding jobs" % pids[w])
-                buf += chunk
-                while len(buf) >= 8 and len(buf) >= (size := 8 + int.from_bytes(buf[:8], "little")):
-                    done[queued[w].pop(0)] = pickle.loads(buf[8:size])
-                    del buf[:size]
+            try:  # a pipe to or from worker w breaks only if w has ended
+                for fd in writable:
+                    w = ours.index(fd) // 2
+                    del outbox[w][:os.write(fd, outbox[w])]
+                for fd in readable:
+                    w = ours.index(fd) // 2
+                    buf, chunk = inbox[w], os.read(fd, 1 << 16)
+                    if not chunk:
+                        raise BrokenPipeError
+                    buf += chunk
+                    while len(buf) >= 8 and len(buf) >= (size := 8 + int.from_bytes(buf[:8], "little")):
+                        done[queued[w].pop(0)] = pickle.loads(buf[8:size])
+                        del buf[:size]
+            except BrokenPipeError:
+                raise InternalConsistencyError("worker %d ended holding jobs" % pids[w]) from None
     finally:
         for fd in ours:
             os.close(fd)
@@ -476,35 +489,27 @@ def sweep(cfgs: List[EnumConfig], workers: int, check: Optional[Callable[[Analys
     a functools.partial, which pickles).  This process searches the bands;
     each is one _band_job, run here or, with more workers, in the forked
     processes of _farm, which this thread feeds as it pulls bands.  An
-    order's node budget covers its band search and all its . searches: a
-    job gets the nodes left at dispatch, never fewer than it may spend, and
-    is charged as its result is yielded, so BudgetExceededError is raised
-    exactly when a search that spent one budget on every node would raise
-    it."""
-    spent: Dict[int, list] = {}  # order -> [its band search's budget, its jobs' nodes]
+    order's band search and its . searches draw on one _Budget: a job may
+    spend the nodes left at dispatch, which only charges still to come
+    lower, and is charged as its result is yielded.  So the order raises
+    BudgetExceededError exactly when its nodes in all exceed its budget,
+    for any worker count, and before any table of a later order is
+    yielded."""
+    budgets: Dict[int, _Budget] = {}  # order -> its one node budget
 
     def jobs():
         for cfg in cfgs:
-            budget = _Budget(cfg.budget_nodes, cfg.budget_secs)
-            spent[cfg.order] = tally = [budget, 0]
+            budget = budgets[cfg.order] = _Budget(cfg.budget_nodes, cfg.budget_secs)
             for add, auts in bands(cfg.order, cfg.up_to_iso, budget):
-                yield (check, cfg.order, add, auts,
-                       budget.nodes_left - tally[1], budget.deadline)
-
-    def charge(n: int, nodes: int) -> None:
-        spent[n][1] += nodes
-        if spent[n][1] > spent[n][0].nodes_left:
-            raise BudgetExceededError("node budget exhausted")
+                yield check, cfg.order, add, auts, budget.nodes_left, budget.deadline
 
     index = {cfg.order: itertools.count() for cfg in cfgs}  # over each order's tables
     with (closing(_farm(workers, jobs())) if workers > 1
           else nullcontext(map(_band_job, jobs()))) as results:
         for n, nodes, found in results:
-            charge(n, nodes)
+            budgets[n].charge(nodes)
             for items in found:
                 yield n, next(index[n]), items
-    for n in spent:  # the band searches have ended: charge their last nodes
-        charge(n, 0)
 
 
 def all_idempotent_semirings(order: int, up_to_iso: bool = False,

@@ -1,3 +1,4 @@
+import errno
 import gc
 import hashlib
 import json
@@ -258,6 +259,21 @@ def test_verify_node_budget_is_per_order(capsys, workers):
     assert_no_child()
 
 
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_an_order_over_budget_raises_before_a_later_order_yields(workers):
+    # order 3 spends 502 nodes in all, so 498 run out within it: the sweep
+    # raises before any order-4 table, however far the band search has run
+    # ahead of the jobs' charges
+    orders = Counter()
+    stream = sweep([EnumConfig(3, True, budget_nodes=498), EnumConfig(4, True)],
+                   workers, None)
+    with pytest.raises(semiring_lab.BudgetExceededError, match="node budget exhausted"):
+        for n, _, _ in stream:
+            orders[n] += 1
+    assert orders[4] == 0
+    assert_no_child()
+
+
 def assert_no_child():
     # neither a live child nor an unreaped one: the farm reaps its workers
     with pytest.raises(ChildProcessError):
@@ -319,6 +335,32 @@ def test_a_worker_killed_from_outside_ends_verify_with_exit_5(capsys, monkeypatc
 
     monkeypatch.setattr(enumeration, "_band_job", die_on_order3)
     code, out, err = run(capsys, "verify", "--max-order", "3", "--iso", "--workers", "2")
+    assert code == 5 and out == ""
+    assert "ended holding jobs" in err and "Traceback" not in err
+    assert_no_child()
+
+
+def test_a_worker_killed_with_a_job_queued_for_it_ends_verify_with_exit_5(capsys,
+                                                                          monkeypatch):
+    # a worker dies 50 ms after its first order-4 result, while the parent
+    # spends 200 ms on each later order-4 band, then queues it a job
+    band_job, search = enumeration._band_job, enumeration.bands
+
+    def die_after_order4(job):
+        out = band_job(job)
+        if job[1] == 4 and signal.getitimer(signal.ITIMER_REAL)[0] == 0:
+            signal.setitimer(signal.ITIMER_REAL, 0.05)
+        return out
+
+    def slow_after_first_order4(n, up_to_iso, budget):
+        for k, band in enumerate(search(n, up_to_iso, budget)):
+            if n == 4 and k:
+                time.sleep(0.2)
+            yield band
+
+    monkeypatch.setattr(enumeration, "_band_job", die_after_order4)
+    monkeypatch.setattr(enumeration, "bands", slow_after_first_order4)
+    code, out, err = run(capsys, "verify", "--max-order", "4", "--iso", "--workers", "2")
     assert code == 5 and out == ""
     assert "ended holding jobs" in err and "Traceback" not in err
     assert_no_child()
@@ -543,6 +585,25 @@ def test_verify_workers_need_fork(capsys, monkeypatch):
     assert "needs os.fork" in err and "Traceback" not in err
 
 
+def test_a_worker_that_cannot_be_forked_exits_3_and_leaks_no_fd(capsys, monkeypatch):
+    fork, calls = os.fork, []
+
+    def fail_second(*args):
+        calls.append(args)
+        if len(calls) == 2:
+            raise OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+        return fork(*args)
+
+    monkeypatch.setattr(os, "fork", fail_second)
+    fds = sorted(os.listdir("/proc/self/fd"))
+    code, out, err = run(capsys, "verify", "--max-order", "2", "--workers", "3")
+    assert code == 3 and out == ""
+    assert "cannot start a worker: [Errno %d]" % errno.EAGAIN in err
+    assert "Traceback" not in err and len(calls) == 2
+    assert sorted(os.listdir("/proc/self/fd")) == fds
+    assert_no_child()
+
+
 def test_enumerate_budget_exhaustion(capsys):
     code, _, _ = run(capsys, "enumerate", "-n", "3", "--count-only",
                      "--budget-nodes", "10")
@@ -753,12 +814,14 @@ def test_analyze_computes_sigma_and_sigma_star_once(capsys, monkeypatch, tmp_pat
     assert calls == {"sigma": len(iso_small), "sigma_star": len(iso_small)}
 
 
-def test_timing_flag_controls_json_field(capsys):
+def test_timing_is_null_and_no_flag_sets_it(capsys):
+    # wall-clock time goes to stderr only, so the report stays byte-stable
     _, out, _ = run(capsys, "verify", "--suite", "THM_2_5", "--max-order", "1")
     assert json.loads(out)["timing"] is None
-    _, out, _ = run(capsys, "--timing", "verify", "--suite", "THM_2_5",
-                    "--max-order", "1")
-    assert json.loads(out)["timing"] is not None
+    with pytest.raises(SystemExit) as exc:
+        main(["--timing", "verify", "--suite", "THM_2_5", "--max-order", "1"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --timing" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv", [
