@@ -31,7 +31,7 @@ from .relations import quasi_orders
 from .congruences import least_dl_congruence, sigma_star
 from .enumeration import (DEFAULT_NODE_BUDGET, DEFAULT_SECS_BUDGET, EnumConfig,
                           enumerate_idempotent_semirings, sweep)
-from .varieties import THEOREMS, Analysis, judge, malcev_product, spined_decompose
+from .varieties import THEOREMS, Analysis, judge_suite, malcev_product, spined_decompose
 
 SCHEMA_VERSION = 1
 
@@ -142,8 +142,7 @@ def cmd_analyze(args, started: float) -> int:
 def _verify_one(suite: Tuple[str, ...], a: Analysis) -> List[Dict]:
     """A failure for each theorem of the suite that a's table contradicts."""
     failures = []
-    for tid in suite:
-        _, conditions, consistent = judge(a, tid)
+    for tid, (_, conditions, consistent) in zip(suite, judge_suite(a, suite)):
         if not consistent:
             failures.append({"theorem": tid, "conditions": dict(conditions),
                              "semiring": format_semiring_text(a.t)})

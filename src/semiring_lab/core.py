@@ -1,5 +1,6 @@
 """Finite idempotent semirings as Cayley tables and their isomorphism, plus
-terms, identities and the catalog of varieties they define.
+terms, identities (compiled by one emitter, each alone or several in one
+pass) and the catalog of varieties they define.
 
 Elements are 0-based indices; the ``names`` field is display-only.  Tables
 are immutable after construction and validation is explicit: nothing is
@@ -206,14 +207,22 @@ class Identity(_Checked, _IdentityFields):
         on which the sides differ, in lexicographic order; compiled from
         the terms on first use, and kept out of the pickled state, as a
         function made by exec does not pickle."""
-        return _compile(self)
+        return _compile((self,), "yield (%(vars)s), %(l)s, %(r)s")
 
 
-def _compile(ident: Identity) -> Callable:
-    """Identity.failures as nested loops over v0, v1, ... in D, computing
-    each distinct compound subterm once, as A[..][..] (+) or M[..][..] (.),
-    in the loop of its last variable; built from the term trees alone."""
-    k = ident.nvars
+class Identities(tuple):
+    """Identities decided in one pass: failed(add, mul, domain) is a mask
+    whose bit i is set when identity i fails on domain; compiled on first use."""
+
+    failed = cached_property(lambda self: _compile(self, "m |= %(bit)d", "m = 0", "return m"))
+
+
+def _compile(idents: Sequence[Identity], differ: str, first="", last="") -> Callable:
+    """A function (A, M, D) of nested loops over v0, v1, ... in D, computing
+    each distinct compound subterm of idents once, as A[..][..] (+) or M[..][..]
+    (.), in the loop of its last variable, where differ (given bit, vars, l, r)
+    runs if an identity's sides differ; built from the term trees alone."""
+    k = max(ident.nvars for ident in idents)
     names = "".join("v%d, " % d for d in range(k))
     # Python nests at most 20 blocks; past that, one (slower) product loop
     loops = (["for v%d in D:" % d for d in range(k)] if k <= 20
@@ -231,12 +240,14 @@ def _compile(ident: Identity) -> Callable:
                 local[term], "A" if isinstance(term, Add) else "M", left, right))
         return local[term]
 
-    l, r = code(ident.lhs), code(ident.rhs)
-    body[-1] += [" if %s != %s:" % (l, r), "  yield (%s), %s, %s" % (names, l, r)]
+    for i, ident in enumerate(idents):
+        l, r = code(ident.lhs), code(ident.rhs)
+        body[min(ident.nvars, len(loops)) - 1] += [" if %s != %s:" % (l, r), "  " + differ % {
+            "bit": 1 << i, "vars": names, "l": l, "r": r}]
     scope = {"product": itertools.product}
-    exec("def failures(A, M, D):\n" + "\n".join(
-        " " * (d + 1) + line for d, lines in enumerate(body) for line in lines), scope)
-    return scope["failures"]
+    exec("def compiled(A, M, D):\n %s\n%s\n %s" % (first, "\n".join(
+        " " * (d + 1) + line for d, lines in enumerate(body) for line in lines), last), scope)
+    return scope["compiled"]
 
 
 _VAR_LETTERS = "xyzwuv"
@@ -488,8 +499,9 @@ def parse_semiring_text(text: str) -> SemiringTable:
         raise SemiringFormatError(
             "expected %d or %d content lines after the order, got %d"
             % (2 * n, 2 * n + 1, len(body)))
-    # the count, distinctness and row lengths are from_rows' to check
     index = {name: i for i, name in enumerate(names)}
+    if len(index) != n or len(names) != n:  # before the rows are read by name
+        raise SemiringFormatError("need %d distinct element names" % n)
 
     def decode(rows):
         out = []

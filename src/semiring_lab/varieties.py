@@ -10,6 +10,7 @@ that must all agree on each finite instance) or an implication (a list of
 material implications that must all hold).  verify_theorem evaluates each
 condition on its own terms -- identity checks, relation comparisons, Malcev
 memberships -- reading one Analysis that computes what they share once.
+judge_suite judges several theorems after one compiled pass over JUDGED.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from functools import cached_property
 from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from .congruences import _quotient, sigma
-from .core import (CATALOG, Identity, InternalConsistencyError, PreconditionError,
+from .core import (CATALOG, Identities, Identity, InternalConsistencyError, PreconditionError,
                    SemiringTable, _instances, _relates, _require_idempotent,
                    parse_identity, satisfies_identity, validate_semiring)
 from .relations import Partition, _compatible, _green, _merge_blocks, _transpose
@@ -75,6 +76,8 @@ class Analysis:
     congruence rho(E) of each right factor E of a Malcev product.  Every
     other identity a theorem reads, the quasi-order inclusions of THM_3_3
     and THM_3_4 among them, is one of THEOREM_IDENTITIES, asked by holds.
+    Once judge_suite has run its pass over JUDGED, member and holds read off
+    its mask each variety, text and product over one block of rho it decides.
     What depends on + alone is read from band, the BandFacts of t.add,
     which a caller may share across the tables over one band; without one
     the Analysis makes its own.
@@ -106,6 +109,7 @@ class Analysis:
         self.band = band or BandFacts(t.add)
         self._members: Dict[Tuple[str, ...], bool] = {}
         self._rho: Dict[Tuple[str, ...], Tuple[Tuple[int, ...], ...]] = {}
+        self._failed: Optional[int] = None  # JUDGED's mask, once judge_suite runs the pass
 
     def member(self, *names: str) -> bool:
         """Membership in the right-nested Malcev product of the named catalog
@@ -114,12 +118,20 @@ class Analysis:
         found = self._members.get(names)
         if found is None:
             malcev_product(*names)
-            found = self._members[names] = _relates(
-                self.t, range(self.t.order), CATALOG[names[0]], self._rho_blocks(names[1:]))
+            mask, blocks = self._failed, self._rho_blocks(names[1:])
+            # over one block, _relates with labels range(n) is plain membership
+            bits = _BITS.get(names[0]) if mask is not None and len(blocks) == 1 else None
+            found = self._members[names] = not mask & bits if bits is not None else _relates(
+                self.t, range(self.t.order), CATALOG[names[0]], blocks)
         return found
 
     def holds(self, text: str) -> bool:
-        return next(THEOREM_IDENTITIES[text].failures(
+        ident = THEOREM_IDENTITIES.get(text)
+        if ident is None:
+            raise PreconditionError("unknown identity %r; known: %s"
+                                    % (text, ", ".join(THEOREM_IDENTITIES)))
+        bits = _BITS.get(text) if self._failed is not None else None
+        return not self._failed & bits if bits is not None else next(ident.failures(
             self.t.add, self.t.mul, range(self.t.order)), None) is None
 
     def _rho_blocks(self, names: Tuple[str, ...]) -> Sequence[Sequence[int]]:
@@ -291,6 +303,19 @@ THEOREM_IDENTITIES: Dict[str, Identity] = {text: parse_identity(text) for text i
     "xyxzx = xyxzx+xyzx+xyxzx", "xz = xz+xyz", "xz = xyz+xz", "xz = xyz+xz+xyz",
     "xyzx = xzyx+xyzx+xzyx", "xyzx = xzyx", "xz = xzy+xz+xzy", "x = x+xy",
     "x = xy+x", "x = x+yx", "x = yx+x", "x+y+z+x = x+y+x+z+x")}
+# What judge_suite decides in one pass per table: every identity of CATALOG and
+# THEOREM_IDENTITIES but RNB_dot's, the two THEOREMS ask of D_dot members
+# alone and BandFacts.regular's, which are cheaper asked one at a time
+_ALONE = {id(i) for i in (*CATALOG["RNB_dot"].identities, *map(THEOREM_IDENTITIES.get, (
+    "xyzx = xzyx+xyzx+xzyx", "xyzx = xzyx", "x+y+z+x = x+y+x+z+x")))}
+JUDGED = Identities([i for i in (*(i for spec in CATALOG.values() for i in spec.identities),
+                                 *THEOREM_IDENTITIES.values()) if id(i) not in _ALONE])
+# the mask's bits of each name and text all in JUDGED, by object: hashing terms costs more
+_BIT = {id(ident): 1 << k for k, ident in enumerate(JUDGED)}
+_BITS = {question: sum(_BIT[id(i)] for i in idents) for question, idents in (
+    *((name, spec.identities) for name, spec in CATALOG.items()),
+    *((text, (ident,)) for text, ident in THEOREM_IDENTITIES.items()))
+    if all(id(i) in _BIT for i in idents)}
 
 
 # ---------------------------------------------------------------------------
@@ -450,6 +475,14 @@ def judge(a: Analysis, theorem_id: str) -> Tuple[str, Tuple[Tuple[str, bool], ..
     values = {v for _, v in conditions}
     consistent = values == {True} if kind == "implication" else len(values) == 1
     return kind, conditions, consistent
+
+
+def judge_suite(a: Analysis, theorem_ids: Sequence[str]) -> list:
+    """judge of each named theorem on a's table, after one pass over JUDGED
+    if more than one is named: one theorem asks too little to pay for it."""
+    if len(theorem_ids) > 1 and a._failed is None:
+        a._failed = JUDGED.failed(a.t.add, a.t.mul, range(a.t.order))
+    return [judge(a, tid) for tid in theorem_ids]
 
 
 def verify_theorem(t: Union[SemiringTable, Analysis], theorem_id: str

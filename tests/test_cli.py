@@ -84,11 +84,14 @@ def test_analyze_parse_failure(capsys, tmp_path):
 
 @pytest.mark.parametrize("text, message", [
     ("2\na a\na a\na a\n\na a\na a\n", "need 2 distinct element names"),
+    # a repeated name, though the rows name an element it leaves out
+    ("2\na a\na b\nb b\n\na b\nb b\n", "need 2 distinct element names"),
     ("2\na b\na b\nb\n\na a\nb b\n", "add table is not 2 x 2"),
 ])
 def test_analyze_malformed_table(capsys, tmp_path, text, message):
-    # the text format decides the order and names lines; the table's shape
-    # and the names' distinctness are from_rows' to refuse
+    # the text format decides the order and names lines, and refuses
+    # repeated names before it reads the rows by them; the table's shape
+    # is from_rows' to refuse
     path = tmp_path / "bad.txt"
     path.write_text(text)
     code, out, err = run(capsys, "analyze", str(path))
@@ -736,6 +739,26 @@ def test_explore_sigma(capsys):
                for c in results["cross_table"])
     total = sum(c["count"] for c in results["cross_table"])
     assert total == results["instances"]
+
+
+def test_only_a_suite_of_theorems_runs_the_pass(capsys, monkeypatch):
+    # enumerate's filter, explore-sigma and a one-theorem verify ask a few
+    # questions per table, for which the pass over every identity a suite
+    # reads would cost more than it saves; they finish, with the same
+    # stdout, when it raises
+    commands = (("enumerate", "-n", "3", "--iso", "--filter", "D_dot"),
+                ("explore-sigma", "--max-order", "3"),
+                ("verify", "--suite", "LEMMA_1_2", "--max-order", "3"))
+    fresh = [run(capsys, *argv)[:2] for argv in commands]
+
+    def refuse(add, mul, domain):
+        raise AssertionError("the pass ran outside a suite")
+
+    monkeypatch.setattr(varieties.JUDGED, "failed", refuse)
+    assert [run(capsys, *argv)[:2] for argv in commands] == fresh
+    assert [code for code, _ in fresh] == [0, 0, 0]
+    with pytest.raises(AssertionError, match="outside a suite"):
+        run(capsys, "verify", "--suite", "all", "--max-order", "1")
 
 
 def test_explore_sigma_iso4_is_frozen(capsys):

@@ -196,7 +196,9 @@ def test_compiled_identities_match_eval_term(iso_small):
 
 def test_compiled_source_computes_each_subterm_once(monkeypatch):
     # xyzx occurs twice and xy three times; each distinct compound subterm
-    # is looked up once, in the loop of its last variable
+    # is looked up once, in the loop of its last variable, by one identity's
+    # failures and by a pass over several, which shares xy, xyx and the
+    # rest between LEMMA_REGBAND's pair
     def compounds(term):
         if isinstance(term, Var):
             return set()
@@ -205,12 +207,15 @@ def test_compiled_source_computes_each_subterm_once(monkeypatch):
     sources = []
     monkeypatch.setattr(core, "exec", lambda src, scope: (
         sources.append(src), exec(src, scope)), raising=False)
-    ident = THEOREM_IDENTITIES["xyzx = xyzx+xyxzx+xyzx"]
-    core._compile(ident)
-    src, = sources
-    assert len(compounds(ident.lhs) | compounds(ident.rhs)) == 8
-    assert src.count("A[") + src.count("M[") == 8, src
-    assert src.count("M[v0][v1]") == 1 and src.index("M[v0][v1]") < src.index("for v2")
+    pair = [sl.parse_identity(text) for text in (  # fresh, so compiled here
+        "xyzx = xyzx+xyxzx+xyzx", "xyxzx = xyxzx+xyzx+xyxzx")]
+    pair[0].failures
+    core.Identities(pair).failed
+    one, both = sources
+    for src, idents, lookups in ((one, pair[:1], 8), (both, pair, 10)):
+        assert len(set().union(*(compounds(i.lhs) | compounds(i.rhs) for i in idents))) == lookups
+        assert src.count("A[") + src.count("M[") == lookups, src
+        assert src.count("M[v0][v1]") == 1 and src.index("M[v0][v1]") < src.index("for v2")
 
 
 def test_sum_and_product_terms_stay_apart():

@@ -290,6 +290,107 @@ def test_holds_matches_satisfies_identity(iso_upto4):
     assert seen == {False, True}
 
 
+def test_holds_refuses_an_unknown_text_as_member_refuses_an_unknown_class(dl2):
+    a = sl.Analysis(dl2)
+    for judged in (False, True):  # with no mask, then with judge_suite's
+        if judged:
+            varieties.judge_suite(a, ("LEMMA_1_1", "LEMMA_1_2"))
+            assert a._failed is not None
+        with pytest.raises(sl.PreconditionError,
+                           match=r"unknown identity 'x = y'; known: xz\+xyz\+xz = xz, "):
+            a.holds("x = y")
+        with pytest.raises(sl.PreconditionError, match="unknown class 'NOPE'; known: "):
+            a.member("NOPE")
+
+
+def _judged_tables(iso_upto4, small_semirings):
+    """Every class up to order 4 and one relabelling of each, then every
+    labelled table up to order 3."""
+    return [*_with_relabellings(iso_upto4, 2727), *small_semirings]
+
+
+def test_the_pass_sets_a_bit_exactly_where_its_identity_fails(iso_upto4, small_semirings):
+    # oracle for JUDGED's pass: bit i of the mask is whether identity i's
+    # own failures yield anything
+    judged = varieties.JUDGED
+    always = set(range(len(judged)))
+    for t in _judged_tables(iso_upto4, small_semirings):
+        mask = judged.failed(t.add, t.mul, range(t.order))
+        assert mask >> len(judged) == 0
+        for i, ident in enumerate(judged):
+            failed = next(ident.failures(t.add, t.mul, range(t.order)), None) is not None
+            assert (mask >> i & 1) == failed, (ident, t)
+            if failed:
+                always.discard(i)
+    # only LEMMA_REGBAND's pair holds everywhere; every other bit is read both ways
+    assert {judged[i] for i in always} == {varieties.THEOREM_IDENTITIES[text] for text in (
+        "xyzx = xyzx+xyxzx+xyzx", "xyxzx = xyxzx+xyzx+xyxzx")}
+
+
+def test_a_suite_gives_the_same_conditions_without_the_pass(monkeypatch, iso_upto4,
+                                                            small_semirings):
+    # oracle for the questions read off the mask: each one's own route,
+    # which judge alone and every other caller take; judge_suite runs the
+    # pass once per Analysis, and not for one theorem
+    tables = _judged_tables(iso_upto4, small_semirings)
+    calls = []
+    failed = varieties.JUDGED.failed
+    one = sl.Analysis(tables[-1])
+    assert varieties.judge_suite(one, ["THM_4_3"]) == [varieties.judge(one, "THM_4_3")]
+    assert one._failed is None
+
+    def judge_all(tables):
+        for t in tables:
+            a = sl.Analysis(t)
+            yield varieties.judge_suite(a, sorted(THEOREMS)), a._failed is None
+
+    monkeypatch.setattr(varieties.JUDGED, "failed", lambda *args: (calls.append(1), failed(*args))[1])
+    with_pass = list(judge_all(tables))
+    assert len(calls) == len(tables)
+    monkeypatch.setattr(varieties.JUDGED, "failed", lambda *args: None)
+    without = list(judge_all(tables))
+    assert [v for v, unmasked in with_pass] == [v for v, unmasked in without]
+    assert {unmasked for _, unmasked in with_pass} == {False}
+    assert {unmasked for _, unmasked in without} == {True}
+
+
+def test_judged_is_what_theorems_ask_of_tables_outside_d_dot(small_semirings):
+    # JUDGED holds every 2-variable identity, which the first factors of
+    # the products read too, and the identities of every single-name member
+    # and holds question THEOREMS ask of some table outside D_dot; the two
+    # they ask of D_dot members alone stay out.  Recorded on every table up
+    # to order 3, so an edit to THEOREMS cannot leave JUDGED stale
+    class Recording(sl.Analysis):
+        def __init__(self, t):
+            super().__init__(t)
+            self.asked = set()
+
+        def member(self, *names):
+            if len(names) == 1:
+                self.asked.add(names[0])
+            return super().member(*names)
+
+        def holds(self, text):
+            self.asked.add(text)
+            return super().holds(text)
+
+    asked, outside = set(), set()
+    for t in small_semirings:
+        a = Recording(t)
+        for tid in sorted(THEOREMS):
+            varieties.judge(a, tid)
+        asked |= a.asked
+        if not a.member("D_dot"):
+            outside |= a.asked
+    identities = varieties.THEOREM_IDENTITIES
+    of = {**{name: spec.identities for name, spec in sl.CATALOG.items()},
+          **{text: (ident,) for text, ident in identities.items()}}
+    two = {i for idents in of.values() for i in idents if i.nvars == 2}
+    assert set(varieties.JUDGED) == two | {i for q in outside for i in of[q]}
+    assert asked - outside == {"xyzx = xzyx", "xyzx = xzyx+xyzx+xzyx"}
+    assert {i.nvars for i in varieties.JUDGED} == {2, 3}
+
+
 def test_a_band_job_reads_each_additive_fact_once(monkeypatch, iso4):
     # Green's relations of +, the transposed + table and the additive
     # regularity identity, once per band job, however many tables it
