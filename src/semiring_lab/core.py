@@ -209,6 +209,10 @@ class Identity(_Checked, _IdentityFields):
         function made by exec does not pickle."""
         return _compile((self,), "yield (%(vars)s), %(l)s, %(r)s")
 
+    # (add, mul, domain, labels): whether the sides share a label at each assignment
+    relates = cached_property(lambda self: _compile(
+        (self,), "if L[%(l)s] != L[%(r)s]: return False", last="return True"))
+
 
 class Identities(tuple):
     """Identities decided in one pass: failed(add, mul, domain) is a mask
@@ -218,10 +222,10 @@ class Identities(tuple):
 
 
 def _compile(idents: Sequence[Identity], differ: str, first="", last="") -> Callable:
-    """A function (A, M, D) of nested loops over v0, v1, ... in D, computing
-    each distinct compound subterm of idents once, as A[..][..] (+) or M[..][..]
-    (.), in the loop of its last variable, where differ (given bit, vars, l, r)
-    runs if an identity's sides differ; built from the term trees alone."""
+    """A function (A, M, D, L=None) of nested loops over v0, v1, ... in D,
+    computing each distinct compound subterm of idents once, as A[..][..] (+) or
+    M[..][..] (.), in the loop of its last variable, where differ (given bit, vars,
+    l, r) runs if an identity's sides differ; built from the term trees alone."""
     k = max(ident.nvars for ident in idents)
     names = "".join("v%d, " % d for d in range(k))
     # Python nests at most 20 blocks; past that, one (slower) product loop
@@ -245,7 +249,7 @@ def _compile(idents: Sequence[Identity], differ: str, first="", last="") -> Call
         body[min(ident.nvars, len(loops)) - 1] += [" if %s != %s:" % (l, r), "  " + differ % {
             "bit": 1 << i, "vars": names, "l": l, "r": r}]
     scope = {"product": itertools.product}
-    exec("def compiled(A, M, D):\n %s\n%s\n %s" % (first, "\n".join(
+    exec("def compiled(A, M, D, L=None):\n %s\n%s\n %s" % (first, "\n".join(
         " " * (d + 1) + line for d, lines in enumerate(body) for line in lines), last), scope)
     return scope["compiled"]
 
@@ -448,7 +452,7 @@ def is_distributive_lattice(t: SemiringTable) -> bool:
 def _instances(t: SemiringTable, spec: VarietySpec,
                blocks: Sequence[Sequence[int]]) -> Iterator[Tuple[int, int]]:
     """Every pair (u(a), v(a)) with u(a) != v(a), for an identity u = v of
-    spec and an assignment a drawn from a single block."""
+    spec and an assignment a drawn from a single block: the seeds of merges."""
     for ident in spec.identities:
         for block in blocks:
             for _, u, v in ident.failures(t.add, t.mul, block):
@@ -464,9 +468,11 @@ def _relates(t: SemiringTable, labels: Sequence[int], spec: VarietySpec,
     homomorphism, so an assignment in a class of rho/theta lifts to one in
     a block of rho, where each term's value projects onto its value.  So
     the carrier as the one block decides t/theta, and range(n) rho's blocks."""
-    for u, v in _instances(t, spec, blocks):
-        if labels[u] != labels[v]:
-            return False
+    for ident in spec.identities:
+        relates = ident.relates
+        for block in blocks:
+            if not relates(t.add, t.mul, block, labels):
+                return False
     return True
 
 

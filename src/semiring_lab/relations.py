@@ -47,13 +47,15 @@ def _merge_blocks(order: int, pairs: Iterable[Tuple[int, int]],
 def _compatible(labels: Sequence[int], lines: Sequence[Sequence[Sequence[int]]]) -> bool:
     """Whether the partition with these block labels is closed under the
     translations given as lines (see _merge_blocks): row a and row b of
-    each carry the same labels whenever a and b share a block."""
-    for rows in lines:
-        seen: dict = {}
-        for a, row in zip(labels, rows):
-            images = [labels[v] for v in row]
-            if seen.setdefault(a, images) != images:
-                return False
+    each carry the same labels whenever a and b share a block: those of its
+    block's first element, label by label, up to the first difference."""
+    first: dict = {}
+    for a, label in enumerate(labels):
+        b = first.setdefault(label, a)
+        for rows in (lines if b != a else ()):
+            for u, v in zip(rows[a], rows[b]):
+                if u != v and labels[u] != labels[v]:
+                    return False
     return True
 
 

@@ -114,15 +114,24 @@ class Analysis:
     def member(self, *names: str) -> bool:
         """Membership in the right-nested Malcev product of the named catalog
         varieties, one name being the variety itself: each block of rho of
-        the rest lies in the first (the proof is at malcev_membership)."""
+        the rest lies in the first (the proof is at malcev_membership).  Of
+        V o W o E, rho(W o E) lies in rho(E) and holds the equivalence W's
+        instances generate in rho(E)'s blocks: two bounds before its closure."""
         found = self._members.get(names)
         if found is None:
-            malcev_product(*names)
-            mask, blocks = self._failed, self._rho_blocks(names[1:])
-            # over one block, _relates with labels range(n) is plain membership
-            bits = _BITS.get(names[0]) if mask is not None and len(blocks) == 1 else None
-            found = self._members[names] = not mask & bits if bits is not None else _relates(
-                self.t, range(self.t.order), CATALOG[names[0]], blocks)
+            if names not in _CHECKED:
+                _CHECKED.add(malcev_product(*names))
+            t, first, rest, mask = self.t, CATALOG[names[0]], names[1:], self._failed
+            if len(rest) > 1 and (self.member(names[0], *rest[1:]) or not _relates(
+                    t, range(t.order), first, _merge_blocks(t.order, _instances(
+                        t, CATALOG[rest[0]], self._rho_blocks(rest[1:]))).blocks())):
+                found = self.member(names[0], *rest[1:])  # the bound that decided
+            else:  # over one block, _relates with labels range(n) is plain membership
+                bits = _BITS.get(names[0]) if mask is not None and (
+                    not rest or len(self._rho_blocks(rest)) == 1) else None
+                found = not mask & bits if bits is not None else _relates(
+                    t, range(t.order), first, self._rho_blocks(rest))
+            self._members[names] = found
         return found
 
     def holds(self, text: str) -> bool:
@@ -303,10 +312,11 @@ THEOREM_IDENTITIES: Dict[str, Identity] = {text: parse_identity(text) for text i
     "xyxzx = xyxzx+xyzx+xyxzx", "xz = xz+xyz", "xz = xyz+xz", "xz = xyz+xz+xyz",
     "xyzx = xzyx+xyzx+xzyx", "xyzx = xzyx", "xz = xzy+xz+xzy", "x = x+xy",
     "x = xy+x", "x = x+yx", "x = yx+x", "x+y+z+x = x+y+x+z+x")}
-# What judge_suite decides in one pass per table: every identity of CATALOG and
-# THEOREM_IDENTITIES but RNB_dot's, the two THEOREMS ask of D_dot members
-# alone and BandFacts.regular's, which are cheaper asked one at a time
-_ALONE = {id(i) for i in (*CATALOG["RNB_dot"].identities, *map(THEOREM_IDENTITIES.get, (
+# What judge_suite decides in one pass per table, each identity once: the single names
+# and texts THEOREMS ask of some table outside D_dot and the first factors of their
+# products, so none of these varieties' (Bi's repeat LQBi's and RQBi's) or texts'
+_ALONE = {id(i) for i in (*(i for v in ("Bi", "D", "Sl_plus", "RZ_plus", "RNB_dot") for i in
+                            CATALOG[v].identities), *map(THEOREM_IDENTITIES.get, (
     "xyzx = xzyx+xyzx+xzyx", "xyzx = xzyx", "x+y+z+x = x+y+x+z+x")))}
 JUDGED = Identities([i for i in (*(i for spec in CATALOG.values() for i in spec.identities),
                                  *THEOREM_IDENTITIES.values()) if id(i) not in _ALONE])
@@ -316,6 +326,8 @@ _BITS = {question: sum(_BIT[id(i)] for i in idents) for question, idents in (
     *((name, spec.identities) for name, spec in CATALOG.items()),
     *((text, (ident,)) for text, ident in THEOREM_IDENTITIES.items()))
     if all(id(i) in _BIT for i in idents)}
+_BITS["Bi"] = _BITS["LQBi"] | _BITS["RQBi"]
+_CHECKED = set()  # the name tuples member has checked, once per process
 
 
 # ---------------------------------------------------------------------------

@@ -194,6 +194,24 @@ def test_compiled_identities_match_eval_term(iso_small):
                                        classes)) == pairs
 
 
+def test_compiled_relates_matches_the_instances(iso_upto4):
+    # oracle for core._relates, each identity's compiled early-exit
+    # relates: the labels of every instance _instances yields, for every
+    # catalog spec and every congruence of every class up to order 4, as
+    # the labels over the carrier and as the blocks under equality
+    seen = set()
+    for t in iso_upto4:
+        n = t.order
+        for p in sl.all_congruences(t).partitions:
+            for labels, blocks in ((p.labels, (range(n),)), (range(n), p.blocks())):
+                for spec in sl.CATALOG.values():
+                    expected = all(labels[u] == labels[v]
+                                   for u, v in _instances(t, spec, blocks))
+                    assert core._relates(t, labels, spec, blocks) == expected, (spec, p)
+                    seen.add(expected)
+    assert seen == {False, True}
+
+
 def test_compiled_source_computes_each_subterm_once(monkeypatch):
     # xyzx occurs twice and xy three times; each distinct compound subterm
     # is looked up once, in the loop of its last variable, by one identity's

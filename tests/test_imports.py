@@ -191,14 +191,18 @@ def test_one_per_table_path():
     # each table reaches a sweep check as one Analysis, whose band facts
     # only the band job shares; and whether a partition relates an
     # identity's instances is read by core._relates alone, at the five
-    # sites that ask it, the closure of rho being the one other reader
+    # sites that ask it, through each identity's compiled relates.  The
+    # instances themselves only seed merges: the closure of rho, and the
+    # lower bound Analysis.member takes of a three-factor product, the
+    # equivalence they generate (core._relates read them until it was compiled)
     sites = collections.defaultdict(set)
     for module, scope, name in _calls():
         sites[name].add((module, scope))
     assert sites["BandFacts"] == {("enumeration", "_band_job"),
                                   ("varieties", "Analysis.__init__")}, sites["BandFacts"]
-    assert sites["_instances"] == {("core", "_relates"),
+    assert sites["_instances"] == {("varieties", "Analysis.member"),
                                    ("varieties", "Analysis._rho_blocks")}, sites["_instances"]
+    assert sites["relates"] == {("core", "_relates")}, sites["relates"]
     assert sites["_relates"] == {
         ("core", "variety_membership"), ("congruences", "all_congruences"),
         ("varieties", "Analysis.member"), ("varieties", "_spined_obstruction"),

@@ -3,9 +3,37 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import semiring_lab as sl
-from semiring_lab.relations import BinRelation, Partition, _green
+from semiring_lab.congruences import _translations
+from semiring_lab.relations import BinRelation, Partition, _compatible, _green
 
 from conftest import set_partitions
+
+
+
+def _compatible_by_row_images(labels, lines):
+    """The earlier congruence test: the labels of each row's images,
+    compared for all elements of one block."""
+    for rows in lines:
+        seen = {}
+        for a, row in zip(labels, rows):
+            images = [labels[v] for v in row]
+            if seen.setdefault(a, images) != images:
+                return False
+    return True
+
+
+def test_compatible_matches_the_row_images(iso_upto4):
+    # oracle for relations._compatible, which compares each element's rows
+    # with its block's first element's up to the first difference: every
+    # set partition of every class up to order 4
+    seen = set()
+    for t in iso_upto4:
+        lines = _translations(t)
+        for labels in set_partitions(t.order):
+            expected = _compatible_by_row_images(labels, lines)
+            assert _compatible(labels, lines) == expected, (t, labels)
+            seen.add(expected)
+    assert seen == {False, True}
 
 
 # ---------------------------------------------------------------------------

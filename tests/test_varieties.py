@@ -254,6 +254,55 @@ def test_shared_table_closures_match_congruence_closure(iso_upto4):
                     == sl.congruence_closure(t, seed)), names
 
 
+# the three-factor products THEOREMS and OBSERVATIONS ask about
+THREE_FACTOR = (("RB", "LZ_plus", "D"), ("RB", "RZ_plus", "D"),
+                ("R_dot", "LZ_plus", "D"), ("L_dot", "LZ_plus", "D"))
+
+
+def _bound_routes(tables):
+    """How often each three-factor product is decided by member's upper
+    bound, its lower bound and the closure of rho, on each table with and
+    without judge_suite's mask; each answer is checked against _relates
+    over the blocks of the closure, which member took on every table
+    before the bounds."""
+    routes = {names: collections.Counter() for names in THREE_FACTOR}
+    for t, band in _sharing_bands(tables):
+        closure = sl.Analysis(t, band)
+        for names in THREE_FACTOR:
+            expected = core._relates(t, range(t.order), sl.CATALOG[names[0]],
+                                     closure._rho_blocks(names[1:]))
+            for masked in (False, True):
+                a = sl.Analysis(t, band)
+                if masked:
+                    a._failed = varieties.JUDGED.failed(t.add, t.mul, range(t.order))
+                assert a.member(*names) == expected, (names, t)
+                route = ("upper" if a.member(names[0], *names[2:]) else
+                         "closure" if names[1:] in a._rho else "lower")
+                routes[names][route, masked] += 1
+    for counts in routes.values():  # the mask leaves each route as it was
+        assert {r: k for (r, m), k in counts.items() if m} == {
+            r: k for (r, m), k in counts.items() if not m}
+    return {names: {r: k for (r, m), k in counts.items() if not m}
+            for names, counts in routes.items()}
+
+
+def test_three_factor_bounds_match_the_closure(iso_upto4, small_semirings):
+    # oracle for member's two bounds on V o W o E: _relates over the blocks
+    # of rho(W o E), on every class up to order 4, a seeded relabelling of
+    # each and every labelled table up to order 3.  Of the 927 classes, both
+    # THM_4_3 products need the closure on 112, and on 59 of the 396 tables
+    thm_4_3 = THREE_FACTOR[:2]
+    classes = _bound_routes(iso_upto4)
+    for names in thm_4_3:
+        assert classes[names] == {"upper": 196, "lower": 619, "closure": 112}, classes
+    rng = random.Random(9191)
+    relabelled = _bound_routes(relabel_seeded(t, rng) for t in iso_upto4)
+    assert relabelled == classes
+    labelled = _bound_routes(small_semirings)
+    for names in thm_4_3:
+        assert labelled[names] == {"upper": 123, "lower": 214, "closure": 59}, labelled
+
+
 def test_label_congruence_test_matches_substitution(iso_upto4):
     # oracle for is_congruence and the congruence tests over an Analysis's
     # shared translation tables, which compare block labels: single-sided
@@ -355,39 +404,42 @@ def test_a_suite_gives_the_same_conditions_without_the_pass(monkeypatch, iso_upt
 
 
 def test_judged_is_what_theorems_ask_of_tables_outside_d_dot(small_semirings):
-    # JUDGED holds every 2-variable identity, which the first factors of
-    # the products read too, and the identities of every single-name member
-    # and holds question THEOREMS ask of some table outside D_dot; the two
-    # they ask of D_dot members alone stay out.  Recorded on every table up
+    # JUDGED holds, each once, the identities of every single-name member
+    # and holds question THEOREMS ask of some table outside D_dot, and of
+    # every first factor of a product they ask, which a product over one
+    # block of rho reads off the mask; the two asked of D_dot members alone
+    # stay out, and so do the varieties asked of no table as a single name
+    # or first factor (D, Sl_plus, RZ_plus).  Recorded on every table up
     # to order 3, so an edit to THEOREMS cannot leave JUDGED stale
     class Recording(sl.Analysis):
         def __init__(self, t):
             super().__init__(t)
-            self.asked = set()
+            self.asked, self.first = set(), set()
 
         def member(self, *names):
-            if len(names) == 1:
-                self.asked.add(names[0])
+            (self.asked if len(names) == 1 else self.first).add(names[0])
             return super().member(*names)
 
         def holds(self, text):
             self.asked.add(text)
             return super().holds(text)
 
-    asked, outside = set(), set()
+    asked, outside, first = set(), set(), set()
     for t in small_semirings:
         a = Recording(t)
         for tid in sorted(THEOREMS):
             varieties.judge(a, tid)
         asked |= a.asked
+        first |= a.first
         if not a.member("D_dot"):
             outside |= a.asked
     identities = varieties.THEOREM_IDENTITIES
     of = {**{name: spec.identities for name, spec in sl.CATALOG.items()},
           **{text: (ident,) for text, ident in identities.items()}}
-    two = {i for idents in of.values() for i in idents if i.nvars == 2}
-    assert set(varieties.JUDGED) == two | {i for q in outside for i in of[q]}
+    assert len(set(varieties.JUDGED)) == len(varieties.JUDGED)
+    assert set(varieties.JUDGED) == {i for q in outside | first for i in of[q]}
     assert asked - outside == {"xyzx = xzyx", "xyzx = xzyx+xyzx+xzyx"}
+    assert first == {"R_plus", "LZ_plus", "LZ_dot", "RZ_dot", "RB"}, first
     assert {i.nvars for i in varieties.JUDGED} == {2, 3}
 
 
@@ -503,6 +555,7 @@ def test_sweep_tests_each_congruence_and_builds_each_product_once(monkeypatch, i
                          (varieties, "malcev_product")):
         monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
     monkeypatch.setattr(Partition, "blocks", counting("blocks", Partition.blocks))
+    monkeypatch.setattr(varieties, "_CHECKED", set())  # as in a fresh process
     monkeypatch.setattr(relations.BinRelation, "is_equivalence",
                         counting("is_equivalence", relations.BinRelation.is_equivalence))
     suite = tuple(sorted(THEOREMS))
@@ -510,16 +563,22 @@ def test_sweep_tests_each_congruence_and_builds_each_product_once(monkeypatch, i
         assert cli._verify_one(suite, sl.Analysis(t)) == []
     # 2 413 and 9 133 while quotient re-tested and every call built a
     # product; 783 while LEMMA_4_2 built one per D-dot quotient, none while
-    # a membership first asked left its names unchecked: each class asked
-    # about is now checked once per instance; 15 333 while verify also
-    # computed THM_4_3's two observations, which it does not report
+    # a membership first asked left its names unchecked; 15 333 while verify
+    # also computed THM_4_3's two observations, which it does not report;
+    # 13 663 while each class asked about was checked once per instance: the
+    # 18 name tuples the suite asks (11 single names, 6 products, and RB o D,
+    # THM_4_3's upper bound) are now checked once per process
     assert calls["_compatible"] == 1153, calls
-    assert calls["malcev_product"] == 13663, calls
+    assert calls["malcev_product"] == 18, calls
     # 11 546 and 1 504 while the Malcev test took the blocks of rho on every
     # call and THM_2_5 tested a transitive sigma for an equivalence; 5 701
     # while COR_JOIN built three quotients, 5 224 while LEMMA_4_2 built one,
-    # 3 658 while each congruence test took its partition's blocks
-    assert calls["blocks"] == 2505 and calls["is_equivalence"] == 0, calls
+    # 3 658 while each congruence test took its partition's blocks; 2 505
+    # (eta's and both THM_4_3 closures' on each of the 835 tables) while
+    # those closures ran on every table: each THM_4_3 product's lower bound
+    # now takes its blocks on the 676 tables outside RB o D, and its closure
+    # on the 99 of them the bounds leave
+    assert calls["blocks"] == 835 + 2 * (676 + 99) and calls["is_equivalence"] == 0, calls
     a = sl.Analysis(iso4[-1])
     a.member("RB", "LZ_plus", "D")
     calls.clear()
