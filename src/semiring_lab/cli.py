@@ -302,8 +302,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--iso", action="store_true")
     p.add_argument("--filter", help="variety name or V:W (Malcev product, "
                                     "right-nested)")
-    p.add_argument("--count-only", action="store_true")
-    p.add_argument("--out", help="write one text file per semiring here")
+    sink = p.add_mutually_exclusive_group()  # a count writes no files
+    sink.add_argument("--count-only", action="store_true")
+    sink.add_argument("--out", help="write one text file per semiring here")
     common(p)
     p.set_defaults(func=cmd_enumerate)
 

@@ -36,7 +36,7 @@ from typing import Callable, Dict, Iterator, List, NamedTuple, Optional, Sequenc
 from .congruences import DEFAULT_ORDER_BOUND
 from .core import (BudgetExceededError, InternalConsistencyError, PreconditionError,
                    ResourceBoundError, SemiringTable, _Checked, _default_names)
-from .varieties import Analysis, BandFacts, malcev_product
+from .varieties import Analysis, malcev_product
 
 DEFAULT_NODE_BUDGET = 10 ** 7
 DEFAULT_SECS_BUDGET = 1800.0
@@ -358,15 +358,14 @@ def _kept(names: Tuple[str, ...], a: Analysis) -> List[SemiringTable]:
 
 def _band_job(job) -> Tuple[int, int, List[list]]:
     """For each table completing one band, check(a), a being the table's
-    Analysis over the BandFacts they share, or [t] with no check; returns
-    the order, the nodes spent and that list."""
+    Analysis, sharing the band's facts as the tables share its + tuple, or
+    [t] with no check; returns the order, the nodes spent and that list."""
     check, n, add, auts, nodes, deadline = job
     budget = _Budget(nodes, deadline - time.monotonic())
     names = _default_names(n)
-    band = check and BandFacts(add)
     tables = (SemiringTable(n, names, add, mul)  # entries in range(n) already
               for mul, _ in completions(add, auts, budget))
-    found = [check(Analysis(t, band)) for t in tables] if check else [[t] for t in tables]
+    found = [check(Analysis(t)) for t in tables] if check else [[t] for t in tables]
     return n, nodes - budget.nodes_left, found
 
 
@@ -415,17 +414,22 @@ def _farm(workers: int, jobs: Iterator[tuple]) -> Iterator[Tuple[int, int, List[
     queued: List[List[int]] = [[] for _ in range(workers)]  # the job numbers each holds
     try:
         for _ in range(workers):
-            (job_r, job_w), (res_r, res_w) = os.pipe(), os.pipe()
-            ours += [job_w, res_r]
+            theirs: List[int] = []  # the worker's pipe ends, closed here once it is forked
             try:
+                job_r, job_w = os.pipe()
+                theirs.append(job_r)
+                ours.append(job_w)
+                res_r, res_w = os.pipe()
+                theirs.append(res_w)
+                ours.append(res_r)
                 pid = os.fork()
                 if pid == 0:
                     _serve(job_r, res_w, ours)
             except OSError as exc:
                 raise PreconditionError("cannot start a worker: %s" % exc) from None
             finally:
-                os.close(job_r)
-                os.close(res_w)
+                for fd in theirs:
+                    os.close(fd)
             pids.append(pid)
             os.set_blocking(job_w, False)  # what the pipe cannot take waits in outbox
         outbox, inbox = [bytearray() for _ in pids], [bytearray() for _ in pids]

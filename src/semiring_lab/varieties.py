@@ -5,12 +5,12 @@ A class is the tuple of catalog names of a right-nested Malcev product
 V1 o (V2 o (... o Vk)), one name being the variety itself (the catalog is
 core.CATALOG); Analysis.member decides every such class.
 
-Every theorem of interest is either an equivalence (a list of conditions
-that must all agree on each finite instance) or an implication (a list of
-material implications that must all hold).  verify_theorem evaluates each
-condition on its own terms -- identity checks, relation comparisons, Malcev
-memberships -- reading one Analysis that computes what they share once.
-judge_suite judges several theorems after one compiled pass over JUDGED.
+Every theorem of interest is an equivalence (conditions that must all agree
+on each finite instance) or an implication (material implications that must
+all hold).  verify_theorem evaluates each condition on its own terms --
+identity checks, relation comparisons, Malcev memberships -- reading one
+Analysis that computes what they share once, and the facts of + once per +
+table.  judge_suite judges several theorems after one pass over JUDGED.
 """
 
 from __future__ import annotations
@@ -53,8 +53,8 @@ def eta_equals_relation(t: SemiringTable, which: str) -> bool:
 
 class BandFacts:
     """What the theorems ask of a + table alone, each computed at most once
-    and shared by the Analysis of every table completing it: Green's L+,
-    R+ and D+, the transposed table, and whether + satisfies
+    and shared by the Analysis of every table over that + tuple: Green's
+    L+, R+ and D+, the transposed table, and whether + satisfies
     BAND_SEMIRING_REGULAR's conclusion, which reads + alone."""
 
     green = cached_property(lambda self: dict(zip(
@@ -79,8 +79,7 @@ class Analysis:
     Once judge_suite has run its pass over JUDGED, member and holds read off
     its mask each variety, text and product over one block of rho it decides.
     What depends on + alone is read from band, the BandFacts of t.add,
-    which a caller may share across the tables over one band; without one
-    the Analysis makes its own.
+    kept in _band and reused by the next Analysis over that same tuple object.
 
     t must be an idempotent semiring.  Only idempotency is checked, once,
     here; the rest is the caller's to validate."""
@@ -101,12 +100,12 @@ class Analysis:
     sigma_is_eta = cached_property(lambda self: len(self.sigma.pairs) == sum(
         len(block) ** 2 for block in self._rho_blocks(("D",))))
 
-    def __init__(self, t: SemiringTable, band: Optional[BandFacts] = None):
+    def __init__(self, t: SemiringTable):
+        global _band
         _require_idempotent(t, "Analysis")
-        if band is not None and band.add != t.add:
-            raise PreconditionError("the band facts are of another + table")
-        self.t = t
-        self.band = band or BandFacts(t.add)
+        if _band.add is not t.add:
+            _band = BandFacts(t.add)
+        self.t, self.band = t, _band
         self._members: Dict[Tuple[str, ...], bool] = {}
         self._rho: Dict[Tuple[str, ...], Tuple[Tuple[int, ...], ...]] = {}
         self._failed: Optional[int] = None  # JUDGED's mask, once judge_suite runs the pass
@@ -328,6 +327,8 @@ _BITS = {question: sum(_BIT[id(i)] for i in idents) for question, idents in (
     if all(id(i) in _BIT for i in idents)}
 _BITS["Bi"] = _BITS["LQBi"] | _BITS["RQBi"]
 _CHECKED = set()  # the name tuples member has checked, once per process
+# the BandFacts the last Analysis read: holding its + tuple, no other tuple takes its id
+_band = BandFacts(())
 
 
 # ---------------------------------------------------------------------------

@@ -467,6 +467,19 @@ def test_enumerate_order6_iso_is_frozen(capsys):
     assert code == 0 and out == "119699\n"
 
 
+@pytest.mark.parametrize("flags", [("--count-only", "--out", "{dir}"),
+                                   ("--out", "{dir}", "--count-only")])
+def test_enumerate_refuses_count_only_with_out(capsys, tmp_path, flags):
+    # a count writes no files, so --out beside it is refused, not ignored
+    out_dir = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        main(["enumerate", "-n", "2", *(f.format(dir=out_dir) for f in flags)])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "not allowed with argument" in captured.err
+    assert not out_dir.exists()
+
+
 def test_enumerate_count_only(capsys):
     code, out, _ = run(capsys, "enumerate", "-n", "3", "--count-only")
     assert code == 0
@@ -607,6 +620,31 @@ def test_a_worker_that_cannot_be_forked_exits_3_and_leaks_no_fd(capsys, monkeypa
     assert_no_child()
 
 
+def test_a_worker_whose_pipes_cannot_be_made_exits_3_and_leaks_no_fd(capsys, monkeypatch):
+    # the second pipe is the first worker's results pipe: its jobs pipe is
+    # made and must be closed again, and no worker is forked
+    pipe, calls = os.pipe, []
+
+    def fail_second():
+        calls.append(1)
+        if len(calls) == 2:
+            raise OSError(errno.EMFILE, os.strerror(errno.EMFILE))
+        return pipe()
+
+    def refuse(*args):
+        raise AssertionError("no worker may be forked")
+
+    monkeypatch.setattr(os, "pipe", fail_second)
+    monkeypatch.setattr(os, "fork", refuse)
+    fds = sorted(os.listdir("/proc/self/fd"))
+    code, out, err = run(capsys, "verify", "--max-order", "2", "--iso", "--workers", "2")
+    assert code == 3 and out == ""
+    assert "cannot start a worker: [Errno %d]" % errno.EMFILE in err
+    assert "Traceback" not in err and len(calls) == 2
+    assert sorted(os.listdir("/proc/self/fd")) == fds
+    assert_no_child()
+
+
 def test_enumerate_budget_exhaustion(capsys):
     code, _, _ = run(capsys, "enumerate", "-n", "3", "--count-only",
                      "--budget-nodes", "10")
@@ -645,6 +683,25 @@ def test_enumerate_rejects_orders_beyond_the_bound(argv):
     assert proc.returncode == 3, proc.stderr
     assert "exceeds enumeration bound 8" in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--max-order", "3", "--iso", "--workers", "2"],
+    ["enumerate", "-n", "3", "--iso", "--out", "{out}"],
+    ["explore-sigma", "--max-order", "2"],
+])
+def test_commands_run_clean_under_dev_mode_and_warnings_as_errors(tmp_path, argv):
+    # in a fresh interpreter under -X dev -W error; a leaked file object
+    # only prints "Exception ignored ... ResourceWarning" and still exits 0,
+    # so stderr must hold the one summary line and nothing else
+    src = os.path.dirname(os.path.dirname(os.path.abspath(semiring_lab.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-X", "dev", "-W", "error", "-m", "semiring_lab.cli",
+                           *(a.format(out=tmp_path / "out") for a in argv)],
+                          capture_output=True, text=True, timeout=120, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr.startswith(argv[0] + ": "), proc.stderr
+    assert proc.stderr.count("\n") == 1 and proc.stderr.endswith("\n"), proc.stderr
 
 
 @pytest.mark.parametrize("argv", [

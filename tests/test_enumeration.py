@@ -577,8 +577,19 @@ def test_dot_first_route_finds_the_same_classes(iso_upto4):
 
 
 def test_dot_first_route_count_at_order5():
-    # about 1 s and 291897 nodes
-    assert len(_dot_first_classes(5, _Budget(DEFAULT_NODE_BUDGET, 1800.0))) == 9407
+    # about 1 s
+    budget = _Budget(DEFAULT_NODE_BUDGET, 1800.0)
+    assert len(_dot_first_classes(5, budget)) == 9407
+    assert DEFAULT_NODE_BUDGET - budget.nodes_left == 291897
+
+
+@pytest.mark.slow
+def test_dot_first_route_count_at_order6():
+    # about 25 s; run with `pytest -m slow`.  The +-first search finds the
+    # same 119699 classes (test_order6_iso_count)
+    budget = _Budget(DEFAULT_NODE_BUDGET, 1800.0)
+    assert len(_dot_first_classes(6, budget)) == 119699
+    assert DEFAULT_NODE_BUDGET - budget.nodes_left == 5780446
 
 
 def test_filter_by_variety():
@@ -603,7 +614,8 @@ def test_filter_by_malcev_expression():
 
 def test_filter_shares_each_bands_facts(monkeypatch):
     # one BandFacts per band, so + is transposed once per band and . once
-    # per table; without a filter no BandFacts is made and nothing transposed
+    # per table; without a filter no BandFacts is made and nothing transposed,
+    # and a plain loop of Analysis over that stream makes one per band too
     adds, transposed, made = [], [], []
     bands_of, transpose, facts = enumeration.bands, varieties._transpose, varieties.BandFacts
 
@@ -615,16 +627,17 @@ def test_filter_shares_each_bands_facts(monkeypatch):
     monkeypatch.setattr(enumeration, "bands", recording_bands)
     monkeypatch.setattr(varieties, "_transpose",
                         lambda table: (transposed.append(table), transpose(table))[1])
-    monkeypatch.setattr(enumeration, "BandFacts",
+    monkeypatch.setattr(varieties, "BandFacts",
                         lambda add: (made.append(add), facts(add))[1])
     assert len(list(sl.enumerate_idempotent_semirings(sl.EnumConfig(
         order=4, up_to_iso=True, filter=("LZ_dot", "D"))))) == 73
     of_add = sum(any(table is add for add in adds) for table in transposed)
     assert (len(adds), len(made), of_add, len(transposed) - of_add) == (46, 46, 46, 835)
     del adds[:], transposed[:], made[:]
-    assert sum(1 for _ in sl.enumerate_idempotent_semirings(
-        sl.EnumConfig(order=4, up_to_iso=True))) == 835
-    assert (len(adds), made, transposed) == (46, [], [])
+    stream = list(sl.enumerate_idempotent_semirings(sl.EnumConfig(order=4, up_to_iso=True)))
+    assert (len(stream), len(adds), made, transposed) == (835, 46, [], [])
+    assert all(sl.Analysis(t).band.add is t.add for t in stream)
+    assert (len(made), len({id(add) for add in made})) == (46, 46)
 
 
 _BAD_CONFIGS = [(sl.PreconditionError, dict(order=0)),

@@ -188,8 +188,8 @@ def test_one_search_driver():
 
 
 def test_one_per_table_path():
-    # each table reaches a sweep check as one Analysis, whose band facts
-    # only the band job shares; and whether a partition relates an
+    # each table reaches a sweep check as one Analysis, which alone makes
+    # the facts of its band; and whether a partition relates an
     # identity's instances is read by core._relates alone, at the five
     # sites that ask it, through each identity's compiled relates.  The
     # instances themselves only seed merges: the closure of rho, and the
@@ -198,8 +198,9 @@ def test_one_per_table_path():
     sites = collections.defaultdict(set)
     for module, scope, name in _calls():
         sites[name].add((module, scope))
-    assert sites["BandFacts"] == {("enumeration", "_band_job"),
-                                  ("varieties", "Analysis.__init__")}, sites["BandFacts"]
+    assert sites["BandFacts"] == {("varieties", "Analysis.__init__"),
+                                  ("varieties", "")}, sites["BandFacts"]
+    assert "BandFacts" not in vars(semiring_lab.enumeration)
     assert sites["_instances"] == {("varieties", "Analysis.member"),
                                    ("varieties", "Analysis._rho_blocks")}, sites["_instances"]
     assert sites["relates"] == {("core", "_relates")}, sites["relates"]

@@ -216,26 +216,48 @@ def test_sigma_is_eta_matches_the_partition_comparison(iso_upto4):
 
 
 def _sharing_bands(tables):
-    """Each table with one BandFacts per distinct + table, shared by every
-    table over it."""
-    shared = {}
+    """The tables grouped by + table, each group's rebuilt over one + tuple
+    object, in a row, as a band job's tables are: so their Analyses share
+    the group's BandFacts."""
+    groups = {}
     for t in tables:
-        yield t, shared.setdefault(t.add, varieties.BandFacts(t.add))
+        groups.setdefault(t.add, []).append(t)
+    return [t._replace(add=add) for add, group in groups.items() for t in group]
+
+
+def _own_add(t):
+    """t over a copy of its + tuple, whose Analysis makes facts of its own."""
+    return t._replace(add=tuple(row for row in t.add))
 
 
 def test_shared_band_facts_give_the_reports_of_an_analysis_of_its_own(iso_upto4):
-    # oracle for the facts a band job shares: an Analysis that computes
-    # its own, as verify_theorem(t, ...) makes
-    for t, band in _sharing_bands(_with_relabellings(iso_upto4, 1616)):
-        a = sl.Analysis(t, band)
+    # oracle for the facts the tables over one + tuple share: an Analysis
+    # of the table over a copy of the tuple, which computes its own
+    shared = [sl.Analysis(t) for t in _sharing_bands(_with_relabellings(iso_upto4, 1616))]
+    assert len({id(a.band) for a in shared}) == len({a.t.add for a in shared}) < len(shared)
+    for a in shared:
+        own = _own_add(a.t)
         assert ([sl.verify_theorem(a, tid) for tid in sorted(THEOREMS)]
-                == [sl.verify_theorem(t, tid) for tid in sorted(THEOREMS)])
-        assert a.green["D_plus"] is band.green["D_plus"]
-        assert a.lines[1] is band.transposed
-    last = iso_upto4[-1]
-    other = next(t for t in iso_upto4 if t.order == last.order and t.add != last.add)
-    with pytest.raises(sl.PreconditionError):
-        sl.Analysis(last, varieties.BandFacts(other.add))
+                == [sl.verify_theorem(own, tid) for tid in sorted(THEOREMS)])
+        assert sl.Analysis(own).band is not a.band
+        assert a.green["D_plus"] is a.band.green["D_plus"]
+        assert a.lines[1] is a.band.transposed
+
+
+def test_interleaved_and_relabelled_tables_read_the_facts_of_their_own_band(iso4):
+    # each class, then a relabelling of it, over the + tuple of another
+    # band; then the tables of two bands of one order alternating, and a
+    # table over an equal + tuple that is another object
+    first = iso4[0]
+    other = next(t for t in iso4 if t.add != first.add)
+    tables = [*_with_relabellings(iso4[::7], 2929), first, other, first, other,
+              _own_add(first)]
+    for t in tables:
+        a = sl.Analysis(t)
+        assert a.band.add == t.add, t
+        assert a.green["D_plus"] == sl.green_add(t)[2], t
+        assert a.lines[1] == tuple(zip(*t.add)), t
+    assert sl.Analysis(first).band is sl.Analysis(first).band
 
 
 # the right factors whose rho the theorems and the decomposition ask about
@@ -245,8 +267,8 @@ RIGHT_FACTORS = (("D",), ("R_plus", "D"), ("LZ_plus", "D"), ("RZ_plus", "D"),
 
 def test_shared_table_closures_match_congruence_closure(iso_upto4):
     # oracle for the closures over the Analysis's translation tables
-    for t, band in _sharing_bands(_with_relabellings(iso_upto4, 7070)):
-        a = sl.Analysis(t, band)
+    for t in _sharing_bands(_with_relabellings(iso_upto4, 7070)):
+        a = sl.Analysis(t)
         assert a.eta == sl.congruence_closure(t, a.sigma) == sl.eta(t)
         for names in RIGHT_FACTORS:
             seed = core._instances(t, sl.CATALOG[names[0]], a._rho_blocks(names[1:]))
@@ -266,13 +288,13 @@ def _bound_routes(tables):
     over the blocks of the closure, which member took on every table
     before the bounds."""
     routes = {names: collections.Counter() for names in THREE_FACTOR}
-    for t, band in _sharing_bands(tables):
-        closure = sl.Analysis(t, band)
+    for t in _sharing_bands(tables):
+        closure = sl.Analysis(t)
         for names in THREE_FACTOR:
             expected = core._relates(t, range(t.order), sl.CATALOG[names[0]],
                                      closure._rho_blocks(names[1:]))
             for masked in (False, True):
-                a = sl.Analysis(t, band)
+                a = sl.Analysis(t)
                 if masked:
                     a._failed = varieties.JUDGED.failed(t.add, t.mul, range(t.order))
                 assert a.member(*names) == expected, (names, t)
@@ -309,8 +331,8 @@ def test_label_congruence_test_matches_substitution(iso_upto4):
     # substitution through Partition.related, on the six Green partitions,
     # and up to order 3 on every partition
     seen = set()
-    for t, band in _sharing_bands(_with_relabellings(iso_upto4, 6262)):
-        a = sl.Analysis(t, band)
+    for t in _sharing_bands(_with_relabellings(iso_upto4, 6262)):
+        a = sl.Analysis(t)
         parts = list(a.green.values())
         if t.order <= 3:
             parts += map(Partition, set_partitions(t.order))
@@ -330,12 +352,12 @@ def test_holds_matches_satisfies_identity(iso_upto4):
     # oracle for the compiled identities Analysis.holds and BandFacts read
     seen = set()
     identities = dict(varieties.THEOREM_IDENTITIES)
-    for t, band in _sharing_bands(_with_relabellings(iso_upto4, 8080)):
-        a = sl.Analysis(t, band)
+    for t in _sharing_bands(_with_relabellings(iso_upto4, 8080)):
+        a = sl.Analysis(t)
         for text, ident in identities.items():
             assert a.holds(text) == sl.satisfies_identity(t, ident)[0], text
             seen.add(a.holds(text))
-        assert band.regular == a.holds(_REGULAR)
+        assert a.band.regular == a.holds(_REGULAR)
     assert seen == {False, True}
 
 
@@ -514,6 +536,7 @@ def test_shared_analysis_computes_each_relation_once(monkeypatch, dl2, golden3):
             for attr, value in list(vars(module).items()):
                 if value is fn:
                     monkeypatch.setattr(module, attr, counting(name, fn))
+    monkeypatch.setattr(varieties, "_band", varieties.BandFacts(()))  # as in a fresh process
     checked = []
     require = core._require_idempotent
     for module in (core, varieties):
