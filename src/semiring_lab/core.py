@@ -105,17 +105,29 @@ class SemiringTable(NamedTuple):
         return "SemiringTable(order=%d, names=%r)" % (self.order, list(self.names))
 
 
-def _canonical_labelling(t: SemiringTable
+def _least_relabellings(rows: Sequence[Sequence[int]]) -> Tuple[tuple, Tuple[tuple, ...]]:
+    """The least relabelling of one table, and every bijection i -> perm[i]
+    attaining it, in lexicographic order: a scan of all n!."""
+    best, perms = None, []
+    for perm in itertools.permutations(range(len(rows))):
+        key = _relabel_rows(rows, perm)
+        if best is None or key < best:
+            best, perms = key, [perm]
+        elif key == best:
+            perms.append(perm)
+    return best, tuple(perms)
+
+
+def _canonical_labelling(t: SemiringTable, least_add=None
                          ) -> Tuple[Tuple[Tuple[int, ...], ...], Tuple[int, ...]]:
     """The least relabelling of t, as its + rows then its . rows, which
     isomorphic tables and only they share, and the first bijection
-    i -> perm[i] attaining it."""
-    best = None
-    for perm in itertools.permutations(range(t.order)):
-        key = _relabel_rows(t.add, perm) + _relabel_rows(t.mul, perm)
-        if best is None or key < best[0]:
-            best = key, perm
-    return best
+    i -> perm[i] attaining it.  The + rows compare first, so this is the least
+    relabelled . over the bijections making + least, least_add (tables over
+    one + may share it) as _least_relabellings(t.add) gives them."""
+    add, perms = least_add or _least_relabellings(t.add)
+    mul, perm = min((_relabel_rows(t.mul, p), p) for p in perms)
+    return add + mul, perm
 
 
 def canonical_form(t: SemiringTable) -> SemiringTable:

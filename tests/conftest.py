@@ -157,6 +157,20 @@ def is_isomorphic_by_search(s: SemiringTable, t: SemiringTable
     return None
 
 
+def canonical_labelling_by_scan(t: SemiringTable
+                                ) -> Tuple[Tuple[Tuple[int, ...], ...], Tuple[int, ...]]:
+    """The least relabelling of t, as its + rows then its . rows, and the
+    first bijection i -> perm[i] attaining it, by one scan of all n!
+    relabellings of both tables (oracle for core._canonical_labelling)."""
+    best = None
+    for perm in itertools.permutations(range(t.order)):
+        r = t.relabel(perm)
+        key = r.add + r.mul
+        if best is None or key < best[0]:
+            best = key, perm
+    return best
+
+
 def is_congruence_by_substitution(t: SemiringTable, p) -> bool:
     """Compatibility of p with both operations, by single-sided
     substitution through Partition.related (oracle for is_congruence)."""

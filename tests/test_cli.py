@@ -1,6 +1,7 @@
 import errno
 import gc
 import hashlib
+import itertools
 import json
 import os
 import random
@@ -241,6 +242,89 @@ def test_verify_failures_keep_stream_order_for_any_worker_count(capsys, monkeypa
             by_order[f["order"]][f["index"]])
 
 
+def _fails_on_one_class(target):
+    # a stand-in theorem contradicted on the tables isomorphic to target
+    return ("implication", lambda a: [
+        ("stand_in", semiring_lab.canonical_form(a.t) != target), ("holds", True)])
+
+
+def test_labelled_verify_lists_each_table_of_a_failing_class(capsys, monkeypatch,
+                                                             labeled_by_order):
+    # a class is judged once, yet each of its labelled tables is listed with
+    # its own text and index, in the bytes of the route without the memo
+    labelled = labeled_by_order[3]
+    forms = [semiring_lab.canonical_form(t) for t in labelled]
+    target = next(f for f in forms if forms.count(f) == 6)  # no automorphism
+    monkeypatch.setitem(varieties.THEOREMS, "THM_2_5", _fails_on_one_class(target))
+    outs = []
+    for unique in (False, True):
+        if unique:  # every table a class of its own: each judged afresh
+            monkeypatch.setattr(cli, "_class_key",
+                                lambda a: repr((a.t.add, a.t.mul)).encode())
+        for workers in ("1", "2"):
+            code, out, _ = run(capsys, "verify", "--max-order", "3", "--workers", workers)
+            assert code == 5
+            outs.append(out)
+    assert outs == [outs[0]] * 4
+    failures = json.loads(outs[0])["failures"]
+    assert [f["index"] for f in failures] == [i for i, f in enumerate(forms) if f == target]
+    for f in failures:
+        assert f == {"theorem": "THM_2_5", "conditions": {"stand_in": False, "holds": True},
+                     "order": 3, "index": f["index"],
+                     "semiring": semiring_lab.format_semiring_text(labelled[f["index"]])}
+
+
+def test_the_verdicts_of_a_sweep_end_with_it(capsys, monkeypatch, labeled_by_order):
+    # a second sweep of the classes the first judged clean, under a stand-in
+    # theorem, judges them again, also when both sweeps end at one order
+    for n, index in ((1, 0), (3, 7)):
+        code, out, _ = run(capsys, "verify", "--max-order", str(n))
+        assert code == 0 and json.loads(out)["results"]["inconsistencies"] == 0
+        target = semiring_lab.canonical_form(labeled_by_order[n][index])
+        with monkeypatch.context() as patched:
+            patched.setitem(varieties.THEOREMS, "THM_2_5", _fails_on_one_class(target))
+            code, out, _ = run(capsys, "verify", "--max-order", str(n))
+        assert code == 5
+        assert [(f["order"], f["index"]) for f in json.loads(out)["failures"]] == [
+            (n, i) for i, t in enumerate(labeled_by_order[n])
+            if semiring_lab.canonical_form(t) == target]
+
+
+def test_an_iso_sweep_asks_no_class_key(capsys, monkeypatch):
+    # each table of an iso sweep is its own class
+    def refuse(a):
+        raise AssertionError("a class key was asked")
+
+    monkeypatch.setattr(cli, "_class_key", refuse)
+    for workers in ("1", "2"):
+        code, out, _ = run(capsys, "verify", "--max-order", "4", "--iso",
+                           "--workers", workers)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_ISO4_SHA256
+    with pytest.raises(AssertionError, match="a class key was asked"):
+        run(capsys, "verify", "--max-order", "1")
+
+
+def test_the_verdicts_are_keyed_by_the_canonical_rows(capsys, monkeypatch):
+    # each labelled table's key is its canonical form's + rows then . rows,
+    # and the verdicts held are of one order at a time
+    keys = []
+    class_key = cli._class_key
+
+    def spy(a):
+        assert list(cli._verdicts) == [a.t.order]
+        keys.append((a.t, class_key(a)))
+        return keys[-1][1]
+
+    monkeypatch.setattr(cli, "_class_key", spy)
+    code, out, _ = run(capsys, "verify", "--max-order", "4")
+    assert code == 0 and json.loads(out)["results"]["instances"] == len(keys) == 15504
+    for t, key in keys:
+        canon = semiring_lab.canonical_form(t)
+        assert key == bytes(itertools.chain(*canon.add, *canon.mul))
+    assert len({key for _, key in keys}) == 1 + 2 + 89 + 835
+
+
 @pytest.mark.parametrize("workers", ["1", "2", "3"])
 def test_verify_node_budget_is_per_order(capsys, workers):
     # an order's budget covers its band search and all its . searches; at
@@ -430,6 +514,43 @@ def test_serial_verify_holds_no_instance_list(capsys):
         tracemalloc.stop()
     assert code == 0
     assert peak <= 768 * 1024, "peak %d KiB" % (peak // 1024)
+
+
+# sha256 of labelled `verify --max-order 4` stdout, frozen from one worker
+# while each labelled table was judged on its own
+VERIFY_LAB4_SHA256 = (
+    "886317d1bdcddab8d7c7056085204101bf2f2797ba4f606f2cfc719bda78efd1")
+
+
+def test_labelled_verify_order4_is_frozen_and_holds_no_instance_list(capsys):
+    # the verdicts of the 835 order-4 classes stay well within the bound of
+    # the iso sweep
+    code, out, _ = run(capsys, "verify", "--max-order", "4", "--workers", "2")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_LAB4_SHA256
+    run(capsys, "verify", "--max-order", "3")  # lazy set-up first
+    gc.collect()
+    tracemalloc.start()
+    try:
+        code, out, _ = run(capsys, "verify", "--max-order", "4")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_LAB4_SHA256
+    assert json.loads(out)["results"]["checks"] == 279072
+    assert peak <= 768 * 1024, "peak %d KiB" % (peak // 1024)
+
+
+@pytest.mark.slow
+def test_labelled_verify_order5_is_frozen(capsys):
+    # about 90 s; digest frozen from the route that judged each labelled
+    # table on its own.  The labelled order-5 search needs more than the
+    # default 10 ** 7 nodes
+    code, out, _ = run(capsys, "verify", "--max-order", "5", "--budget-nodes", "100000000")
+    assert code == 0 and json.loads(out)["results"]["instances"] == 859633
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "2de1f5d9f2cadbf72fe2f2b9ccfaef9fc65134d08dd2422a51e63624db937f77")
 
 
 @pytest.mark.slow

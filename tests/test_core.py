@@ -9,10 +9,11 @@ from hypothesis import strategies as st
 
 import semiring_lab as sl
 from semiring_lab import core
-from semiring_lab.core import _AXIOMS, Add, Mul, Var, _instances
-from semiring_lab.varieties import THEOREM_IDENTITIES
+from semiring_lab.core import _AXIOMS, Add, Mul, Var, _canonical_labelling, _instances
+from semiring_lab.varieties import THEOREM_IDENTITIES, Analysis
 
-from conftest import (failures_by_eval_term, is_isomorphic_by_search, preserves_operations,
+from conftest import (canonical_labelling_by_scan, failures_by_eval_term,
+                      is_isomorphic_by_search, preserves_operations,
                       relabel_seeded, violations_by_loops)
 
 
@@ -513,6 +514,37 @@ def test_is_isomorphic_finds_seeded_relabellings(iso4):
         perm = sl.is_isomorphic(s, t)
         assert perm is not None and preserves_operations(s, t, perm)
         assert sl.canonical_form(t) == s
+
+
+def _assert_labelling_matches_the_full_scan(t, least_add=None):
+    key, perm = canonical_labelling_by_scan(t)
+    assert _canonical_labelling(t, least_add) == (key, perm)
+    canon = sl.canonical_form(t)
+    assert canon.add + canon.mul == key
+    # the canonical form's own first labelling is the identity
+    assert sl.is_isomorphic(t, canon) == perm
+
+
+def test_canonical_labelling_matches_the_full_scan(labeled_by_order):
+    # the least + first, then the least . over the bijections attaining it:
+    # the full scan's key and first bijection on every labelled table up to
+    # order 4, with the + stage shared by a band's tables and, through
+    # canonical_form and is_isomorphic, computed per table
+    for n in (1, 2, 3, 4):
+        tables = labeled_by_order[n] if n < 4 else sl.all_idempotent_semirings(4)
+        for t in tables:
+            _assert_labelling_matches_the_full_scan(t, Analysis(t).band.least)
+        assert len(tables) == (1, 16, 379, 15108)[n - 1]
+
+
+@pytest.mark.slow
+def test_canonical_labelling_matches_the_full_scan_at_order5():
+    # a seeded relabelling of each of the 9 407 order-5 classes
+    rng = random.Random(5120)
+    classes = sl.all_idempotent_semirings(5, up_to_iso=True)
+    assert len(classes) == 9407
+    for s in classes:
+        _assert_labelling_matches_the_full_scan(relabel_seeded(s, rng))
 
 
 def test_canonical_form_constant_on_orbits(iso_small):
