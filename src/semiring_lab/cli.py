@@ -25,8 +25,8 @@ from functools import partial
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .core import (CATALOG, BudgetExceededError, InternalConsistencyError,
-                   PreconditionError, SemiringFormatError, _canonical_labelling,
-                   format_semiring_text, parse_semiring_text, validate_semiring)
+                   PreconditionError, SemiringFormatError, format_semiring_text,
+                   parse_semiring_text, validate_semiring)
 from .relations import quasi_orders
 from .congruences import least_dl_congruence, sigma_star
 from .enumeration import (DEFAULT_NODE_BUDGET, DEFAULT_SECS_BUDGET, EnumConfig,
@@ -139,29 +139,11 @@ def cmd_analyze(args, started: float) -> int:
 # ---------------------------------------------------------------------------
 # verify
 
-# order -> class key -> the failing (theorem, conditions) of one sweep's classes
-_verdicts: Dict[int, Dict[bytes, tuple]] = {}
-
-
-def _class_key(a: Analysis) -> bytes:
-    """The canonical rows of a's table, which isomorphic tables and only
-    they share, as bytes; the tables of one band share its + stage."""
-    return b"".join(map(bytes, _canonical_labelling(a.t, a.band.least)[0]))
-
-
-def _verify_one(suite: Tuple[str, ...], iso: bool, a: Analysis) -> List[Dict]:
-    """A failure for each theorem of the suite that a's table contradicts.
-    Every condition reads + and . alone, so isomorphic tables share verdicts:
-    a labelled sweep judges each class once; an iso sweep asks no key."""
-    if not iso and a.t.order not in _verdicts:  # one order's at a time
-        _verdicts.clear()
-    memo, key = ({}, None) if iso else (_verdicts.setdefault(a.t.order, {}), _class_key(a))
-    found = memo.get(key)
-    if found is None:
-        found = memo[key] = tuple((tid, conditions) for tid, (_, conditions, consistent)
-                                  in zip(suite, judge_suite(a, suite)) if not consistent)
-    return [{"theorem": tid, "conditions": dict(conditions),
-             "semiring": format_semiring_text(a.t)} for tid, conditions in found]
+def _verify_one(suite: Tuple[str, ...], a: Analysis) -> tuple:
+    """The (theorem, conditions) of each theorem of the suite that a's table
+    contradicts: its class's, as every condition reads + and . alone."""
+    return tuple((tid, conditions) for tid, (_, conditions, consistent)
+                 in zip(suite, judge_suite(a, suite)) if not consistent)
 
 
 def cmd_verify(args, started: float) -> int:
@@ -175,10 +157,11 @@ def cmd_verify(args, started: float) -> int:
         raise PreconditionError("unknown suite %r; known: all, %s"
                                 % (args.suite, ", ".join(sorted(THEOREMS))))
     instances, failures = 0, []
-    _verdicts.clear()  # before any worker is forked, so each starts empty
-    for instances, (n, index, found) in enumerate(sweep(
-            _configs(args), args.workers, partial(_verify_one, suite, args.iso)), 1):
-        failures += [dict(f, order=n, index=index) for f in found]
+    for instances, (n, index, t, found) in enumerate(sweep(
+            _configs(args), args.workers, partial(_verify_one, suite)), 1):
+        failures += [{"theorem": tid, "conditions": dict(conditions), "order": n,
+                      "index": index, "semiring": format_semiring_text(t)}
+                     for tid, conditions in found]
     results = {
         "suite": list(suite),
         "max_order": args.max_order,
@@ -261,14 +244,14 @@ def cmd_decompose(args, started: float) -> int:
 # ---------------------------------------------------------------------------
 # explore-sigma
 
-def _sigma_row(a: Analysis) -> List[Dict]:
-    return [{"sigma_transitive": a.sigma_transitive, "in_N": a.member("N"),
-             "sigma_is_eta": a.sigma_is_eta}]
+def _sigma_row(a: Analysis) -> Dict:
+    return {"sigma_transitive": a.sigma_transitive, "in_N": a.member("N"),
+            "sigma_is_eta": a.sigma_is_eta}
 
 
 def cmd_explore_sigma(args, started: float) -> int:
-    rows = [dict(row, order=n, index=index)  # one row per table
-            for n, index, (row,) in sweep(_configs(args), 1, _sigma_row)]
+    rows = [dict(row, order=n, index=index)  # one row per table, its class's
+            for n, index, _, row in sweep(_configs(args), 1, _sigma_row)]
     instances = len(rows)
     keys = ("sigma_transitive", "in_N", "sigma_is_eta")
     cross = Counter(tuple(row[k] for k in keys) for row in rows)

@@ -10,7 +10,7 @@ assumed about a table until ``validate_semiring`` has been run on it.
 from __future__ import annotations
 
 import itertools
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Callable, Dict, Iterator, NamedTuple, Optional, Sequence, Tuple, Union
 
 
@@ -38,6 +38,7 @@ class InternalConsistencyError(AssertionError):
     """
 
 
+@cache
 def _default_names(n: int) -> Tuple[str, ...]:
     """The element names of a table given none: e0, e1, ..."""
     return tuple("e%d" % i for i in range(n))
@@ -105,28 +106,16 @@ class SemiringTable(NamedTuple):
         return "SemiringTable(order=%d, names=%r)" % (self.order, list(self.names))
 
 
-def _least_relabellings(rows: Sequence[Sequence[int]]) -> Tuple[tuple, Tuple[tuple, ...]]:
-    """The least relabelling of one table, and every bijection i -> perm[i]
-    attaining it, in lexicographic order: a scan of all n!."""
-    best, perms = None, []
-    for perm in itertools.permutations(range(len(rows))):
-        key = _relabel_rows(rows, perm)
-        if best is None or key < best:
-            best, perms = key, [perm]
-        elif key == best:
-            perms.append(perm)
-    return best, tuple(perms)
-
-
-def _canonical_labelling(t: SemiringTable, least_add=None
+def _canonical_labelling(t: SemiringTable
                          ) -> Tuple[Tuple[Tuple[int, ...], ...], Tuple[int, ...]]:
     """The least relabelling of t, as its + rows then its . rows, which
     isomorphic tables and only they share, and the first bijection
-    i -> perm[i] attaining it.  The + rows compare first, so this is the least
-    relabelled . over the bijections making + least, least_add (tables over
-    one + may share it) as _least_relabellings(t.add) gives them."""
-    add, perms = least_add or _least_relabellings(t.add)
-    mul, perm = min((_relabel_rows(t.mul, p), p) for p in perms)
+    i -> perm[i] attaining it.  The + rows compare first, so this is the
+    least relabelled . over the bijections making + least."""
+    perms = list(itertools.permutations(range(t.order)))
+    adds = [_relabel_rows(t.add, p) for p in perms]
+    add = min(adds)
+    mul, perm = min((_relabel_rows(t.mul, p), p) for key, p in zip(adds, perms) if key == add)
     return add + mul, perm
 
 

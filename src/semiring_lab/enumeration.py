@@ -15,13 +15,14 @@ without scanning the table.
 Distributivity is the strongest cross-table constraint, which
 is why the + table is completed before any . cell is chosen.
 
-Up to isomorphism the generation is orderly (McKay, "Isomorph-free
-exhaustive generation", J. Algorithms 1998): a partial band is abandoned
-as soon as some relabelling makes it smaller, so only the bands that are
-their own least relabelling are completed, and a partial . table as soon
-as some automorphism of the band makes it smaller.  Both tests are one
-comparison in key order, resumed where the parent node's stopped
-(lex-leader pruning: Crawford, Ginsberg, Luks and Roy, KR 1996).
+Only the isomorphism classes are searched, by orderly generation (McKay,
+"Isomorph-free exhaustive generation", J. Algorithms 1998): a partial band
+is abandoned as soon as some relabelling makes it smaller, so only the
+bands that are their own least relabelling are completed, and a partial .
+table as soon as some automorphism of the band makes it smaller.  Both
+tests are one comparison in key order, resumed where the parent node's
+stopped (lex-leader pruning: Crawford, Ginsberg, Luks and Roy, KR 1996).
+The labelled stream is the classes' orbits.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ import itertools
 import os
 import time
 from contextlib import closing, nullcontext
-from functools import partial
+from operator import itemgetter, methodcaller
 from typing import Callable, Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from .congruences import DEFAULT_ORDER_BOUND
@@ -61,6 +62,8 @@ class _Budget:
         self.nodes_left -= nodes
         if self.nodes_left < 0:
             raise BudgetExceededError("node budget exhausted")
+        if time.monotonic() > self.deadline:
+            raise BudgetExceededError("wall-clock budget exhausted")
 
 
 class _EnumFields(NamedTuple):
@@ -225,15 +228,13 @@ def _off_diagonal_cells(n: int) -> List[Tuple[int, int]]:
     return [(i, j) for i in range(n) for j in range(n) if i != j]
 
 
-def bands(n: int, up_to_iso: bool, budget: _Budget
-          ) -> Iterator[Tuple[Rows, List[Relabelling]]]:
-    """The + tables of order n, depth first, each with its non-identity
-    automorphisms: every labelled band, with none listed, or with up_to_iso
-    exactly the bands that are their own least relabelling (proof in
+def bands(n: int, budget: _Budget) -> Iterator[Tuple[Rows, List[Relabelling]]]:
+    """The + tables of order n that are their own least relabelling, depth
+    first, each with its non-identity automorphisms (proof in
     enumerate_idempotent_semirings)."""
     # the identity, first, fixes every table
     perms = [(p, sorted(range(n), key=p.__getitem__))
-             for p in itertools.permutations(range(n))][1:] if up_to_iso else []
+             for p in itertools.permutations(range(n))][1:]
     every = (1 << n) - 1
     for add, auts in _complete(n, lambda tab, pre, i, j: _forced(tab, pre, i, j, every),
                                _assoc_ok, perms, budget):
@@ -298,14 +299,14 @@ def completions(add: Rows, auts: List[Relabelling], budget: _Budget
 def enumerate_idempotent_semirings(cfg: EnumConfig) -> Iterator[SemiringTable]:
     """Stream every idempotent semiring of the configured order.
 
-    The stream is deterministic (depth-first, lexicographic cell order):
-    each band B from bands(), then each . table M from completions(B).
-    With up_to_iso, exactly the canonical-minimal representative of each
-    isomorphism class is yielded, in the order of the labelled stream:
-    the canonical key of (B, M) is the least (s.B, s.M) over all
-    relabellings s.  Its + part is the least relabelling of B, so (B, M)
-    is canonical iff B is its own least relabelling and no s attaining it,
-    that is no s in Aut(B), makes s.M smaller than M.
+    The stream is deterministic.  With up_to_iso it is the canonical-minimal
+    representative of each isomorphism class, depth first: each band B from
+    bands(), then each . table M from completions(B).  The canonical key of
+    (B, M) is the least (s.B, s.M) over all relabellings s.  Its + part is
+    the least relabelling of B, so (B, M) is canonical iff B is its own
+    least relabelling and no s attaining it, that is no s in Aut(B), makes
+    s.M smaller than M.  Labelled, it is every table in lexicographic order
+    of (B, M) over row-major cells: the orbits of those representatives.
 
     Both searches prune by one lemma.  Cells are filled in row-major order,
     which is the order tables are compared in, and cell (a, b) of p.T reads
@@ -316,12 +317,11 @@ def enumerate_idempotent_semirings(cfg: EnumConfig) -> Iterator[SemiringTable]:
     below it has a smaller relabelling, so no least band is lost.  At a
     leaf every cell is determined and the test reads "no p.B < B", which
     is leastness itself; so the leaves kept are exactly the least bands,
-    in the labelled search's order, and Aut(B) is the p with p.B = B.
-    The . search prunes a node (partial M) when this holds for some p in
-    Aut(B): each completion M' has p.(B, M') = (B, p.M') < (B, M').  Its
-    leaf test is exactly "p.M < M" above, so the leaves kept are the
-    canonical ones, in the same depth-first order.  The labelled search
-    skips both tests.
+    in lexicographic order, and Aut(B) is the p with p.B = B.  The .
+    search prunes a node (partial M) when this holds for some p in Aut(B):
+    each completion M' has p.(B, M') = (B, p.M') < (B, M').  Its leaf test
+    is exactly "p.M < M" above, so the leaves kept are the canonical ones,
+    in lexicographic order.
 
     A node need not compare p.T with T from cell (0, 0) again: its parent
     stopped at the first cell c undetermined on either side, and setting
@@ -343,30 +343,36 @@ def enumerate_idempotent_semirings(cfg: EnumConfig) -> Iterator[SemiringTable]:
     in the same ascending order, and every test after them sees the same
     tables.
 
+    The orbit lemma.  Each labelled (B, M) is tau.(B0, M0) for exactly one
+    class (B0, M0), as orbits are disjoint, and the tau with tau.B0 = B form
+    one coset of Aut(B0).  So the set of tau.M0 over that coset and the
+    completions M0 of B0 is every table over B, none of them from two
+    classes; sweep sorts the n! images of each least band, which lists the
+    labelled bands in order, each with its coset, then each band's set.
+
     The stream runs through sweep, so it yields a band's tables once the
-    band is complete.  Exceeding the budget raises BudgetExceededError
-    after the last complete band; consumers must treat a truncated stream
-    as failure, never as a complete enumeration.
+    band is complete.  The node budget counts an order's iso search nodes
+    and, labelled, one per table, charged (and the clock read) for each
+    labelled band before it is yielded.  Exceeding the budget raises
+    BudgetExceededError after the last complete band; consumers must treat
+    a truncated stream as failure, never as a complete enumeration.
     """
-    for _, _, kept in sweep([cfg], 1, cfg.filter and partial(_kept, cfg.filter)):
-        yield from kept
+    for _, _, t, member in sweep([cfg], 1, cfg.filter and methodcaller("member", *cfg.filter)):
+        if cfg.filter is None or member:
+            yield t
 
 
-def _kept(names: Tuple[str, ...], a: Analysis) -> List[SemiringTable]:
-    return [a.t] if a.member(*names) else []
-
-
-def _band_job(job) -> Tuple[int, int, List[list]]:
-    """For each table completing one band, check(a), a being the table's
-    Analysis, sharing the band's facts as the tables share its + tuple, or
-    [t] with no check; returns the order, the nodes spent and that list."""
+def _band_job(job) -> Tuple[int, int, Optional[Rows], list]:
+    """The order, the nodes spent, the band and (add, mul, check(a)) for each
+    table completing it, a being its Analysis (sharing the band's facts as
+    the tables share its + tuple), or None; a job with no band ends its order."""
     check, n, add, auts, nodes, deadline = job
+    if add is None:
+        return n, 0, None, []
     budget = _Budget(nodes, deadline - time.monotonic())
-    names = _default_names(n)
-    tables = (SemiringTable(n, names, add, mul)  # entries in range(n) already
-              for mul, _ in completions(add, auts, budget))
-    found = [check(Analysis(t)) for t in tables] if check else [[t] for t in tables]
-    return n, nodes - budget.nodes_left, found
+    found = [(add, mul, check and check(Analysis(SemiringTable(n, _default_names(n), add, mul))))
+             for mul, _ in completions(add, auts, budget)]  # entries in range(n) already
+    return n, nodes - budget.nodes_left, add, found
 
 
 def _serve(jobs_fd: int, results_fd: int, inherited: List[int]) -> None:
@@ -397,7 +403,7 @@ def _serve(jobs_fd: int, results_fd: int, inherited: List[int]) -> None:
 _AHEAD = 32
 
 
-def _farm(workers: int, jobs: Iterator[tuple]) -> Iterator[Tuple[int, int, List[list]]]:
+def _farm(workers: int, jobs: Iterator[tuple]) -> Iterator[tuple]:
     """_band_job(job) for each job, in order, from forked workers fed from
     this thread, each holding two jobs at most, none sent more than _AHEAD
     * workers ahead of the last result yielded.  A job's exception, or
@@ -485,35 +491,73 @@ def _farm(workers: int, jobs: Iterator[tuple]) -> Iterator[Tuple[int, int, List[
             os.waitpid(pid, 0)
 
 
-def sweep(cfgs: List[EnumConfig], workers: int, check: Optional[Callable[[Analysis], list]]
-          ) -> Iterator[Tuple[int, int, list]]:
-    """(order, index, items) for each table of the configured orders, items
-    as _band_job gives them, in stream order for any worker count, each
-    index counting its order's tables (a check that needs data binds it in
-    a functools.partial, which pickles).  This process searches the bands;
-    each is one _band_job, run here or, with more workers, in the forked
-    processes of _farm, which this thread feeds as it pulls bands.  An
-    order's band search and its . searches draw on one _Budget: a job may
-    spend the nodes left at dispatch, which only charges still to come
-    lower, and is charged as its result is yielded.  So the order raises
-    BudgetExceededError exactly when its nodes in all exceed its budget,
-    for any worker count, and before any table of a later order is
-    yielded."""
+def sweep(cfgs: List[EnumConfig], workers: int, check: Optional[Callable[[Analysis], object]]
+          ) -> Iterator[Tuple[int, int, SemiringTable, object]]:
+    """(order, index, t, result) for each table t of the configured orders,
+    in stream order for any worker count, each index counting its order's
+    tables, result being _band_job's for t's class (a check that needs data
+    binds it in a functools.partial, which pickles).  This process runs the
+    band search; each least band is one _band_job, run here or, with more
+    workers, in the forked processes of _farm, which this thread feeds as
+    it pulls bands, and a labelled order yields its _orbits once its last
+    job is in.  An order's band search and its . searches draw on one
+    _Budget: a job may spend the nodes left at dispatch, which only charges
+    still to come lower, and is charged as its result comes in.  So the
+    order raises BudgetExceededError exactly when its nodes in all exceed
+    its budget, for any worker count, and before any table of a later
+    order is yielded."""
     budgets: Dict[int, _Budget] = {}  # order -> its one node budget
 
     def jobs():
         for cfg in cfgs:
             budget = budgets[cfg.order] = _Budget(cfg.budget_nodes, cfg.budget_secs)
-            for add, auts in bands(cfg.order, cfg.up_to_iso, budget):
+            for add, auts in bands(cfg.order, budget):
                 yield check, cfg.order, add, auts, budget.nodes_left, budget.deadline
+            yield check, cfg.order, None, None, 0, 0.0
 
     index = {cfg.order: itertools.count() for cfg in cfgs}  # over each order's tables
+    # a labelled order's least bands, with their tables' . cells and results;
+    # order 1 has one table, its own class
+    least: Dict[int, list] = {cfg.order: [] for cfg in cfgs
+                              if not cfg.up_to_iso and cfg.order > 1}
     with (closing(_farm(workers, jobs())) if workers > 1
           else nullcontext(map(_band_job, jobs()))) as results:
-        for n, nodes, found in results:
+        for n, nodes, add, found in results:
             budgets[n].charge(nodes)
-            for items in found:
-                yield n, next(index[n]), items
+            if n in least:
+                if add is not None:
+                    least[n].append((add, [(bytes(itertools.chain(*mul)), result)
+                                           for _, mul, result in found]))
+                    continue
+                found = _orbits(n, least.pop(n), budgets[n])
+            for add, mul, result in found:
+                yield n, next(index[n]), SemiringTable(n, _default_names(n), add, mul), result
+
+
+def _orbits(n: int, least: list, budget: _Budget) -> Iterator[Tuple[Rows, Rows, object]]:
+    """The + and . rows of each labelled table of order n > 1, with its
+    class's result, in stream order, by the orbit lemma at
+    enumerate_idempotent_semirings; a table is relabelled as bytes, its
+    cells reordered, then its values."""
+    perms = list(itertools.permutations(range(n)))
+    cells = [itemgetter(*[inv[a] * n + inv[b] for a in range(n) for b in range(n)])
+             for inv in (sorted(range(n), key=p.__getitem__) for p in perms)]
+    values = [bytes(p).ljust(256, b"\0") for p in perms]
+
+    def relabel(flat: bytes, k: int) -> bytes:
+        return bytes(cells[k](flat)).translate(values[k])
+
+    # each least band's images, as their cells then its number and the bijection's
+    images = sorted(relabel(flat, k) + (b * len(perms) + k).to_bytes(6, "big")
+                    for b, flat in enumerate(bytes(itertools.chain(*add)) for add, _ in least)
+                    for k in range(len(perms)))
+    for band, coset in itertools.groupby(images, itemgetter(slice(n * n))):
+        coset = [divmod(int.from_bytes(image[n * n:], "big"), len(perms)) for image in coset]
+        tables = {relabel(mul, k): result for b, k in coset for mul, result in least[b][1]}
+        budget.charge(len(tables))
+        add = tuple(zip(*[iter(band)] * n))
+        for mul, result in sorted(tables.items()):
+            yield add, tuple(zip(*[iter(mul)] * n)), result
 
 
 def all_idempotent_semirings(order: int, up_to_iso: bool = False,

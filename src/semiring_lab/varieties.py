@@ -20,7 +20,7 @@ from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple, 
 
 from .congruences import _quotient, sigma
 from .core import (CATALOG, Identities, Identity, InternalConsistencyError, PreconditionError,
-                   SemiringTable, _instances, _least_relabellings, _relates, _require_idempotent,
+                   SemiringTable, _instances, _relates, _require_idempotent,
                    parse_identity, satisfies_identity, validate_semiring)
 from .relations import Partition, _compatible, _green, _merge_blocks, _transpose
 
@@ -54,8 +54,8 @@ def eta_equals_relation(t: SemiringTable, which: str) -> bool:
 class BandFacts:
     """What the theorems ask of a + table alone, each computed at most once
     and shared by the Analysis of every table over that + tuple: Green's
-    L+, R+ and D+, the transposed table, BAND_SEMIRING_REGULAR's conclusion
-    and the least relabellings of + (core._canonical_labelling's first stage)."""
+    L+, R+ and D+, the transposed table and BAND_SEMIRING_REGULAR's
+    conclusion."""
 
     green = cached_property(lambda self: dict(zip(
         ("L_plus", "R_plus", "D_plus"), _green(self.add, len(self.add)))))
@@ -63,7 +63,6 @@ class BandFacts:
     regular = cached_property(lambda self: next(THEOREM_IDENTITIES[
         "x+y+z+x = x+y+x+z+x"].failures(self.add, None, range(len(self.add))),
         None) is None)
-    least = cached_property(lambda self: _least_relabellings(self.add))
 
     def __init__(self, add: Tuple[Tuple[int, ...], ...]):
         self.add = add

@@ -5,6 +5,7 @@ import pytest
 
 import semiring_lab as sl
 from semiring_lab import SemiringTable
+from semiring_lab.enumeration import _assoc_ok, _complete, _forced, completions
 
 GOLDEN3_TEXT = """3
 a b c
@@ -251,3 +252,26 @@ def naive_labeled_pairs(n):
 
 def naive_labeled_count(n):
     return len(naive_labeled_pairs(n))
+
+
+# ---------------------------------------------------------------------------
+# The labelled search, oracle for the labelled stream, which the library
+# builds as the orbits of the iso stream: the same backtracking search with
+# no relabelling to compare against, so every band and every . table
+
+def labelled_bands(n, budget):
+    """Every + table of order n, depth first: the band search with no
+    relabelling compared."""
+    every = (1 << n) - 1
+    for add, _ in _complete(n, lambda tab, pre, i, j: _forced(tab, pre, i, j, every),
+                            _assoc_ok, [], budget):
+        yield add
+
+
+def labelled_search(n, budget):
+    """The (add, mul) of every idempotent semiring of order n, depth first:
+    each band from labelled_bands, then each . table completing it under
+    no automorphism."""
+    for add in labelled_bands(n, budget):
+        for mul, _ in completions(add, [], budget):
+            yield add, mul

@@ -1,7 +1,6 @@
 import errno
 import gc
 import hashlib
-import itertools
 import json
 import os
 import random
@@ -251,23 +250,20 @@ def _fails_on_one_class(target):
 def test_labelled_verify_lists_each_table_of_a_failing_class(capsys, monkeypatch,
                                                              labeled_by_order):
     # a class is judged once, yet each of its labelled tables is listed with
-    # its own text and index, in the bytes of the route without the memo
+    # its own text and index, in the same bytes for 1 and 2 workers
     labelled = labeled_by_order[3]
     forms = [semiring_lab.canonical_form(t) for t in labelled]
     target = next(f for f in forms if forms.count(f) == 6)  # no automorphism
     monkeypatch.setitem(varieties.THEOREMS, "THM_2_5", _fails_on_one_class(target))
     outs = []
-    for unique in (False, True):
-        if unique:  # every table a class of its own: each judged afresh
-            monkeypatch.setattr(cli, "_class_key",
-                                lambda a: repr((a.t.add, a.t.mul)).encode())
-        for workers in ("1", "2"):
-            code, out, _ = run(capsys, "verify", "--max-order", "3", "--workers", workers)
-            assert code == 5
-            outs.append(out)
-    assert outs == [outs[0]] * 4
+    for workers in ("1", "2"):
+        code, out, _ = run(capsys, "verify", "--max-order", "3", "--workers", workers)
+        assert code == 5
+        outs.append(out)
+    assert outs[1] == outs[0]
     failures = json.loads(outs[0])["failures"]
     assert [f["index"] for f in failures] == [i for i, f in enumerate(forms) if f == target]
+    assert len({f["semiring"] for f in failures}) == 6
     for f in failures:
         assert f == {"theorem": "THM_2_5", "conditions": {"stand_in": False, "holds": True},
                      "order": 3, "index": f["index"],
@@ -290,39 +286,17 @@ def test_the_verdicts_of_a_sweep_end_with_it(capsys, monkeypatch, labeled_by_ord
             if semiring_lab.canonical_form(t) == target]
 
 
-def test_an_iso_sweep_asks_no_class_key(capsys, monkeypatch):
-    # each table of an iso sweep is its own class
-    def refuse(a):
-        raise AssertionError("a class key was asked")
-
-    monkeypatch.setattr(cli, "_class_key", refuse)
-    for workers in ("1", "2"):
-        code, out, _ = run(capsys, "verify", "--max-order", "4", "--iso",
-                           "--workers", workers)
+def test_verify_judges_each_class_once_per_sweep(capsys, monkeypatch, iso_small):
+    # 92 classes up to order 3, labelled or not, and again in a second sweep
+    judged = []
+    judge = cli.judge_suite
+    monkeypatch.setattr(cli, "judge_suite",
+                        lambda a, suite: (judged.append((a.t.add, a.t.mul)), judge(a, suite))[1])
+    for argv in (("--max-order", "3"), ("--max-order", "3"), ("--max-order", "3", "--iso")):
+        del judged[:]
+        code, out, _ = run(capsys, "verify", *argv)
         assert code == 0
-        assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_ISO4_SHA256
-    with pytest.raises(AssertionError, match="a class key was asked"):
-        run(capsys, "verify", "--max-order", "1")
-
-
-def test_the_verdicts_are_keyed_by_the_canonical_rows(capsys, monkeypatch):
-    # each labelled table's key is its canonical form's + rows then . rows,
-    # and the verdicts held are of one order at a time
-    keys = []
-    class_key = cli._class_key
-
-    def spy(a):
-        assert list(cli._verdicts) == [a.t.order]
-        keys.append((a.t, class_key(a)))
-        return keys[-1][1]
-
-    monkeypatch.setattr(cli, "_class_key", spy)
-    code, out, _ = run(capsys, "verify", "--max-order", "4")
-    assert code == 0 and json.loads(out)["results"]["instances"] == len(keys) == 15504
-    for t, key in keys:
-        canon = semiring_lab.canonical_form(t)
-        assert key == bytes(itertools.chain(*canon.add, *canon.mul))
-    assert len({key for _, key in keys}) == 1 + 2 + 89 + 835
+        assert judged == [(t.add, t.mul) for t in iso_small]
 
 
 @pytest.mark.parametrize("workers", ["1", "2", "3"])
@@ -330,7 +304,7 @@ def test_verify_node_budget_is_per_order(capsys, workers):
     # an order's budget covers its band search and all its . searches; at
     # --max-order 3 the largest is order 3's, 502 nodes
     budget = _Budget(10 ** 6, 60.0)
-    for add, auts in bands(3, True, budget):
+    for add, auts in bands(3, budget):
         for _ in completions(add, auts, budget):
             pass
     assert 10 ** 6 - budget.nodes_left == 502
@@ -350,15 +324,17 @@ def test_verify_node_budget_is_per_order(capsys, workers):
 def test_an_order_over_budget_raises_before_a_later_order_yields(workers):
     # order 3 spends 502 nodes in all, so 498 run out within it: the sweep
     # raises before any order-4 table, however far the band search has run
-    # ahead of the jobs' charges
-    orders = Counter()
-    stream = sweep([EnumConfig(3, True, budget_nodes=498), EnumConfig(4, True)],
-                   workers, None)
-    with pytest.raises(semiring_lab.BudgetExceededError, match="node budget exhausted"):
-        for n, _, _ in stream:
-            orders[n] += 1
-    assert orders[4] == 0
-    assert_no_child()
+    # ahead of the jobs' charges.  Labelled, 700 nodes end order 3 after the
+    # 502 of its iso search and 191 tables, at a labelled band's end
+    for iso, nodes in ((True, 498), (False, 700)):
+        orders = Counter()
+        stream = sweep([EnumConfig(3, iso, budget_nodes=nodes), EnumConfig(4, iso)],
+                       workers, None)
+        with pytest.raises(semiring_lab.BudgetExceededError, match="node budget exhausted"):
+            for n, _, _, _ in stream:
+                orders[n] += 1
+        assert orders[4] == 0 and (iso or orders[3] == 191)
+        assert_no_child()
 
 
 def assert_no_child():
@@ -384,7 +360,7 @@ def _raises_on_some_order4_tables(a):
 
 def _slow_on_first_band(monkeypatch, n, secs):
     # patched before the workers are forked, so they see it too
-    first = next(bands(n, True, _Budget(10 ** 6, 60.0)))[0]
+    first = next(bands(n, _Budget(10 ** 6, 60.0)))[0]
     band_job = enumeration._band_job
 
     def slow_on_first(job):
@@ -439,8 +415,8 @@ def test_a_worker_killed_with_a_job_queued_for_it_ends_verify_with_exit_5(capsys
             signal.setitimer(signal.ITIMER_REAL, 0.05)
         return out
 
-    def slow_after_first_order4(n, up_to_iso, budget):
-        for k, band in enumerate(search(n, up_to_iso, budget)):
+    def slow_after_first_order4(n, budget):
+        for k, band in enumerate(search(n, budget)):
             if n == 4 and k:
                 time.sleep(0.2)
             yield band
@@ -479,8 +455,8 @@ def test_pooled_sweep_keeps_order_and_window_behind_a_slow_job(capsys, monkeypat
     search = enumeration.bands
     pulled = Counter()
 
-    def counted(n, up_to_iso, budget):
-        for band in search(n, up_to_iso, budget):
+    def counted(n, budget):
+        for band in search(n, budget):
             pulled[n] += 1
             yield band
 
@@ -523,8 +499,8 @@ VERIFY_LAB4_SHA256 = (
 
 
 def test_labelled_verify_order4_is_frozen_and_holds_no_instance_list(capsys):
-    # the verdicts of the 835 order-4 classes stay well within the bound of
-    # the iso sweep
+    # the results of the 835 order-4 classes, the band images and one
+    # labelled band's tables stay well within the bound of the iso sweep
     code, out, _ = run(capsys, "verify", "--max-order", "4", "--workers", "2")
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_LAB4_SHA256
@@ -544,10 +520,10 @@ def test_labelled_verify_order4_is_frozen_and_holds_no_instance_list(capsys):
 
 @pytest.mark.slow
 def test_labelled_verify_order5_is_frozen(capsys):
-    # about 90 s; digest frozen from the route that judged each labelled
-    # table on its own.  The labelled order-5 search needs more than the
-    # default 10 ** 7 nodes
-    code, out, _ = run(capsys, "verify", "--max-order", "5", "--budget-nodes", "100000000")
+    # about 7 s; digest frozen from the route that judged each labelled
+    # table on its own.  Order 5 spends 141207 + 844129 nodes, within the
+    # default 10 ** 7
+    code, out, _ = run(capsys, "verify", "--max-order", "5")
     assert code == 0 and json.loads(out)["results"]["instances"] == 859633
     assert hashlib.sha256(out.encode()).hexdigest() == (
         "2de1f5d9f2cadbf72fe2f2b9ccfaef9fc65134d08dd2422a51e63624db937f77")
@@ -615,6 +591,14 @@ def test_enumerate_iso4_stream_is_frozen(capsys):
         "3cd1401624e01657e56eb31622723e69ad9e81b9b6791d1bc98f2097d824c043")
 
 
+def test_labelled_enumerate_filter_order4_is_frozen(capsys):
+    # digest frozen while each labelled table was judged on its own
+    code, out, _ = run(capsys, "enumerate", "-n", "4", "--filter", "D_dot")
+    assert code == 0 and len(out.split("%%\n")) == 2220
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "2778da9a8b9ade28eb0451723658fe55d69f93cd488e61686815d9af38ab027a")
+
+
 def test_enumerate_filter_and_stream(capsys):
     code, out, _ = run(capsys, "enumerate", "-n", "2", "--iso",
                        "--filter", "D_dot")
@@ -675,12 +659,14 @@ def test_enumerate_exhausted_budget_leaves_a_prefix(capsys, tmp_path):
     code, full, _ = run(capsys, "enumerate", "-n", "3")
     records = full.split("%%\n")
     assert code == 0 and len(records) == 379
-    code, part, err = run(capsys, "enumerate", "-n", "3", "--budget-nodes", "1000")
+    # 502 nodes of the iso search, then one per table: 700 end after 191
+    code, part, err = run(capsys, "enumerate", "-n", "3", "--budget-nodes", "700")
     assert code == 4 and "node budget exhausted" in err
     kept = part.split("%%\n")
     assert 0 < len(kept) < 379 and kept == records[:len(kept)]
+    assert len(kept) == 191
     out_dir = tmp_path / "stream"
-    code, _, _ = run(capsys, "enumerate", "-n", "3", "--budget-nodes", "1000",
+    code, _, _ = run(capsys, "enumerate", "-n", "3", "--budget-nodes", "700",
                      "--out", str(out_dir))
     assert code == 4
     assert sorted(os.listdir(out_dir)) == ["semiring_%04d.txt" % i for i in range(len(kept))]
@@ -944,6 +930,14 @@ def test_explore_sigma_iso4_is_frozen(capsys):
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == (
         "36bf07cd37f6a39b10c5caa7e93b358aef59500c1c1bc6f42bc7f64f83755c5f")
+
+
+def test_labelled_explore_sigma_order4_is_frozen(capsys):
+    # digest frozen while each labelled table was judged on its own
+    code, out, _ = run(capsys, "explore-sigma", "--max-order", "4")
+    assert code == 0 and json.loads(out)["results"]["instances"] == 15504
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "f084324150dca713e12dbd22d8654917b1c1dc80ecded749c7bb0b23e57a7c0d")
 
 
 def test_analyze_reports_up_to_order4_are_frozen(capsys, tmp_path, iso_upto4):

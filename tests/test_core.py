@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 import semiring_lab as sl
 from semiring_lab import core
 from semiring_lab.core import _AXIOMS, Add, Mul, Var, _canonical_labelling, _instances
-from semiring_lab.varieties import THEOREM_IDENTITIES, Analysis
+from semiring_lab.varieties import THEOREM_IDENTITIES
 
 from conftest import (canonical_labelling_by_scan, failures_by_eval_term,
                       is_isomorphic_by_search, preserves_operations,
@@ -516,9 +516,9 @@ def test_is_isomorphic_finds_seeded_relabellings(iso4):
         assert sl.canonical_form(t) == s
 
 
-def _assert_labelling_matches_the_full_scan(t, least_add=None):
+def _assert_labelling_matches_the_full_scan(t):
     key, perm = canonical_labelling_by_scan(t)
-    assert _canonical_labelling(t, least_add) == (key, perm)
+    assert _canonical_labelling(t) == (key, perm)
     canon = sl.canonical_form(t)
     assert canon.add + canon.mul == key
     # the canonical form's own first labelling is the identity
@@ -528,12 +528,11 @@ def _assert_labelling_matches_the_full_scan(t, least_add=None):
 def test_canonical_labelling_matches_the_full_scan(labeled_by_order):
     # the least + first, then the least . over the bijections attaining it:
     # the full scan's key and first bijection on every labelled table up to
-    # order 4, with the + stage shared by a band's tables and, through
-    # canonical_form and is_isomorphic, computed per table
+    # order 4, directly and through canonical_form and is_isomorphic
     for n in (1, 2, 3, 4):
         tables = labeled_by_order[n] if n < 4 else sl.all_idempotent_semirings(4)
         for t in tables:
-            _assert_labelling_matches_the_full_scan(t, Analysis(t).band.least)
+            _assert_labelling_matches_the_full_scan(t)
         assert len(tables) == (1, 16, 379, 15108)[n - 1]
 
 

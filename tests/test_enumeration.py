@@ -3,6 +3,7 @@ import functools
 import itertools
 import math
 import pickle
+import types
 
 import pytest
 from hypothesis import given, settings
@@ -15,7 +16,7 @@ from semiring_lab.enumeration import (DEFAULT_NODE_BUDGET, _assoc_ok, _Budget, _
                                       _distributive_domain, _forced, bands,
                                       completions)
 
-from conftest import dual, naive_labeled_pairs
+from conftest import dual, labelled_bands, labelled_search, naive_labeled_pairs
 
 # counts computed once with naive_labeled_count and frozen; the live
 # oracle comparison below keeps the generator honest regardless.  Order 4
@@ -167,8 +168,8 @@ def test_orderly_pruning_keeps_the_leaf_filtered_stream(n, bands, completions, i
 def test_band_stream_is_the_leaf_filtered_band_stream(n):
     # in order: every labelled band, then the full least-band filter
     budget = _Budget(10 ** 7, 1800.0)
-    assert list(bands(n, False, budget)) == [(add, []) for add in _labelled_bands(n)]
-    found, expected = list(bands(n, True, budget)), _leaf_filtered_bands(n)
+    assert tuple(labelled_bands(n, budget)) == _labelled_bands(n)
+    found, expected = list(bands(n, budget)), _leaf_filtered_bands(n)
     assert [add for add, _ in found] == [add for add, _ in expected]
     # the automorphisms, identity left out, each with its inverse
     assert [[p for p, _ in auts] for _, auts in found] == \
@@ -181,7 +182,7 @@ def test_band_stream_is_the_leaf_filtered_band_stream(n):
                                               (5, 251, 16727)])
 def test_least_bands_and_their_orbit_sums(n, least, orbits):
     # sum of n!/|Aut(B)| over the least bands counts the labelled bands
-    found = list(bands(n, True, _Budget(10 ** 7, 1800.0)))
+    found = list(bands(n, _Budget(10 ** 7, 1800.0)))
     assert len(found) == least
     assert sum(math.factorial(n) // (1 + len(auts)) for _, auts in found) == orbits
     if n < 5:
@@ -192,7 +193,7 @@ def test_order6_least_bands():
     # about 1 s; 126096 nodes when every value was tried at every cell,
     # and 120 M for the labelled order-6 band search
     budget = _Budget(63545, 1800.0)
-    found = list(bands(6, True, budget))
+    found = list(bands(6, budget))
     assert len(found) == 1682
     assert sum(720 // (1 + len(auts)) for _, auts in found) == 681232
     assert budget.nodes_left == 0
@@ -323,7 +324,7 @@ def test_resumed_band_search_is_the_restart_search(n):
 def test_resumed_dot_searches_are_the_restart_searches(n):
     # under every least band, with its automorphisms
     with_auts = 0
-    for add, auts in bands(n, True, _Budget(10 ** 7, 1800.0)):
+    for add, auts in bands(n, _Budget(10 ** 7, 1800.0)):
         resumed, restarted = _resumed_and_restarted(n, _distributive_domain(add), auts)
         assert resumed == restarted
         with_auts += bool(auts)
@@ -376,9 +377,11 @@ def test_dot_domains_keep_the_check_only_search(n, up_to_iso, nodes, check_only)
     # every . search under the least bands with their automorphisms, or
     # under every labelled band with none: the same tables, automorphisms
     # and order; the check-only search spends the node counts of the search
-    # before value sets (the labelled order-3 stream took 222 + 3372 = 3594)
+    # before value sets (the labelled order-3 search took 222 + 3372 = 3594)
     spent = [0, 0]
-    for add, auts in bands(n, up_to_iso, _Budget(10 ** 7, 1800.0)):
+    budget = _Budget(10 ** 7, 1800.0)
+    for add, auts in (bands(n, budget) if up_to_iso else
+                      ((add, []) for add in labelled_bands(n, budget))):
         domain = _domain_checked(n, _distributive_domain(add), _check_only(add))
         found = _searched(n, domain, _assoc_ok, auts)
         expected = _searched(n, _every(n), _check_only(add), auts)
@@ -443,7 +446,7 @@ def test_orbit_counting_reconciles(n, iso4):
     # labeled count; the automorphisms completions finds at each leaf are
     # exactly the non-identity relabellings that fix its table
     budget = _Budget(DEFAULT_NODE_BUDGET, 1800.0)
-    leaves = [(add, mul, auts) for add, band_auts in bands(n, True, budget)
+    leaves = [(add, mul, auts) for add, band_auts in bands(n, budget)
               for mul, auts in completions(add, band_auts, budget)]
     reps = _iso_reps(n, iso4)
     assert [(t.add, t.mul) for t in reps] == [(add, mul) for add, mul, _ in leaves]
@@ -473,6 +476,64 @@ def test_stream_is_deterministic():
     assert first == second
 
 
+def _orbit_stream_and_labelled_search(n):
+    """The (add, mul) of the labelled stream of order n, then of the
+    labelled search, with the nodes that search spends."""
+    budget = _Budget(10 ** 8, 1800.0)
+    stream = [(t.add, t.mul) for t in sl.enumerate_idempotent_semirings(sl.EnumConfig(n))]
+    return stream, list(labelled_search(n, budget)), 10 ** 8 - budget.nodes_left
+
+
+@pytest.mark.parametrize("n, tables, nodes", [(1, 1, 0), (2, 16, 30), (3, 379, 1750),
+                                              (4, 15108, 132868)])
+def test_orbit_stream_is_the_labelled_search(n, tables, nodes):
+    # table by table, in order
+    stream, searched, spent = _orbit_stream_and_labelled_search(n)
+    assert len(stream) == tables and stream == searched
+    assert spent == nodes
+
+
+@pytest.mark.slow
+def test_orbit_stream_is_the_labelled_search_at_order5():
+    # about 50 s; run with `pytest -m slow`
+    stream, searched, spent = _orbit_stream_and_labelled_search(5)
+    assert len(stream) == 844129 and stream == searched
+    assert spent == 13835350
+
+
+def test_each_labelled_table_carries_its_canonical_forms_class():
+    # metamorphic: the class whose check result a labelled table carries is
+    # the one whose representative is its canonical form
+    def rows(a):
+        return a.t.add, a.t.mul
+
+    for n, index, t, rep in enumeration.sweep([sl.EnumConfig(n) for n in (1, 2, 3)], 1, rows):
+        canon = sl.canonical_form(t)
+        assert rep == (canon.add, canon.mul), (n, index)
+    assert (n, index) == (3, 378)
+
+
+def test_the_clock_is_read_before_each_labelled_band(monkeypatch):
+    # the clock stands still until the first labelled band has been yielded,
+    # then passes the deadline: the stream ends at that band's end
+    first = [(t.add, t.mul) for t in sl.all_idempotent_semirings(3)[:9]]
+    now, orbits = [0.0], enumeration._orbits
+
+    def late(*args):
+        for item in orbits(*args):
+            yield item
+            now[0] = 3600.0
+
+    monkeypatch.setattr(enumeration, "time", types.SimpleNamespace(monotonic=lambda: now[0]))
+    monkeypatch.setattr(enumeration, "_orbits", late)
+    kept = []
+    with pytest.raises(sl.BudgetExceededError, match="wall-clock budget exhausted"):
+        for t in sl.enumerate_idempotent_semirings(sl.EnumConfig(3, budget_secs=60.0)):
+            kept.append(t)
+    assert [(t.add, t.mul) for t in kept] == first  # one + table's
+    assert len({t.add for t in kept}) == 1
+
+
 def test_budget_exhaustion_is_an_error():
     cfg = sl.EnumConfig(order=3, budget_nodes=50)
     with pytest.raises(sl.BudgetExceededError):
@@ -480,12 +541,13 @@ def test_budget_exhaustion_is_an_error():
 
 
 def test_node_budget_pins_the_pruning():
-    # the labelled order-3 search visits exactly 1750 nodes (3594 when
+    # a labelled order-3 stream spends the 502 nodes of the iso search and
+    # one per table, 502 + 379; the labelled search visits 1750 (3594 when
     # every value was tried at every cell)
-    cfg = sl.EnumConfig(order=3, budget_nodes=1750)
+    cfg = sl.EnumConfig(order=3, budget_nodes=881)
     assert len(list(sl.enumerate_idempotent_semirings(cfg))) == 379
     with pytest.raises(sl.BudgetExceededError):
-        list(sl.enumerate_idempotent_semirings(sl.EnumConfig(order=3, budget_nodes=1749)))
+        list(sl.enumerate_idempotent_semirings(sl.EnumConfig(order=3, budget_nodes=880)))
 
 
 @pytest.mark.parametrize("n, nodes, classes", [(3, 502, 81), (4, 8522, 835)])
@@ -504,7 +566,7 @@ def _iso_classes(n, budget):
     """The number of classes and, by orbit-stabilizer, of labelled tables:
     n!/|Aut(S)| in each class, |Aut(S)| being one more than the
     automorphisms completions finds at its leaf."""
-    sizes = [1 + len(auts) for add, band_auts in bands(n, True, budget)
+    sizes = [1 + len(auts) for add, band_auts in bands(n, budget)
              for _, auts in completions(add, band_auts, budget)]
     return len(sizes), sum(math.factorial(n) // size for size in sizes)
 
@@ -528,6 +590,8 @@ def test_order6_iso_count():
 
 def test_iso_search_completes_only_least_bands():
     # the labelled order-4 search alone needs 132868 nodes
+    # (test_orbit_stream_is_the_labelled_search); the labelled stream
+    # spends 8522 + 15108
     cfg = sl.EnumConfig(order=4, up_to_iso=True, budget_nodes=100_000)
     assert len(list(sl.enumerate_idempotent_semirings(cfg))) == 835
 
@@ -542,7 +606,7 @@ def _dot_first_classes(n, budget):
     through an index of the (x, y, z) per pair of products."""
     every = (1 << n) - 1
     found = []
-    for mul, auts in bands(n, True, budget):
+    for mul, auts in bands(n, budget):
         as_left = [[[] for _ in range(n)] for _ in range(n)]  # xy+xz
         as_right = [[[] for _ in range(n)] for _ in range(n)]  # yx+zx
         for x, y, z in itertools.product(range(n), repeat=3):

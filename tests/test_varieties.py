@@ -487,13 +487,13 @@ def test_a_band_job_reads_each_additive_fact_once(monkeypatch, iso4):
                         counting("regular", regular.failures))
     suite = tuple(sorted(THEOREMS))
     tables, shared = 0, 0
-    for add, auts in sl.enumeration.bands(4, True, _Budget(10 ** 6, 60.0)):
+    for add, auts in sl.enumeration.bands(4, _Budget(10 ** 6, 60.0)):
         calls.clear()
         job_add[:] = [add]
-        job = (partial(cli._verify_one, suite, True), 4, add, auts, 10 ** 6, time.monotonic() + 60)
-        _, _, found = sl.enumeration._band_job(job)
-        count, failures = len(found), sum(found, [])
-        assert failures == []
+        job = (partial(cli._verify_one, suite), 4, add, auts, 10 ** 6, time.monotonic() + 60)
+        _, _, _, found = sl.enumeration._band_job(job)
+        count = len(found)
+        assert [failures for _, _, failures in found] == [()] * count
         in_bi = any(sl.in_variety(sl.SemiringTable.from_rows(add, mul), "Bi")
                     for mul, _ in sl.enumeration.completions(add, auts, _Budget(10 ** 6, 60.0)))
         assert calls["_green", True] == calls["_transpose", True] == 1, calls
@@ -547,7 +547,7 @@ def test_shared_analysis_computes_each_relation_once(monkeypatch, dl2, golden3):
         calls.clear()
         checked.clear()
         del sigma_of[:]
-        assert cli._verify_one(suite, True, sl.Analysis(t)) == []
+        assert cli._verify_one(suite, sl.Analysis(t)) == ()
         # one _green per reduct; sigma once, on t (twice while LEMMA_4_2's
         # quotient had an Analysis of its own); 8 idempotency checks of t,
         # one per Malcev call, while the Analysis checked
@@ -555,7 +555,7 @@ def test_shared_analysis_computes_each_relation_once(monkeypatch, dl2, golden3):
         assert sum(x is t for x in checked) == 1, checked
         assert calls["eta"] <= 1 and calls["parse_term"] == 0, calls
         calls.clear()
-        cli._verify_one(suite, True, sl.Analysis(t))
+        cli._verify_one(suite, sl.Analysis(t))
         assert calls["compile"] == 0, calls
 
 
@@ -583,7 +583,7 @@ def test_sweep_tests_each_congruence_and_builds_each_product_once(monkeypatch, i
                         counting("is_equivalence", relations.BinRelation.is_equivalence))
     suite = tuple(sorted(THEOREMS))
     for t in iso4:
-        assert cli._verify_one(suite, True, sl.Analysis(t)) == []
+        assert cli._verify_one(suite, sl.Analysis(t)) == ()
     # 2 413 and 9 133 while quotient re-tested and every call built a
     # product; 783 while LEMMA_4_2 built one per D-dot quotient, none while
     # a membership first asked left its names unchecked; 15 333 while verify
@@ -644,7 +644,7 @@ def test_theorem_sweep_retains_no_memory(labeled_by_order):
         for t in instances:
             for tid in THEOREMS:
                 sl.verify_theorem(t, tid)
-            cli._verify_one(suite, True, sl.Analysis(t))
+            cli._verify_one(suite, sl.Analysis(t))
         gc.collect()
         retained = tracemalloc.get_traced_memory()[0] - before
     finally:
