@@ -195,22 +195,25 @@ def cmd_enumerate(args, started: float) -> int:
         print("enumerate: %d semirings of order %d" % (count, args.n),
               file=sys.stderr)
         return EXIT_OK
-    # records are written as they arrive (on exit 4, a prefix of the
-    # stream), files at width 4, renamed at the end if the count is wider
+    # records are written as they arrive (on exit 4, a prefix of the stream),
+    # files at width 4, renamed on any exit if the count written is wider
     count = 0
     if args.out:
         os.makedirs(args.out, exist_ok=True)
-    for count, t in enumerate(stream, 1):
-        rec = format_semiring_text(t)
-        if args.out:
-            with open(_record_path(args.out, 4, count - 1), "w") as fh:
-                fh.write(rec)
-        else:
-            sys.stdout.write(rec if count == 1 else "%%\n" + rec)
-    width = len(str(count))
-    if args.out and width > 4:
-        for i in range(count):
-            os.rename(_record_path(args.out, 4, i), _record_path(args.out, width, i))
+    try:
+        for t in stream:
+            rec = format_semiring_text(t)
+            if args.out:
+                with open(_record_path(args.out, 4, count), "w") as fh:
+                    fh.write(rec)
+            else:
+                sys.stdout.write(rec if count == 0 else "%%\n" + rec)
+            count += 1
+    finally:
+        width = len(str(count))
+        if args.out and width > 4:
+            for i in range(count):
+                os.rename(_record_path(args.out, 4, i), _record_path(args.out, width, i))
     if args.out:
         print("enumerate: wrote %d files to %s" % (count, args.out), file=sys.stderr)
     else:

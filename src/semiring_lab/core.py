@@ -10,8 +10,9 @@ assumed about a table until ``validate_semiring`` has been run on it.
 from __future__ import annotations
 
 import itertools
-from functools import cache, cached_property
-from typing import Callable, Dict, Iterator, NamedTuple, Optional, Sequence, Tuple, Union
+from functools import cache, cached_property, lru_cache
+from operator import itemgetter
+from typing import Callable, Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 
 class SemiringFormatError(ValueError):
@@ -44,12 +45,23 @@ def _default_names(n: int) -> Tuple[str, ...]:
     return tuple("e%d" % i for i in range(n))
 
 
-def _relabel_rows(rows: Sequence[Sequence[int]], perm: Sequence[int]
-                  ) -> Tuple[Tuple[int, ...], ...]:
-    """The table `rows` under the bijection i -> perm[i]: cell (a, b) of
-    the result is perm[rows[inv[a]][inv[b]]]."""
-    inv = sorted(range(len(perm)), key=perm.__getitem__)
-    return tuple([tuple([perm[rows[a][b]] for b in inv]) for a in inv])
+def _relabelling(p: Sequence[int]) -> Tuple[List[int], Callable[[bytes], bytes]]:
+    """The inverse q of the bijection i -> p[i], and the map carrying a
+    table, as its row-major bytes, to its image: cell (a, b) of the image
+    is p[cell (q a, q b)]."""
+    n = len(p)
+    q = sorted(range(n), key=p.__getitem__)
+    # the extra index, whose byte is cut, makes the getter return a tuple at n = 1
+    cells = itemgetter(*[q[a] * n + q[b] for a in range(n) for b in range(n)], 0)
+    values = bytes(p).ljust(256, b"\0")
+    return q, lambda flat: bytes(cells(flat)).translate(values)[:-1]
+
+
+@lru_cache(maxsize=1)
+def _bijections(n: int) -> Tuple[Tuple[Tuple[int, ...], List[int], Callable[[bytes], bytes]], ...]:
+    """(p, q, map) of _relabelling(p) for every bijection p of range(n), in
+    lexicographic order, the identity first; held for the last n asked."""
+    return tuple((p, *_relabelling(p)) for p in itertools.permutations(range(n)))
 
 
 class SemiringTable(NamedTuple):
@@ -92,15 +104,15 @@ class SemiringTable(NamedTuple):
                              tuple(map(tuple, mul_rows)))
 
     def relabel(self, perm: Sequence[int]) -> "SemiringTable":
-        """Apply the bijection i -> perm[i] to the carrier; any other map
-        is refused."""
+        """Apply the bijection i -> perm[i] to the carrier, of order at most
+        256 as the tables pass through bytes; any other map is refused."""
         if sorted(perm) != list(range(self.order)):
             raise PreconditionError("%r is not a permutation of range(%d)"
                                     % (list(perm), self.order))
-        inv = sorted(range(self.order), key=perm.__getitem__)
-        return SemiringTable(self.order, tuple(self.names[k] for k in inv),
-                             _relabel_rows(self.add, perm),
-                             _relabel_rows(self.mul, perm))
+        n, (q, image) = self.order, _relabelling(perm)
+        return SemiringTable(n, tuple(self.names[k] for k in q), *(
+            tuple(zip(*[iter(image(bytes(itertools.chain(*rows))))] * n))
+            for rows in (self.add, self.mul)))
 
     def __repr__(self) -> str:
         return "SemiringTable(order=%d, names=%r)" % (self.order, list(self.names))
@@ -110,13 +122,10 @@ def _canonical_labelling(t: SemiringTable
                          ) -> Tuple[Tuple[Tuple[int, ...], ...], Tuple[int, ...]]:
     """The least relabelling of t, as its + rows then its . rows, which
     isomorphic tables and only they share, and the first bijection
-    i -> perm[i] attaining it.  The + rows compare first, so this is the
-    least relabelled . over the bijections making + least."""
-    perms = list(itertools.permutations(range(t.order)))
-    adds = [_relabel_rows(t.add, p) for p in perms]
-    add = min(adds)
-    mul, perm = min((_relabel_rows(t.mul, p), p) for key, p in zip(adds, perms) if key == add)
-    return add + mul, perm
+    i -> perm[i] attaining it: row-major bytes compare as their rows do."""
+    n, add, mul = t.order, bytes(itertools.chain(*t.add)), bytes(itertools.chain(*t.mul))
+    key, perm = min((image(add) + image(mul), p) for p, _, image in _bijections(n))
+    return tuple(zip(*[iter(key)] * n)), perm
 
 
 def canonical_form(t: SemiringTable) -> SemiringTable:
@@ -138,8 +147,7 @@ def is_isomorphic(s: SemiringTable, t: SemiringTable
     (s_key, s_perm), (t_key, t_perm) = _canonical_labelling(s), _canonical_labelling(t)
     if s_key != t_key:
         return None
-    t_inv = sorted(range(t.order), key=t_perm.__getitem__)
-    return tuple(t_inv[c] for c in s_perm)
+    return tuple(map(_relabelling(t_perm)[0].__getitem__, s_perm))
 
 
 # ---------------------------------------------------------------------------

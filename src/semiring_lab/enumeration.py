@@ -36,7 +36,7 @@ from typing import Callable, Dict, Iterator, List, NamedTuple, Optional, Sequenc
 
 from .congruences import DEFAULT_ORDER_BOUND
 from .core import (BudgetExceededError, InternalConsistencyError, PreconditionError,
-                   ResourceBoundError, SemiringTable, _Checked, _default_names)
+                   ResourceBoundError, SemiringTable, _bijections, _Checked, _default_names)
 from .varieties import Analysis, malcev_product
 
 DEFAULT_NODE_BUDGET = 10 ** 7
@@ -150,8 +150,7 @@ def _forced(table: _Partial, pre: _Index, i: int, j: int, m: int) -> int:
 
 _Domain = Callable[[_Partial, _Index, int, int], int]
 _Check = Callable[[_Partial, _Index, int, int], bool]
-# a relabelling as (perm, inverse)
-Relabelling = Tuple[Sequence[int], Sequence[int]]
+Relabelling = Tuple[Sequence[int], Sequence[int]]  # (perm, inverse)
 
 
 def _complete(n: int, domain: _Domain, ok: _Check, perms: List[Relabelling],
@@ -232,9 +231,7 @@ def bands(n: int, budget: _Budget) -> Iterator[Tuple[Rows, List[Relabelling]]]:
     """The + tables of order n that are their own least relabelling, depth
     first, each with its non-identity automorphisms (proof in
     enumerate_idempotent_semirings)."""
-    # the identity, first, fixes every table
-    perms = [(p, sorted(range(n), key=p.__getitem__))
-             for p in itertools.permutations(range(n))][1:]
+    perms = [(p, q) for p, q, _ in _bijections(n)[1:]]  # the identity fixes every table
     every = (1 << n) - 1
     for add, auts in _complete(n, lambda tab, pre, i, j: _forced(tab, pre, i, j, every),
                                _assoc_ok, perms, budget):
@@ -353,9 +350,11 @@ def enumerate_idempotent_semirings(cfg: EnumConfig) -> Iterator[SemiringTable]:
     The stream runs through sweep, so it yields a band's tables once the
     band is complete.  The node budget counts an order's iso search nodes
     and, labelled, one per table, charged (and the clock read) for each
-    labelled band before it is yielded.  Exceeding the budget raises
-    BudgetExceededError after the last complete band; consumers must treat
-    a truncated stream as failure, never as a complete enumeration.
+    labelled band before it is yielded.  Labelled order 6 needs 2 524 682 +
+    63 093 228 = 65 617 910, above the default, so budget_nodes=10**8
+    (--budget-nodes 100000000).  Exceeding the budget raises
+    BudgetExceededError after the last complete band; consumers must treat a
+    truncated stream as failure, never as a complete enumeration.
     """
     for _, _, t, member in sweep([cfg], 1, cfg.filter and methodcaller("member", *cfg.filter)):
         if cfg.filter is None or member:
@@ -516,10 +515,8 @@ def sweep(cfgs: List[EnumConfig], workers: int, check: Optional[Callable[[Analys
             yield check, cfg.order, None, None, 0, 0.0
 
     index = {cfg.order: itertools.count() for cfg in cfgs}  # over each order's tables
-    # a labelled order's least bands, with their tables' . cells and results;
-    # order 1 has one table, its own class
-    least: Dict[int, list] = {cfg.order: [] for cfg in cfgs
-                              if not cfg.up_to_iso and cfg.order > 1}
+    # a labelled order's least bands, with their tables' . cells and results
+    least: Dict[int, list] = {cfg.order: [] for cfg in cfgs if not cfg.up_to_iso}
     with (closing(_farm(workers, jobs())) if workers > 1
           else nullcontext(map(_band_job, jobs()))) as results:
         for n, nodes, add, found in results:
@@ -535,25 +532,17 @@ def sweep(cfgs: List[EnumConfig], workers: int, check: Optional[Callable[[Analys
 
 
 def _orbits(n: int, least: list, budget: _Budget) -> Iterator[Tuple[Rows, Rows, object]]:
-    """The + and . rows of each labelled table of order n > 1, with its
-    class's result, in stream order, by the orbit lemma at
-    enumerate_idempotent_semirings; a table is relabelled as bytes, its
-    cells reordered, then its values."""
-    perms = list(itertools.permutations(range(n)))
-    cells = [itemgetter(*[inv[a] * n + inv[b] for a in range(n) for b in range(n)])
-             for inv in (sorted(range(n), key=p.__getitem__) for p in perms)]
-    values = [bytes(p).ljust(256, b"\0") for p in perms]
-
-    def relabel(flat: bytes, k: int) -> bytes:
-        return bytes(cells[k](flat)).translate(values[k])
-
+    """The + and . rows of each labelled table of order n, each relabelled
+    as bytes by _bijections(n), with its class's result, in stream order,
+    by the orbit lemma at enumerate_idempotent_semirings."""
+    maps = [image for _, _, image in _bijections(n)]
     # each least band's images, as their cells then its number and the bijection's
-    images = sorted(relabel(flat, k) + (b * len(perms) + k).to_bytes(6, "big")
+    images = sorted(image(flat) + (b * len(maps) + k).to_bytes(6, "big")
                     for b, flat in enumerate(bytes(itertools.chain(*add)) for add, _ in least)
-                    for k in range(len(perms)))
+                    for k, image in enumerate(maps))
     for band, coset in itertools.groupby(images, itemgetter(slice(n * n))):
-        coset = [divmod(int.from_bytes(image[n * n:], "big"), len(perms)) for image in coset]
-        tables = {relabel(mul, k): result for b, k in coset for mul, result in least[b][1]}
+        coset = [divmod(int.from_bytes(image[n * n:], "big"), len(maps)) for image in coset]
+        tables = {maps[k](mul): result for b, k in coset for mul, result in least[b][1]}
         budget.charge(len(tables))
         add = tuple(zip(*[iter(band)] * n))
         for mul, result in sorted(tables.items()):

@@ -87,6 +87,14 @@ def iso_upto4(iso_small, iso4):
     return iso_small + iso4
 
 
+def _relabel_rows(rows, perm):
+    """The table `rows` under the bijection i -> perm[i]: cell (a, b) of
+    the result is perm[rows[inv[a]][inv[b]]] (oracle for the relabelling
+    maps of core._bijections)."""
+    inv = sorted(range(len(perm)), key=perm.__getitem__)
+    return tuple([tuple([perm[rows[a][b]] for b in inv]) for a in inv])
+
+
 def set_partitions(n):
     """All partitions of range(n) as canonical label tuples (oracle)."""
     if n == 0:
@@ -165,8 +173,7 @@ def canonical_labelling_by_scan(t: SemiringTable
     relabellings of both tables (oracle for core._canonical_labelling)."""
     best = None
     for perm in itertools.permutations(range(t.order)):
-        r = t.relabel(perm)
-        key = r.add + r.mul
+        key = _relabel_rows(t.add, perm) + _relabel_rows(t.mul, perm)
         if best is None or key < best[0]:
             best = key, perm
     return best

@@ -429,6 +429,34 @@ def test_a_worker_killed_with_a_job_queued_for_it_ends_verify_with_exit_5(capsys
     assert_no_child()
 
 
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_the_band_searchs_own_exception_is_raised_at_its_place(monkeypatch, workers):
+    # the band search raises after k order-4 bands, in next(jobs) rather
+    # than in a job: the sweep yields the tables of order 3 and of those k
+    # bands, then raises, and leaves no child
+    search, k = enumeration.bands, 5
+    cfgs = [EnumConfig(n, up_to_iso=True) for n in (3, 4)]
+    first = [add for add, _ in search(4, _Budget(10 ** 7, 1800.0))][:k]
+    serial = list(sweep(cfgs, 1, None))
+    kept = [item for item in serial if item[0] == 3 or item[2].add in first]
+    assert len({item[2].add for item in kept if item[0] == 4}) == k
+    assert kept == serial[:len(kept)]
+
+    def fail_after_k(n, budget):
+        for i, band in enumerate(search(n, budget)):
+            if n == 4 and i == k:
+                raise ValueError("band search failed")
+            yield band
+
+    monkeypatch.setattr(enumeration, "bands", fail_after_k)
+    stream = []
+    with pytest.raises(ValueError, match="band search failed"):
+        for item in sweep(cfgs, workers, None):
+            stream.append(item)
+    assert stream == kept
+    assert_no_child()
+
+
 def test_closing_a_pooled_sweep_kills_and_reaps_its_workers(monkeypatch):
     band_job = enumeration._band_job
 
@@ -674,6 +702,22 @@ def test_enumerate_exhausted_budget_leaves_a_prefix(capsys, tmp_path):
             for i in range(len(kept))] == kept
 
 
+def test_enumerate_exhausted_budget_names_its_prefix_at_the_full_width(capsys, tmp_path):
+    # 8 522 nodes of the iso search, then one per table: 20 000 end after
+    # 11 477 records, so the files are renamed to width 5 on exit 4 too and
+    # their names sort in stream order
+    code, full, _ = run(capsys, "enumerate", "-n", "4")
+    records = full.split("%%\n")
+    assert code == 0 and len(records) == 15108
+    out_dir = tmp_path / "stream"
+    code, _, err = run(capsys, "enumerate", "-n", "4", "--budget-nodes", "20000",
+                       "--out", str(out_dir))
+    assert code == 4 and "node budget exhausted" in err
+    names = ["semiring_%05d.txt" % i for i in range(11477)]
+    assert sorted(os.listdir(out_dir)) == names
+    assert [(out_dir / name).read_text() for name in names] == records[:11477]
+
+
 def test_enumerate_to_unwritable_directory(capsys, tmp_path):
     blocker = tmp_path / "plain_file"
     blocker.write_text("")
@@ -759,8 +803,8 @@ def test_enumerate_budget_exhaustion(capsys):
 
 
 def test_enumerate_wall_clock_budget_exhaustion(capsys):
-    # the clock is first sampled after 1664 nodes; the order-5 band
-    # search alone takes 6414
+    # the first band's job is charged, and the clock read, before the band
+    # search's spend first samples it after 1664 nodes
     code, out, err = run(capsys, "enumerate", "-n", "5", "--iso", "--count-only",
                          "--budget-secs", "1e-6")
     assert (code, out) == (4, "")

@@ -12,7 +12,7 @@ from semiring_lab import core
 from semiring_lab.core import _AXIOMS, Add, Mul, Var, _canonical_labelling, _instances
 from semiring_lab.varieties import THEOREM_IDENTITIES
 
-from conftest import (canonical_labelling_by_scan, failures_by_eval_term,
+from conftest import (_relabel_rows, canonical_labelling_by_scan, failures_by_eval_term,
                       is_isomorphic_by_search, preserves_operations,
                       relabel_seeded, violations_by_loops)
 
@@ -463,6 +463,26 @@ def test_relabel_refuses_a_map_that_is_not_a_bijection(iso_small):
     for perm in ([0, 0, 1], [0, 1, 5], [0, 1]):
         with pytest.raises(sl.PreconditionError, match="not a permutation"):
             t.relabel(perm)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_every_bijection_relabels_as_the_rows_oracle(n):
+    # each map of _bijections(n), and SemiringTable.relabel, against the rows
+    # comprehension, on tables that need satisfy no axiom
+    rng = random.Random(n)
+    add = [[rng.randrange(n) for _ in range(n)] for _ in range(n)]
+    mul = [[(a * 2 + b) % n for b in range(n)] for a in range(n)]
+    t = sl.SemiringTable.from_rows(add, mul, list("abcde")[:n])
+    bijections = core._bijections(n)
+    assert [p for p, _, _ in bijections] == list(itertools.permutations(range(n)))
+    for p, q, image in bijections:
+        assert [p[c] for c in q] == list(range(n))
+        for rows in (t.add, t.mul):
+            flat = bytes(itertools.chain(*rows))
+            assert tuple(zip(*[iter(image(flat))] * n)) == _relabel_rows(rows, p)
+        r = t.relabel(p)
+        assert (r.add, r.mul) == (_relabel_rows(t.add, p), _relabel_rows(t.mul, p))
+        assert [r.names[p[k]] for k in range(n)] == list(t.names)
 
 
 def _invert(perm):

@@ -4,19 +4,19 @@ import itertools
 import math
 import pickle
 import types
+from operator import attrgetter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import semiring_lab as sl
-from semiring_lab.core import _relabel_rows
 from semiring_lab import enumeration, varieties
 from semiring_lab.enumeration import (DEFAULT_NODE_BUDGET, _assoc_ok, _Budget, _complete,
                                       _distributive_domain, _forced, bands,
                                       completions)
 
-from conftest import dual, labelled_bands, labelled_search, naive_labeled_pairs
+from conftest import _relabel_rows, dual, labelled_bands, labelled_search, naive_labeled_pairs
 
 # counts computed once with naive_labeled_count and frozen; the live
 # oracle comparison below keeps the generator honest regardless.  Order 4
@@ -511,6 +511,31 @@ def test_each_labelled_table_carries_its_canonical_forms_class():
         canon = sl.canonical_form(t)
         assert rep == (canon.add, canon.mul), (n, index)
     assert (n, index) == (3, 378)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_labelled_order1_is_the_orbit_of_its_class(monkeypatch, workers):
+    # order 1 takes every labelled order's path: its one table is the orbit
+    # of its class, with that class's check result
+    calls, orbits = [], enumeration._orbits
+
+    def counted(n, least, budget):
+        calls.append(n)
+        return orbits(n, least, budget)
+
+    monkeypatch.setattr(enumeration, "_orbits", counted)
+    stream = list(enumeration.sweep([sl.EnumConfig(1)], workers, attrgetter("t.mul")))
+    assert stream == [(1, 0, sl.SemiringTable.from_rows([[0]], [[0]]), ((0,),))]
+    assert calls == [1]
+
+
+def test_the_band_search_samples_the_clock_every_4096_nodes():
+    # 10**7 = 2441 * 4096 + 1664, so spend first reads the clock, already
+    # past a deadline of 0 s, after 1664 of the order-6 band search's nodes
+    budget = _Budget(10 ** 7, 0.0)
+    with pytest.raises(sl.BudgetExceededError, match="wall-clock budget exhausted"):
+        list(bands(6, budget))
+    assert 10 ** 7 - budget.nodes_left == 1664
 
 
 def test_the_clock_is_read_before_each_labelled_band(monkeypatch):
