@@ -16,7 +16,7 @@ only; the JSON ``timing`` field is always null.
 from __future__ import annotations
 
 import argparse
-import json
+import gc
 import os
 import sys
 import time
@@ -61,6 +61,7 @@ def _report(command: str, input_digest: str, results, failures: List) -> Dict:
 
 
 def _emit(report: Dict, summary: str, started: float) -> int:
+    import json  # here, as enumerate writes no report
     json.dump(report, sys.stdout, indent=2, sort_keys=True)
     sys.stdout.write("\n")
     print("%s (%.2fs)" % (summary, time.monotonic() - started), file=sys.stderr)
@@ -198,8 +199,10 @@ def cmd_enumerate(args, started: float) -> int:
     # records are written as they arrive (on exit 4, a prefix of the stream),
     # files at width 4, renamed on any exit if the count written is wider
     count = 0
-    if args.out:
+    if args.out:  # before any search: records of two runs must not mix
         os.makedirs(args.out, exist_ok=True)
+        if os.listdir(args.out):
+            raise SemiringFormatError("cannot write output: %s is not empty" % args.out)
     try:
         for t in stream:
             rec = format_semiring_text(t)
@@ -352,6 +355,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
 
 def entry() -> None:
+    # the modules, catalog and classes the imports built live until exit or
+    # a fork, so they go to the permanent generation: no collection walks
+    # them, in a sweep or at shutdown.  main() leaves its callers' gc alone
+    gc.freeze()
     raise SystemExit(main())
 
 

@@ -718,6 +718,64 @@ def test_enumerate_exhausted_budget_names_its_prefix_at_the_full_width(capsys, t
     assert [(out_dir / name).read_text() for name in names] == records[:11477]
 
 
+@pytest.mark.parametrize("used_by", ["record", "unrelated"])
+def test_enumerate_refuses_a_directory_that_is_not_empty(capsys, monkeypatch, tmp_path,
+                                                          used_by):
+    # two runs' records must not mix: a used --out directory is refused
+    # before any search and left as it is
+    out_dir = tmp_path / "stream"
+    if used_by == "record":
+        assert run(capsys, "enumerate", "-n", "3", "--iso", "--out", str(out_dir))[0] == 0
+    else:
+        out_dir.mkdir()
+        (out_dir / "notes.txt").write_text("kept\n")
+    before = _directory_digest(out_dir), len(os.listdir(out_dir))
+
+    def refuse(cfg):
+        raise AssertionError("nothing may be searched for a refused --out")
+        yield
+    monkeypatch.setattr(cli, "enumerate_idempotent_semirings", refuse)
+    code, out, err = run(capsys, "enumerate", "-n", "2", "--iso", "--out", str(out_dir))
+    assert (code, out) == (2, "")
+    assert err == "parse error: cannot write output: %s is not empty\n" % out_dir
+    assert (_directory_digest(out_dir), len(os.listdir(out_dir))) == before
+
+
+def test_enumerate_into_an_existing_empty_directory(capsys, tmp_path):
+    out_dir = tmp_path / "stream"
+    out_dir.mkdir()
+    code, _, err = run(capsys, "enumerate", "-n", "2", "--iso", "--out", str(out_dir))
+    assert code == 0 and "wrote 10 files" in err
+    assert len(os.listdir(out_dir)) == 10
+
+
+def test_budget_exhaustion_exits_4_from_a_fresh_process(capsys, tmp_path):
+    # the console script's path: entry() freezes the heap, then main();
+    # the prefix written is the stream's first 191 records, as in-process
+    records = run(capsys, "enumerate", "-n", "3")[1].split("%%\n")
+    out_dir = tmp_path / "stream"
+    src = os.path.dirname(os.path.dirname(os.path.abspath(semiring_lab.__file__)))
+    proc = subprocess.run([sys.executable, "-m", "semiring_lab.cli", "enumerate", "-n", "3",
+                           "--budget-nodes", "700", "--out", str(out_dir)],
+                          capture_output=True, text=True, timeout=60,
+                          env=dict(os.environ, PYTHONPATH=src))
+    assert proc.returncode == 4, proc.stderr
+    # the one line: no Traceback, no "Exception ignored" at shutdown
+    assert proc.stderr == "budget exhausted: node budget exhausted\n", proc.stderr
+    names = ["semiring_%04d.txt" % i for i in range(191)]
+    assert sorted(os.listdir(out_dir)) == names
+    assert [(out_dir / name).read_text() for name in names] == records[:191]
+
+
+def test_main_freezes_no_heap(capsys):
+    # only entry(), the process's own start, freezes: tests and library
+    # callers keep their collector as it was
+    before = gc.get_freeze_count()
+    assert run(capsys, "enumerate", "-n", "3", "--iso", "--count-only")[0] == 0
+    assert run(capsys, "verify", "--max-order", "2", "--iso")[0] == 0
+    assert gc.get_freeze_count() == before
+
+
 def test_enumerate_to_unwritable_directory(capsys, tmp_path):
     blocker = tmp_path / "plain_file"
     blocker.write_text("")

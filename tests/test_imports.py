@@ -128,10 +128,37 @@ def _loaded_by_cli_import(modules):
 
 
 def test_cli_import_loads_neither_hashlib_nor_multiprocessing():
-    # hashlib and the worker farm's modules are imported where they are
-    # used, off the start-up path
-    assert _loaded_by_cli_import({"hashlib", "multiprocessing", "pickle", "select",
-                                  "signal"}) == "[]"
+    # hashlib, json and the worker farm's modules are imported where they
+    # are used, off the start-up path
+    assert _loaded_by_cli_import({"hashlib", "json", "multiprocessing", "pickle",
+                                  "select", "signal"}) == "[]"
+
+
+def _entry_probe(*argv):
+    """The freeze count before and after, and whether json is loaded, as an
+    atexit hook reads them in a fresh interpreter running cli.entry() on argv."""
+    probe = ("import atexit, gc, sys\n"
+             "before = gc.get_freeze_count()\n"
+             "atexit.register(lambda: print(before, gc.get_freeze_count(), 'json' in sys.modules))\n"
+             "sys.argv[1:] = %r\n"
+             "from semiring_lab.cli import entry\n"
+             "entry()" % list(argv))
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                         capture_output=True, text=True, timeout=60).stdout
+    before, after, json_loaded = out.splitlines()[-1].split()
+    return int(before), int(after), json_loaded == "True"
+
+
+def test_entry_freezes_the_import_time_heap():
+    # the console script freezes what the imports built, once, before main()
+    before, after, _ = _entry_probe("verify", "--max-order", "2", "--iso")
+    assert before == 0 and after > 0
+
+
+def test_enumerate_loads_no_json():
+    # json is imported where a report is written, and enumerate writes none
+    assert _entry_probe("enumerate", "-n", "3", "--iso", "--count-only")[2] is False
 
 
 def test_pooled_verify_loads_no_multiprocessing_and_starts_no_thread():
