@@ -75,7 +75,7 @@ def congruence_closure(t: SemiringTable,
     images.
     """
     pairs = seed.pairs if isinstance(seed, BinRelation) else seed
-    return _merge_blocks(t.order, pairs, _translations(t))
+    return Partition(_merge_blocks(t.order, pairs, _translations(t))[0])
 
 
 def sigma(t: SemiringTable) -> BinRelation:
@@ -86,7 +86,7 @@ def sigma(t: SemiringTable) -> BinRelation:
     """
     r, add, mul = range(t.order), t.add, t.mul
     # ok[a][b]: aba = aba+a+aba, evaluated once per ordered pair
-    ok = [[add[add[x][a]][x] == x for x in (mul[ab][a] for ab in mul[a])] for a in r]
+    ok = [[add[add[x][a]][x] == x for x in [mul[ab][a] for ab in mul[a]]] for a in r]
     return BinRelation(t.order, ((a, b) for a in r for b in r if ok[a][b] and ok[b][a]))
 
 

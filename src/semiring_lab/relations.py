@@ -1,11 +1,12 @@
 """Partitions, binary relations, Green's relations and the six quasi-orders.
 
-Green's relations of a band are computed from their definitions: the L-,
-R- and D-class of a are labelled by the principal ideals Sa, aS and SaS,
-so each is an equivalence by construction (Howie, Fundamentals of
-Semigroup Theory, ch. 2).  green_mult and green_add refuse a reduct that
-is not a band; the theorem layer, which holds a validated idempotent
-semiring, calls _green directly.
+Green's relations of a band are computed from their definitions: the L-
+and R-class of a are labelled by the principal ideals Sa and aS, so each
+is an equivalence by construction, and D is their join L o R (Howie,
+Fundamentals of Semigroup Theory, ch. 2).  The labelling of D by the
+ideals SaS and the band characterizations are the tests' oracles.
+green_mult and green_add refuse a reduct that is not a band; the theorem
+layer, which holds a validated idempotent semiring, calls _green directly.
 """
 
 from __future__ import annotations
@@ -20,28 +21,33 @@ def _transpose(rows: Sequence[Sequence[int]]) -> Tuple[Tuple[int, ...], ...]:
 
 
 def _merge_blocks(order: int, pairs: Iterable[Tuple[int, int]],
-                  lines: Sequence[Sequence[Sequence[int]]] = ()) -> "Partition":
-    """The partition generated by pairs, closed under the translations
-    given as lines: tables whose row a and row b are paired off whenever
-    a and b are merged.  A pair (a, b) from different blocks (label[x]
-    names x's block, members lists each block) merges the smaller block
-    into the larger, so each element is relabelled O(log n) times."""
-    work = list(pairs)
+                  lines: Sequence[Sequence[Sequence[int]]] = ()
+                  ) -> Tuple[List[int], List[List[int]]]:
+    """The partition generated by pairs, closed under the translations given
+    as lines (tables whose row a and row b are paired off whenever a and b
+    are merged), as each element's block label and the list of blocks.  The
+    pairs are merged in rounds, the given ones and then the translations of
+    the last round's merges, each merging the smaller block into the larger
+    (so each element is relabelled O(log n) times), until one block is left."""
     label = list(range(order))
     members = [[x] for x in label]
-    while work:
-        a, b = work.pop()
-        keep, gone = label[a], label[b]
-        if keep == gone:
-            continue
-        if len(members[keep]) < len(members[gone]):
-            keep, gone = gone, keep
-        for x in members[gone]:
-            label[x] = keep
-        members[keep] += members[gone]
-        for rows in lines:
-            work += zip(rows[a], rows[b])
-    return Partition(label)
+    while pairs:
+        merged = []
+        for a, b in pairs:
+            keep, gone = label[a], label[b]
+            if keep == gone:
+                continue
+            if len(members[keep]) < len(members[gone]):
+                keep, gone = gone, keep
+            for x in members[gone]:
+                label[x] = keep
+            members[keep] += members[gone]
+            members[gone] = []
+            if len(members[keep]) == order:
+                return label, [members[keep]]
+            merged.append((a, b))
+        pairs = [pair for a, b in merged for rows in lines for pair in zip(rows[a], rows[b])]
+    return label, [block for block in members if block]
 
 
 def _compatible(labels: Sequence[int], lines: Sequence[Sequence[Sequence[int]]]) -> bool:
@@ -103,7 +109,7 @@ class Partition:
 
     @classmethod
     def from_pairs(cls, order: int, pairs: Iterable[Tuple[int, int]]) -> "Partition":
-        return _merge_blocks(order, pairs)
+        return cls(_merge_blocks(order, pairs)[0])
 
     def blocks(self) -> Tuple[Tuple[int, ...], ...]:
         out: List[List[int]] = [[] for _ in range(self.num_blocks())]
@@ -266,13 +272,17 @@ class BinRelation:
 
 def _green(table: Tuple[Tuple[int, ...], ...], n: int
            ) -> Tuple[Partition, Partition, Partition]:
-    """L, R, D of a band given by `table`, by the principal ideals Sa (the
-    column of a), aS (its row) and SaS (the union of the rows of Sa).  As
-    a = aa, these are S^1a, aS^1 and S^1aS^1, and D = J in a finite semigroup."""
-    cols = [frozenset(col) for col in zip(*table)]
-    rows = [frozenset(row) for row in table]
-    ideals = [frozenset().union(*(rows[x] for x in col)) for col in cols]
-    return Partition(cols), Partition(rows), Partition(ideals)
+    """L, R, D of a band given by `table`: L and R by the principal ideals
+    Sa (the column of a) and aS (its row), which as a = aa are S^1a and aS^1,
+    and D as L o R, so the D-class of a is the union of the R-classes its
+    L-class meets, labelled by the least R-label among them."""
+    left = Partition([frozenset(col) for col in zip(*table)])
+    right = Partition([frozenset(row) for row in table])
+    least = [n] * n  # over each L-class, by its label
+    for l, r in zip(left.labels, right.labels):
+        if r < least[l]:
+            least[l] = r
+    return left, right, Partition([least[l] for l in left.labels])
 
 
 def _require_band(t: SemiringTable, op: str, reduct: str) -> None:

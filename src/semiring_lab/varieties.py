@@ -16,7 +16,7 @@ table.  judge_suite judges several theorems after one pass over JUDGED.
 from __future__ import annotations
 
 from functools import cached_property
-from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, NamedTuple, Optional, Sequence, Tuple, Union
 
 from .congruences import _quotient, sigma
 from .core import (CATALOG, Identities, Identity, InternalConsistencyError, PreconditionError,
@@ -51,16 +51,23 @@ def eta_equals_relation(t: SemiringTable, which: str) -> bool:
     return a.eta == a.green[which]
 
 
+class _lazy(cached_property):
+    """cached_property without the lock Python 3.10 and 3.11 take on each first read"""
+
+    def __get__(self, obj, owner=None):
+        return self if obj is None else obj.__dict__.setdefault(self.attrname, self.func(obj))
+
+
 class BandFacts:
     """What the theorems ask of a + table alone, each computed at most once
     and shared by the Analysis of every table over that + tuple: Green's
     L+, R+ and D+, the transposed table and BAND_SEMIRING_REGULAR's
     conclusion."""
 
-    green = cached_property(lambda self: dict(zip(
+    green = _lazy(lambda self: dict(zip(
         ("L_plus", "R_plus", "D_plus"), _green(self.add, len(self.add)))))
-    transposed = cached_property(lambda self: _transpose(self.add))
-    regular = cached_property(lambda self: next(THEOREM_IDENTITIES[
+    transposed = _lazy(lambda self: _transpose(self.add))
+    regular = _lazy(lambda self: next(THEOREM_IDENTITIES[
         "x+y+z+x = x+y+x+z+x"].failures(self.add, None, range(len(self.add))),
         None) is None)
 
@@ -86,18 +93,19 @@ class Analysis:
 
     # sigma calls the module-level function of the same name; green skips
     # green_add's and green_mult's band check
-    green = cached_property(lambda self: {**self.band.green, **dict(zip(
+    green = _lazy(lambda self: {**self.band.green, **dict(zip(
         ("L_dot", "R_dot", "D_dot"), _green(self.t.mul, self.t.order)))})
-    sigma = cached_property(lambda self: sigma(self.t))
+    sigma = _lazy(lambda self: sigma(self.t))
     # congruences._translations of t, made once: eta, each rho and the
     # congruence tests of LEMMA_4_2 and COR_JOIN read them
-    lines = cached_property(lambda self: (self.t.add, self.band.transposed,
-                                          self.t.mul, _transpose(self.t.mul)))
-    eta = cached_property(lambda self: _merge_blocks(
-        self.t.order, self.sigma.pairs, self.lines))
-    sigma_transitive = cached_property(lambda self: self.sigma.is_transitive())
+    lines = _lazy(lambda self: (self.t.add, self.band.transposed,
+                                self.t.mul, _transpose(self.t.mul)))
+    # the closure of sigma, as block labels and blocks: eta and rho(D)
+    _eta = _lazy(lambda self: _merge_blocks(self.t.order, self.sigma.pairs, self.lines))
+    eta = _lazy(lambda self: Partition(self._eta[0]))
+    sigma_transitive = _lazy(lambda self: self.sigma.is_transitive())
     # sigma lies in eta, its closure, so they are equal iff equally large
-    sigma_is_eta = cached_property(lambda self: len(self.sigma.pairs) == sum(
+    sigma_is_eta = _lazy(lambda self: len(self.sigma.pairs) == sum(
         len(block) ** 2 for block in self._rho_blocks(("D",))))
 
     def __init__(self, t: SemiringTable):
@@ -107,7 +115,7 @@ class Analysis:
             _band = BandFacts(t.add)
         self.t, self.band = t, _band
         self._members: Dict[Tuple[str, ...], bool] = {}
-        self._rho: Dict[Tuple[str, ...], Tuple[Tuple[int, ...], ...]] = {}
+        self._rho: Dict[Tuple[str, ...], Sequence[Sequence[int]]] = {}
         self._failed: Optional[int] = None  # JUDGED's mask, once judge_suite runs the pass
 
     def member(self, *names: str) -> bool:
@@ -120,41 +128,42 @@ class Analysis:
         if found is None:
             if names not in _CHECKED:
                 _CHECKED.add(malcev_product(*names))
-            t, first, rest, mask = self.t, CATALOG[names[0]], names[1:], self._failed
+            bits = _BITS.get(names[:1]) if self._failed is not None else None
+            t, rest = self.t, names[1:]
             if len(rest) > 1 and (self.member(names[0], *rest[1:]) or not _relates(
-                    t, range(t.order), first, _merge_blocks(t.order, _instances(
-                        t, CATALOG[rest[0]], self._rho_blocks(rest[1:]))).blocks())):
+                    t, range(t.order), CATALOG[names[0]], _merge_blocks(t.order, _instances(
+                        t, CATALOG[rest[0]], self._rho_blocks(rest[1:])))[1])):
                 found = self.member(names[0], *rest[1:])  # the bound that decided
-            else:  # over one block, _relates with labels range(n) is plain membership
-                bits = _BITS.get(names[0]) if mask is not None and (
-                    not rest or len(self._rho_blocks(rest)) == 1) else None
-                found = not mask & bits if bits is not None else _relates(
-                    t, range(t.order), first, self._rho_blocks(rest))
+            # over one block, _relates with labels range(n) is plain membership
+            elif bits is not None and (not rest or len(self._rho_blocks(rest)) == 1):
+                found = not self._failed & bits
+            else:
+                found = _relates(t, range(t.order), CATALOG[names[0]], self._rho_blocks(rest))
             self._members[names] = found
         return found
 
     def holds(self, text: str) -> bool:
+        if self._failed is not None and text in _BITS:
+            return not self._failed & _BITS[text]
         ident = THEOREM_IDENTITIES.get(text)
         if ident is None:
             raise PreconditionError("unknown identity %r; known: %s"
                                     % (text, ", ".join(THEOREM_IDENTITIES)))
-        bits = _BITS.get(text) if self._failed is not None else None
-        return not self._failed & bits if bits is not None else next(ident.failures(
-            self.t.add, self.t.mul, range(self.t.order)), None) is None
+        return next(ident.failures(self.t.add, self.t.mul, range(self.t.order)), None) is None
 
     def _rho_blocks(self, names: Tuple[str, ...]) -> Sequence[Sequence[int]]:
         """The blocks of rho of the right-nested product of the named
         varieties: the closure of the first's identity instances inside the
         blocks of rho of the rest.  The product of no factors has the single
         block range(n), and rho(D) is eta."""
-        if not names:
-            return (range(self.t.order),)
-        if names not in self._rho:
-            self._rho[names] = (self.eta if names == ("D",) else _merge_blocks(
+        blocks = self._rho.get(names)
+        if blocks is None:
+            if not names:
+                return (range(self.t.order),)
+            blocks = self._rho[names] = self._eta[1] if names == ("D",) else _merge_blocks(
                 self.t.order, _instances(self.t, CATALOG[names[0]],
-                                         self._rho_blocks(names[1:])),
-                self.lines)).blocks()
-        return self._rho[names]
+                                         self._rho_blocks(names[1:])), self.lines)[1]
+        return blocks
 
 
 def malcev_membership(t: Union[SemiringTable, Analysis], names: Tuple[str, ...]
@@ -319,13 +328,13 @@ _ALONE = {id(i) for i in (*(i for v in ("Bi", "D", "Sl_plus", "RZ_plus", "RNB_do
     "xyzx = xzyx+xyzx+xzyx", "xyzx = xzyx", "x+y+z+x = x+y+x+z+x")))}
 JUDGED = Identities([i for i in (*(i for spec in CATALOG.values() for i in spec.identities),
                                  *THEOREM_IDENTITIES.values()) if id(i) not in _ALONE])
-# the mask's bits of each name and text all in JUDGED, by object: hashing terms costs more
+# the mask's bits of each (name,) and text all in JUDGED, by object: hashing terms costs more
 _BIT = {id(ident): 1 << k for k, ident in enumerate(JUDGED)}
 _BITS = {question: sum(_BIT[id(i)] for i in idents) for question, idents in (
-    *((name, spec.identities) for name, spec in CATALOG.items()),
+    *(((name,), spec.identities) for name, spec in CATALOG.items()),
     *((text, (ident,)) for text, ident in THEOREM_IDENTITIES.items()))
     if all(id(i) in _BIT for i in idents)}
-_BITS["Bi"] = _BITS["LQBi"] | _BITS["RQBi"]
+_BITS[("Bi",)] = _BITS[("LQBi",)] | _BITS[("RQBi",)]
 _CHECKED = set()  # the name tuples member has checked, once per process
 # the BandFacts the last Analysis read: holding its + tuple, no other tuple takes its id
 _band = BandFacts(())
@@ -352,45 +361,46 @@ class TheoremReport(NamedTuple):
 def _lemma_4_2_clause(a: Analysis) -> bool:
     # D. lies in eta (in the semilattice S/eta, aba = a and bab = b give [a] = [b]),
     # so rho(D) of S/D. is eta/D.: S/D. is in LZ_plus o D iff its classes lie in LZ_plus
+    # (the label test first: it fails on most tables, and costs less than the congruence test)
     lab = a.green["D_dot"].labels
-    return _compatible(lab, a.lines) and _relates(
-        a.t, lab, CATALOG["LZ_plus"], a._rho_blocks(("D",)))
+    return _relates(a.t, lab, CATALOG["LZ_plus"], a._rho_blocks(("D",))) and _compatible(
+        lab, a.lines)
 
 
 # Each theorem's kind and its conditions on an Analysis.
-THEOREMS: Dict[str, Tuple[str, Callable[[Analysis], List[Tuple[str, bool]]]]] = {
-    "LEMMA_1_1": ("equivalence", lambda a: [
+THEOREMS: Dict[str, Tuple[str, Callable[[Analysis], Tuple[Tuple[str, bool], ...]]]] = {
+    "LEMMA_1_1": ("equivalence", lambda a: (
         ("eta_equals_D_plus", a.eta == a.green["D_plus"]),
         ("band_semiring_identities", a.member("Bi")),
         ("in_Rplus_malcev_D", a.member("R_plus", "D")),
-    ]),
-    "LEMMA_1_2": ("equivalence", lambda a: [
+    )),
+    "LEMMA_1_2": ("equivalence", lambda a: (
         ("eta_equals_L_plus", a.eta == a.green["L_plus"]),
         ("LN_and_Ddot_in_Lplus",
          a.member("LN") and a.green["D_dot"].refines(a.green["L_plus"])),
         ("identity_x_plus_yxy", a.member("L_plus_var")),
         ("in_LZplus_malcev_D", a.member("LZ_plus", "D")),
-    ]),
-    "LEMMA_2_4": ("equivalence", lambda a: [
+    )),
+    "LEMMA_2_4": ("equivalence", lambda a: (
         ("in_N", a.member("N")),
         ("identity_xz_xyz_xz", a.holds("xz+xyz+xz = xz")),
-    ]),
-    "THM_2_5": ("implication", lambda a: [
+    )),
+    "THM_2_5": ("implication", lambda a: (
         ("N_implies_sigma_transitive", (not a.member("N")) or a.sigma_transitive),
         ("N_implies_sigma_is_eta", (not a.member("N")) or a.sigma_is_eta),
-    ]),
-    "THM_3_1": ("equivalence", lambda a: [
+    )),
+    "THM_3_1": ("equivalence", lambda a: (
         ("eta_equals_D_dot", a.eta == a.green["D_dot"]),
         ("N_and_Dplus_in_Ddot",
          a.member("N") and a.green["D_plus"].refines(a.green["D_dot"])),
         ("identity_D_dot", a.member("D_dot")),
-    ]),
-    "LEMMA_3_2": ("equivalence", lambda a: [
+    )),
+    "LEMMA_3_2": ("equivalence", lambda a: (
         ("identity_bi1", a.member("LQBi")),
         ("N_and_Rdot_in_Dplus",
          a.member("N") and a.green["R_dot"].refines(a.green["D_plus"])),
-    ]),
-    "THM_3_3": ("equivalence", lambda a: [
+    )),
+    "THM_3_3": ("equivalence", lambda a: (
         ("eta_equals_L_dot", a.eta == a.green["L_dot"]),
         ("Dplus_in_Ldot_and_bi1",
          a.green["D_plus"].refines(a.green["L_dot"]) and a.member("LQBi")),
@@ -403,8 +413,8 @@ THEOREMS: Dict[str, Tuple[str, Callable[[Analysis], List[Tuple[str, bool]]]]] = 
         ("le_l_mul_in_le_add", a.holds("x = x+xy") and a.holds("x = xy+x")),
         ("identity_L_dot", a.member("L_dot")),
         ("identity_L_dot_factored", a.holds("x = x(y+x+y)")),
-    ]),
-    "THM_3_4": ("equivalence", lambda a: [
+    )),
+    "THM_3_4": ("equivalence", lambda a: (
         ("eta_equals_R_dot", a.eta == a.green["R_dot"]),
         ("Dplus_in_Rdot_and_bi2",
          a.green["D_plus"].refines(a.green["R_dot"]) and a.member("RQBi")),
@@ -415,56 +425,56 @@ THEOREMS: Dict[str, Tuple[str, Callable[[Analysis], List[Tuple[str, bool]]]]] = 
         ("le_r_mul_in_le_add", a.holds("x = x+yx") and a.holds("x = yx+x")),
         ("identity_R_dot", a.member("R_dot")),
         ("identity_R_dot_factored", a.holds("x = (y+x+y)x")),
-    ]),
-    "LEMMA_REGBAND": ("implication", lambda a: [
+    )),
+    "LEMMA_REGBAND": ("implication", lambda a: (
         ("identity_10", a.holds("xyzx = xyzx+xyxzx+xyzx")),
         ("identity_11", a.holds("xyxzx = xyxzx+xyzx+xyxzx")),
-    ]),
-    "LEMMA_DDOT_EQ": ("equivalence", lambda a: [
+    )),
+    "LEMMA_DDOT_EQ": ("equivalence", lambda a: (
         ("in_D_dot", a.member("D_dot")),
         ("pair_of_absorptions",
          a.holds("xz = xz+xyz") and a.holds("xz = xyz+xz")),
         ("identity_xz_sandwich", a.holds("xz = xyz+xz+xyz")),
-    ]),
-    "LEMMA_NBD": ("implication", lambda a: [
+    )),
+    "LEMMA_NBD": ("implication", lambda a: (
         ("Ddot_implies_nb_sandwich",
          (not a.member("D_dot")) or a.holds("xyzx = xzyx+xyzx+xzyx")),
-    ]),
-    "THM_NORMAL": ("implication", lambda a: [
+    )),
+    "THM_NORMAL": ("implication", lambda a: (
         ("Ddot_implies_normal_band",
          (not a.member("D_dot")) or a.holds("xyzx = xzyx")),
-    ]),
-    "THM_LNB": ("equivalence", lambda a: [
+    )),
+    "THM_LNB": ("equivalence", lambda a: (
         ("in_LNBdot_and_Ddot", a.member("LNB_dot") and a.member("D_dot")),
         ("identity_xz_xzy", a.holds("xz = xzy+xz+xzy")),
         ("in_L_dot", a.member("L_dot")),
-    ]),
-    "LEMMA_4_2": ("equivalence", lambda a: [
+    )),
+    "LEMMA_4_2": ("equivalence", lambda a: (
         ("in_LN", a.member("LN")),
         ("Ddot_congruence_and_quotient_in_LZplus_malcev_D", _lemma_4_2_clause(a)),
-    ]),
-    "THM_4_1": ("implication", lambda a: [
+    )),
+    "THM_4_1": ("implication", lambda a: (
         ("L_dot_iff_LZdot_malcev_D",
          a.member("L_dot") == a.member("LZ_dot", "D")),
         ("R_dot_iff_RZdot_malcev_D",
          a.member("R_dot") == a.member("RZ_dot", "D")),
-    ]),
+    )),
     # Both clauses have first factor R-bullet as printed; under the RB
     # reading (see CATALOG note) that is exactly what gets checked here.
-    "THM_4_3": ("implication", lambda a: [
+    "THM_4_3": ("implication", lambda a: (
         ("LN_iff_RB_malcev_LZplus_D",
          a.member("LN") == a.member("RB", "LZ_plus", "D")),
         ("RN_iff_RB_malcev_RZplus_D",
          a.member("RN") == a.member("RB", "RZ_plus", "D")),
-    ]),
-    "BAND_SEMIRING_REGULAR": ("implication", lambda a: [
+    )),
+    "BAND_SEMIRING_REGULAR": ("implication", lambda a: (
         ("Bi_implies_additive_regular_band",
          (not a.member("Bi")) or a.band.regular),
-    ]),
-    "COR_JOIN": ("equivalence", lambda a: [
+    )),
+    "COR_JOIN": ("equivalence", lambda a: (
         ("in_D_dot", a.member("D_dot")),
         ("spined_decomposition_succeeds", not _spined_obstruction(a)),
-    ]),
+    )),
 }
 # What verify_theorem reports beside the conditions: the alternative
 # readings of THM_4_3's overloaded name, never gating conditions.  The
@@ -484,7 +494,7 @@ def judge(a: Analysis, theorem_id: str) -> Tuple[str, Tuple[Tuple[str, bool], ..
     if theorem_id not in THEOREMS:
         raise PreconditionError("unknown theorem id %r" % theorem_id)
     kind, conditions_of = THEOREMS[theorem_id]
-    conditions = tuple(conditions_of(a))
+    conditions = conditions_of(a)
     values = {v for _, v in conditions}
     consistent = values == {True} if kind == "implication" else len(values) == 1
     return kind, conditions, consistent

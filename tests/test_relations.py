@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -6,7 +8,7 @@ import semiring_lab as sl
 from semiring_lab.congruences import _translations
 from semiring_lab.relations import BinRelation, Partition, _compatible, _green
 
-from conftest import set_partitions
+from conftest import relabel_seeded, set_partitions
 
 
 
@@ -146,10 +148,26 @@ def _green_by_characterization(table, n):
     return tuple(out)
 
 
+def _green_by_ideals(table, n):
+    """L, R, D of a band labelled by the principal ideals Sa, aS and SaS
+    (the union of the rows of Sa): as a = aa, these are S^1a, aS^1 and
+    S^1aS^1, and D = J in a finite semigroup.  The oracle for
+    relations._green's D as L o R."""
+    cols = [frozenset(col) for col in zip(*table)]
+    rows = [frozenset(row) for row in table]
+    ideals = [frozenset().union(*(rows[x] for x in col)) for col in cols]
+    return Partition(cols), Partition(rows), Partition(ideals)
+
+
 def test_green_matches_the_band_characterizations(iso_upto4, labeled_by_order):
-    for t in iso_upto4 + labeled_by_order[3]:
+    # and a seeded relabelling of each class, so that an L-class's first
+    # element need not lie in its D-class's first R-class
+    rng = random.Random(3131)
+    relabelled = [relabel_seeded(t, rng) for t in iso_upto4]
+    for t in iso_upto4 + labeled_by_order[3] + relabelled:
         for table in (t.add, t.mul):
-            assert _green(table, t.order) == _green_by_characterization(table, t.order)
+            assert (_green(table, t.order) == _green_by_characterization(table, t.order)
+                    == _green_by_ideals(table, t.order))
 
 
 def test_green_containments(small_semirings):

@@ -370,6 +370,9 @@ def test_holds_refuses_an_unknown_text_as_member_refuses_an_unknown_class(dl2):
         with pytest.raises(sl.PreconditionError,
                            match=r"unknown identity 'x = y'; known: xz\+xyz\+xz = xz, "):
             a.holds("x = y")
+        # the mask's bits of a class are keyed apart from those of a text
+        with pytest.raises(sl.PreconditionError, match="unknown identity 'N'; known: "):
+            a.holds("N")
         with pytest.raises(sl.PreconditionError, match="unknown class 'NOPE'; known: "):
             a.member("NOPE")
 
@@ -398,17 +401,12 @@ def test_the_pass_sets_a_bit_exactly_where_its_identity_fails(iso_upto4, small_s
         "xyzx = xyzx+xyxzx+xyzx", "xyxzx = xyxzx+xyzx+xyxzx")}
 
 
-def test_a_suite_gives_the_same_conditions_without_the_pass(monkeypatch, iso_upto4,
-                                                            small_semirings):
-    # oracle for the questions read off the mask: each one's own route,
-    # which judge alone and every other caller take; judge_suite runs the
-    # pass once per Analysis, and not for one theorem
-    tables = _judged_tables(iso_upto4, small_semirings)
+def _same_conditions_without_the_pass(monkeypatch, tables):
+    """judge_suite of every theorem on each table, with the pass over JUDGED
+    (run once per Analysis) and without it, where each question read off
+    the mask takes its own route, gives the same conditions."""
     calls = []
     failed = varieties.JUDGED.failed
-    one = sl.Analysis(tables[-1])
-    assert varieties.judge_suite(one, ["THM_4_3"]) == [varieties.judge(one, "THM_4_3")]
-    assert one._failed is None
 
     def judge_all(tables):
         for t in tables:
@@ -423,6 +421,34 @@ def test_a_suite_gives_the_same_conditions_without_the_pass(monkeypatch, iso_upt
     assert [v for v, unmasked in with_pass] == [v for v, unmasked in without]
     assert {unmasked for _, unmasked in with_pass} == {False}
     assert {unmasked for _, unmasked in without} == {True}
+
+
+def test_a_suite_gives_the_same_conditions_without_the_pass(monkeypatch, iso_upto4,
+                                                            small_semirings):
+    # oracle for the questions read off the mask: each one's own route,
+    # which judge alone and every other caller take; judge_suite runs the
+    # pass once per Analysis, and not for one theorem
+    tables = _judged_tables(iso_upto4, small_semirings)
+    one = sl.Analysis(tables[-1])
+    assert varieties.judge_suite(one, ["THM_4_3"]) == [varieties.judge(one, "THM_4_3")]
+    assert one._failed is None
+    _same_conditions_without_the_pass(monkeypatch, tables)
+
+
+@pytest.mark.slow
+def test_order5_bounds_and_mask_match_their_oracles(monkeypatch):
+    # about 13 s: on every order-5 class, member's two bounds on the four
+    # three-factor products against the closure of rho(W o E), and the
+    # suite with the pass over JUDGED against it without; the routes are
+    # those counted when the lower bounds built a Partition
+    iso5 = sl.all_idempotent_semirings(5, up_to_iso=True)
+    assert len(iso5) == 9407
+    routes = _bound_routes(iso5)
+    for names in THREE_FACTOR[:2]:  # THM_4_3's products
+        assert routes[names] == {"upper": 837, "lower": 7810, "closure": 760}, routes
+    for names in THREE_FACTOR[2:]:  # its observations'
+        assert routes[names] == {"upper": 386, "lower": 8433, "closure": 588}, routes
+    _same_conditions_without_the_pass(monkeypatch, iso5)
 
 
 def test_judged_is_what_theorems_ask_of_tables_outside_d_dot(small_semirings):
@@ -578,6 +604,8 @@ def test_sweep_tests_each_congruence_and_builds_each_product_once(monkeypatch, i
                          (varieties, "malcev_product")):
         monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
     monkeypatch.setattr(Partition, "blocks", counting("blocks", Partition.blocks))
+    monkeypatch.setattr(Partition, "__init__", counting("Partition", Partition.__init__))
+    monkeypatch.setattr(varieties, "_merge_blocks", counting("merge", varieties._merge_blocks))
     monkeypatch.setattr(varieties, "_CHECKED", set())  # as in a fresh process
     monkeypatch.setattr(relations.BinRelation, "is_equivalence",
                         counting("is_equivalence", relations.BinRelation.is_equivalence))
@@ -590,24 +618,34 @@ def test_sweep_tests_each_congruence_and_builds_each_product_once(monkeypatch, i
     # also computed THM_4_3's two observations, which it does not report;
     # 13 663 while each class asked about was checked once per instance: the
     # 18 name tuples the suite asks (11 single names, 6 products, and RB o D,
-    # THM_4_3's upper bound) are now checked once per process
-    assert calls["_compatible"] == 1153, calls
+    # THM_4_3's upper bound) are now checked once per process.  1 153 while
+    # LEMMA_4_2 tested D-dot for a congruence on each of the 835 tables: it
+    # now does so on the 258 where D-dot relates LZ_plus's instances inside
+    # eta's blocks, besides COR_JOIN's tests of L-dot and R-dot on the 159
+    # tables in D_dot
+    assert calls["_compatible"] == 258 + 2 * 159, calls
     assert calls["malcev_product"] == 18, calls
     # 11 546 and 1 504 while the Malcev test took the blocks of rho on every
     # call and THM_2_5 tested a transitive sigma for an equivalence; 5 701
     # while COR_JOIN built three quotients, 5 224 while LEMMA_4_2 built one,
     # 3 658 while each congruence test took its partition's blocks; 2 505
     # (eta's and both THM_4_3 closures' on each of the 835 tables) while
-    # those closures ran on every table: each THM_4_3 product's lower bound
-    # now takes its blocks on the 676 tables outside RB o D, and its closure
-    # on the 99 of them the bounds leave
-    assert calls["blocks"] == 835 + 2 * (676 + 99) and calls["is_equivalence"] == 0, calls
-    a = sl.Analysis(iso4[-1])
-    a.member("RB", "LZ_plus", "D")
+    # those closures ran on every table, and 835 + 2 * (676 + 99) while eta,
+    # each THM_4_3 product's lower bound (on the 676 tables outside RB o D)
+    # and its closure (on the 99 of them the bounds leave) built a Partition
+    # for its blocks: the block merge now returns them as lists
+    assert calls["blocks"] == 0 and calls["is_equivalence"] == 0, calls
+    # 5 028 while each THM_4_3 lower bound and closure built one too, the
+    # 2 * (676 + 99) above: now Green's three of each table and eta, and
+    # Green's three of each of the 46 + tables
+    assert calls["Partition"] == 4 * 835 + 3 * 46, calls
+    # asked again on a table whose bounds leave the closure, nothing merges
+    a = next(a for a in map(sl.Analysis, iso4)
+             if (a.member("RB", "LZ_plus", "D"), ("LZ_plus", "D") in a._rho)[1])
     calls.clear()
     a.member("RB", "LZ_plus", "D")
     a.member("LZ_plus", "D")
-    assert calls["blocks"] == 0, calls
+    assert calls["merge"] == 0, calls
 
 
 def test_identities_pickle_and_copy_after_use(dl2, golden3):
