@@ -13,11 +13,9 @@ from __future__ import annotations
 
 from typing import Iterable, List, NamedTuple, Tuple, Union
 
-from .core import (CATALOG, PreconditionError, ResourceBoundError, SemiringTable,
-                   _relates, _require_idempotent)
+from .core import (CATALOG, DEFAULT_ORDER_BOUND, PreconditionError, SemiringTable,
+                   _relates, _require_idempotent, _require_order)
 from .relations import BinRelation, Partition, _compatible, _merge_blocks, _transpose
-
-DEFAULT_ORDER_BOUND = 8
 
 
 def _translations(t: SemiringTable) -> Tuple[Tuple[Tuple[int, ...], ...], ...]:
@@ -139,9 +137,7 @@ def all_congruences(t: SemiringTable) -> CongruenceSet:
     idempotent as t is, lies in D (read by core._relates).
     """
     n = t.order
-    if n > DEFAULT_ORDER_BOUND:
-        raise ResourceBoundError("order %d exceeds congruence-lattice bound %d"
-                                 % (n, DEFAULT_ORDER_BOUND))
+    _require_order(n, "congruence-lattice")
     _require_idempotent(t, "the congruence lattice")
     lines = _translations(t)
     parts = tuple(Partition(s) for s in _set_partitions(n) if _compatible(s, lines))

@@ -14,6 +14,8 @@ from functools import cache, cached_property, lru_cache
 from operator import itemgetter
 from typing import Callable, Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple, Union
 
+DEFAULT_ORDER_BOUND = 8  # nothing of size n! or Bell(n) is built above this order
+
 
 class SemiringFormatError(ValueError):
     """A semiring text file or table literal is structurally malformed."""
@@ -57,10 +59,16 @@ def _relabelling(p: Sequence[int]) -> Tuple[List[int], Callable[[bytes], bytes]]
     return q, lambda flat: bytes(cells(flat)).translate(values)[:-1]
 
 
+def _require_order(n: int, what: str) -> None:
+    if n > DEFAULT_ORDER_BOUND:
+        raise ResourceBoundError("order %d exceeds %s bound %d" % (n, what, DEFAULT_ORDER_BOUND))
+
+
 @lru_cache(maxsize=1)
 def _bijections(n: int) -> Tuple[Tuple[Tuple[int, ...], List[int], Callable[[bytes], bytes]], ...]:
     """(p, q, map) of _relabelling(p) for every bijection p of range(n), in
     lexicographic order, the identity first; held for the last n asked."""
+    _require_order(n, "relabelling")
     return tuple((p, *_relabelling(p)) for p in itertools.permutations(range(n)))
 
 

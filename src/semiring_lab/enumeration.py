@@ -31,16 +31,17 @@ import itertools
 import os
 import time
 from contextlib import closing, nullcontext
+from functools import partial
 from operator import itemgetter, methodcaller
 from typing import Callable, Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
-from .congruences import DEFAULT_ORDER_BOUND
 from .core import (BudgetExceededError, InternalConsistencyError, PreconditionError,
-                   ResourceBoundError, SemiringTable, _bijections, _Checked, _default_names)
+                   SemiringTable, _bijections, _Checked, _default_names, _require_order)
 from .varieties import Analysis, malcev_product
 
 DEFAULT_NODE_BUDGET = 10 ** 7
 DEFAULT_SECS_BUDGET = 1800.0
+MAX_WORKERS = 64
 
 
 class _Budget:
@@ -82,10 +83,7 @@ class EnumConfig(_Checked, _EnumFields):
         self = super().__new__(cls, *args, **kwargs)
         if self.order < 1:
             raise PreconditionError("order must be >= 1")
-        # checked before anything of size n! or n^2 is built
-        if self.order > DEFAULT_ORDER_BOUND:
-            raise ResourceBoundError("order %d exceeds enumeration bound %d"
-                                     % (self.order, DEFAULT_ORDER_BOUND))
+        _require_order(self.order, "enumeration")  # before anything of size n! is built
         if not (self.budget_nodes > 0 and self.budget_secs > 0):  # rejects nan
             raise PreconditionError("budget must be positive")
         if self.filter is not None:
@@ -361,11 +359,11 @@ def enumerate_idempotent_semirings(cfg: EnumConfig) -> Iterator[SemiringTable]:
             yield t
 
 
-def _band_job(job) -> Tuple[int, int, Optional[Rows], list]:
+def _band_job(check, job) -> Tuple[int, int, Optional[Rows], list]:
     """The order, the nodes spent, the band and (add, mul, check(a)) for each
     table completing it, a being its Analysis (sharing the band's facts as
     the tables share its + tuple), or None; a job with no band ends its order."""
-    check, n, add, auts, nodes, deadline = job
+    n, add, auts, nodes, deadline = job
     if add is None:
         return n, 0, None, []
     budget = _Budget(nodes, deadline - time.monotonic())
@@ -374,8 +372,8 @@ def _band_job(job) -> Tuple[int, int, Optional[Rows], list]:
     return n, nodes - budget.nodes_left, add, found
 
 
-def _serve(jobs_fd: int, results_fd: int, inherited: List[int]) -> None:
-    """A forked worker, left only through os._exit: _band_job(job), or the
+def _serve(run: Callable, jobs_fd: int, results_fd: int, inherited: List[int]) -> None:
+    """A forked worker, left only through os._exit: run(job), or the
     exception it raised, for each job read, each a pickle after its length."""
     try:
         import pickle
@@ -384,7 +382,7 @@ def _serve(jobs_fd: int, results_fd: int, inherited: List[int]) -> None:
         with open(jobs_fd, "rb") as jobs, open(results_fd, "wb") as results:
             for head in iter(lambda: jobs.read(8), b""):
                 try:
-                    out = _band_job(pickle.loads(jobs.read(int.from_bytes(head, "little"))))
+                    out = run(pickle.loads(jobs.read(int.from_bytes(head, "little"))))
                 except Exception as exc:
                     out = exc
                 data = pickle.dumps(out, -1)
@@ -402,15 +400,13 @@ def _serve(jobs_fd: int, results_fd: int, inherited: List[int]) -> None:
 _AHEAD = 32
 
 
-def _farm(workers: int, jobs: Iterator[tuple]) -> Iterator[tuple]:
-    """_band_job(job) for each job, in order, from forked workers fed from
-    this thread, each holding two jobs at most, none sent more than _AHEAD
-    * workers ahead of the last result yielded.  A job's exception, or
-    next(jobs)'s, is raised at its place in the stream; a worker that ends
-    early, as InternalConsistencyError.  Every worker is reaped at the end,
-    having exited at EOF or, holding jobs, been killed."""
-    if not hasattr(os, "fork"):
-        raise PreconditionError("--workers above 1 needs os.fork, which this platform lacks")
+def _farm(workers: int, run: Callable, jobs: Iterator[tuple]) -> Iterator[tuple]:
+    """map(run, jobs), in order, from forked workers that inherit run, fed
+    from this thread, each holding two jobs at most, none sent more than
+    _AHEAD * workers ahead of the last result yielded.  A job's exception,
+    or next(jobs)'s, is raised at its place in the stream; a worker that
+    ends early, as InternalConsistencyError.  Every worker is reaped at the
+    end, having exited at EOF or, holding jobs, been killed."""
     import pickle
     import select
     import signal
@@ -429,7 +425,7 @@ def _farm(workers: int, jobs: Iterator[tuple]) -> Iterator[tuple]:
                 ours.append(res_r)
                 pid = os.fork()
                 if pid == 0:
-                    _serve(job_r, res_w, ours)
+                    _serve(run, job_r, res_w, ours)
             except OSError as exc:
                 raise PreconditionError("cannot start a worker: %s" % exc) from None
             finally:
@@ -494,31 +490,36 @@ def sweep(cfgs: List[EnumConfig], workers: int, check: Optional[Callable[[Analys
           ) -> Iterator[Tuple[int, int, SemiringTable, object]]:
     """(order, index, t, result) for each table t of the configured orders,
     in stream order for any worker count, each index counting its order's
-    tables, result being _band_job's for t's class (a check that needs data
-    binds it in a functools.partial, which pickles).  This process runs the
-    band search; each least band is one _band_job, run here or, with more
-    workers, in the forked processes of _farm, which this thread feeds as
-    it pulls bands, and a labelled order yields its _orbits once its last
-    job is in.  An order's band search and its . searches draw on one
-    _Budget: a job may spend the nodes left at dispatch, which only charges
-    still to come lower, and is charged as its result comes in.  So the
-    order raises BudgetExceededError exactly when its nodes in all exceed
-    its budget, for any worker count, and before any table of a later
-    order is yielded."""
+    tables, result being _band_job's for t's class.  workers, in
+    1..MAX_WORKERS and above 1 only with os.fork, is checked before any band
+    is searched.  This process runs the band search; each least band is one
+    _band_job, run here or in the workers _farm forks, which inherit the
+    check and which this thread feeds as it pulls bands, and a labelled
+    order yields its _orbits once its last job is in.  An order's band
+    search and its . searches draw on one _Budget: a job may spend the nodes
+    left at dispatch, which only charges still to come lower, and is charged
+    as its result comes in.  So the order raises BudgetExceededError exactly
+    when its nodes in all exceed its budget, for any worker count, and
+    before any table of a later order is yielded."""
+    if not 1 <= workers <= MAX_WORKERS:
+        raise PreconditionError("--workers must be in 1..%d" % MAX_WORKERS)
+    if workers > 1 and not hasattr(os, "fork"):
+        raise PreconditionError("--workers above 1 needs os.fork, which this platform lacks")
     budgets: Dict[int, _Budget] = {}  # order -> its one node budget
 
     def jobs():
         for cfg in cfgs:
             budget = budgets[cfg.order] = _Budget(cfg.budget_nodes, cfg.budget_secs)
             for add, auts in bands(cfg.order, budget):
-                yield check, cfg.order, add, auts, budget.nodes_left, budget.deadline
-            yield check, cfg.order, None, None, 0, 0.0
+                yield cfg.order, add, auts, budget.nodes_left, budget.deadline
+            yield cfg.order, None, None, 0, 0.0
 
     index = {cfg.order: itertools.count() for cfg in cfgs}  # over each order's tables
     # a labelled order's least bands, with their tables' . cells and results
     least: Dict[int, list] = {cfg.order: [] for cfg in cfgs if not cfg.up_to_iso}
-    with (closing(_farm(workers, jobs())) if workers > 1
-          else nullcontext(map(_band_job, jobs()))) as results:
+    run = partial(_band_job, check)
+    with (closing(_farm(workers, run, jobs())) if workers > 1
+          else nullcontext(map(run, jobs()))) as results:
         for n, nodes, add, found in results:
             budgets[n].charge(nodes)
             if n in least:

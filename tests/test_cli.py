@@ -3,6 +3,7 @@ import gc
 import hashlib
 import json
 import os
+import pickle
 import random
 import resource
 import signal
@@ -363,10 +364,10 @@ def _slow_on_first_band(monkeypatch, n, secs):
     first = next(bands(n, _Budget(10 ** 6, 60.0)))[0]
     band_job = enumeration._band_job
 
-    def slow_on_first(job):
-        if job[2] == first:
+    def slow_on_first(check, job):
+        if job[1] == first:
             time.sleep(secs)
-        return band_job(job)
+        return band_job(check, job)
 
     monkeypatch.setattr(enumeration, "_band_job", slow_on_first)
 
@@ -391,10 +392,10 @@ def test_worker_exception_is_raised_at_its_place_in_the_stream(capsys, monkeypat
 def test_a_worker_killed_from_outside_ends_verify_with_exit_5(capsys, monkeypatch):
     band_job = enumeration._band_job
 
-    def die_on_order3(job):
-        if job[1] == 3:
+    def die_on_order3(check, job):
+        if job[0] == 3:
             os.kill(os.getpid(), signal.SIGKILL)
-        return band_job(job)
+        return band_job(check, job)
 
     monkeypatch.setattr(enumeration, "_band_job", die_on_order3)
     code, out, err = run(capsys, "verify", "--max-order", "3", "--iso", "--workers", "2")
@@ -409,9 +410,9 @@ def test_a_worker_killed_with_a_job_queued_for_it_ends_verify_with_exit_5(capsys
     # spends 200 ms on each later order-4 band, then queues it a job
     band_job, search = enumeration._band_job, enumeration.bands
 
-    def die_after_order4(job):
-        out = band_job(job)
-        if job[1] == 4 and signal.getitimer(signal.ITIMER_REAL)[0] == 0:
+    def die_after_order4(check, job):
+        out = band_job(check, job)
+        if job[0] == 4 and signal.getitimer(signal.ITIMER_REAL)[0] == 0:
             signal.setitimer(signal.ITIMER_REAL, 0.05)
         return out
 
@@ -457,13 +458,33 @@ def test_the_band_searchs_own_exception_is_raised_at_its_place(monkeypatch, work
     assert_no_child()
 
 
+@pytest.mark.parametrize("workers", [2, 3])
+def test_a_check_that_does_not_pickle_runs_on_workers(workers):
+    # the workers are forked after the check is bound, so they inherit it:
+    # neither a lambda nor a closure over local data is pickled; only each
+    # job and each result cross the pipes
+    cfgs = [EnumConfig(n, up_to_iso=True) for n in (1, 2, 3, 4)]
+    weights = {v: 3 * v + 1 for v in range(4)}
+
+    def weighed(a):
+        return sum(weights[v] for row in a.t.mul for v in row)
+
+    for check in (lambda a: a.t.mul, weighed):
+        with pytest.raises((pickle.PicklingError, AttributeError)):
+            pickle.dumps(check)
+        serial = list(sweep(cfgs, 1, check))
+        assert len(serial) == 927
+        assert list(sweep(cfgs, workers, check)) == serial
+        assert_no_child()
+
+
 def test_closing_a_pooled_sweep_kills_and_reaps_its_workers(monkeypatch):
     band_job = enumeration._band_job
 
-    def stall_after_order1(job):
-        if job[1] > 1:
+    def stall_after_order1(check, job):
+        if job[0] > 1:
             time.sleep(60)
-        return band_job(job)
+        return band_job(check, job)
 
     monkeypatch.setattr(enumeration, "_band_job", stall_after_order1)
     stream = sweep([EnumConfig(n, up_to_iso=True) for n in (1, 2, 3, 4)], 2, None)
@@ -799,20 +820,37 @@ def test_nan_budget_is_rejected(capsys):
     assert "budget must be positive" in err
 
 
-@pytest.mark.parametrize("workers", ["0", "-3", str(cli.MAX_WORKERS + 1),
+@pytest.mark.parametrize("workers", ["0", "-3", str(enumeration.MAX_WORKERS + 1),
                                      "1000000"])
 def test_verify_rejects_worker_count_out_of_range(capsys, monkeypatch, workers):
     def refuse(*args, **kwargs):
         raise AssertionError("nothing may run before --workers is checked")
     monkeypatch.setattr(os, "fork", refuse)
-    monkeypatch.setattr(cli, "enumerate_idempotent_semirings", refuse)
-    code, _, err = run(capsys, "verify", "--max-order", "1", "--workers", workers)
-    assert code == 3
-    assert "--workers must be in 1..%d" % cli.MAX_WORKERS in err
+    monkeypatch.setattr(enumeration, "bands", refuse)
+    code, out, err = run(capsys, "verify", "--max-order", "1", "--workers", workers)
+    assert code == 3 and out == ""
+    assert err == ("precondition violated: --workers must be in 1..%d\n"
+                   % enumeration.MAX_WORKERS)
+
+
+@pytest.mark.parametrize("workers", [0, enumeration.MAX_WORKERS + 1])
+def test_sweep_refuses_a_worker_count_out_of_range_before_any_search(monkeypatch,
+                                                                     workers):
+    # the library stream checks the range itself, as the CLI passes it on
+    def refuse(*args, **kwargs):
+        raise AssertionError("nothing may run before the worker count is checked")
+    monkeypatch.setattr(os, "fork", refuse)
+    monkeypatch.setattr(enumeration, "bands", refuse)
+    with pytest.raises(semiring_lab.PreconditionError,
+                       match=r"--workers must be in 1\.\.%d$" % enumeration.MAX_WORKERS):
+        next(sweep([EnumConfig(2, up_to_iso=True)], workers, None))
 
 
 def test_verify_workers_need_fork(capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("no band may be searched without os.fork")
     monkeypatch.delattr(os, "fork")
+    monkeypatch.setattr(enumeration, "bands", refuse)
     code, out, err = run(capsys, "verify", "--max-order", "2", "--workers", "2")
     assert code == 3 and out == ""
     assert "needs os.fork" in err and "Traceback" not in err

@@ -485,6 +485,23 @@ def test_every_bijection_relabels_as_the_rows_oracle(n):
         assert [r.names[p[k]] for k in range(n)] == list(t.names)
 
 
+def test_orders_above_the_bound_are_refused_before_any_relabelling(monkeypatch):
+    # 9! = 362 880 maps would be built for canonical_form and is_isomorphic;
+    # the one bound lives in core, and congruences keeps its name for it
+    def refuse(p):
+        raise AssertionError("no relabelling may be built above the bound")
+
+    monkeypatch.setattr(core, "_relabelling", refuse)
+    n = core.DEFAULT_ORDER_BOUND + 1
+    assert n == 9 and sl.congruences.DEFAULT_ORDER_BOUND is core.DEFAULT_ORDER_BOUND
+    rows = [[a] * n for a in range(n)]  # the left-zero band, for both operations
+    t = sl.SemiringTable.from_rows(rows, rows)
+    for refused in (lambda: sl.canonical_form(t), lambda: sl.is_isomorphic(t, t),
+                    lambda: sl.EnumConfig(order=n), lambda: sl.all_congruences(t)):
+        with pytest.raises(sl.ResourceBoundError, match="order 9 exceeds .* bound 8$"):
+            refused()
+
+
 def _invert(perm):
     inv = [0] * len(perm)
     for i, v in enumerate(perm):

@@ -516,8 +516,8 @@ def test_a_band_job_reads_each_additive_fact_once(monkeypatch, iso4):
     for add, auts in sl.enumeration.bands(4, _Budget(10 ** 6, 60.0)):
         calls.clear()
         job_add[:] = [add]
-        job = (partial(cli._verify_one, suite), 4, add, auts, 10 ** 6, time.monotonic() + 60)
-        _, _, _, found = sl.enumeration._band_job(job)
+        job = (4, add, auts, 10 ** 6, time.monotonic() + 60)
+        _, _, _, found = sl.enumeration._band_job(partial(cli._verify_one, suite), job)
         count = len(found)
         assert [failures for _, _, failures in found] == [()] * count
         in_bi = any(sl.in_variety(sl.SemiringTable.from_rows(add, mul), "Bi")
